@@ -61,17 +61,20 @@ _TOL_ENV = "FRAMEKIT_TOLERANCE"
 
 def _encode_matrix(m: np.ndarray) -> list:
     if np.iscomplexobj(m):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-    return [[float(x) for x in row] for row in m]
+        return np.stack([m.real, m.imag], axis=-1).tolist()
+    return m.tolist()
 
 
 def _decode_matrix(rows: list, field: Field) -> np.ndarray:
-    if field is Field.COMPLEX:
-        return np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=np.complex128,
-        )
-    return np.array(rows, dtype=np.float64)
+    m = np.array(rows, dtype=np.float64)
+    if field is Field.REAL:
+        return m
+    if m.ndim != 3 or m.shape[2] != 2:
+        raise ValueError(f"complex matrix must be rows of [re, im] pairs, got shape {m.shape}")
+    z = np.empty(m.shape[:2], dtype=np.complex128)
+    z.real = m[..., 0]
+    z.imag = m[..., 1]
+    return z
 
 
 def frame_to_dict(frame) -> dict:
@@ -98,6 +101,8 @@ def frame_to_dict(frame) -> dict:
 
 
 def frame_from_dict(data: dict):
+    if not isinstance(data, dict):
+        raise ValueError(f"frame file must hold a JSON object, got {type(data).__name__}")
     version = data.get("format_version")
     if version != FRAME_FORMAT_VERSION:
         raise ValueError(f"unsupported frame file version: {version!r}")
@@ -122,8 +127,7 @@ def frame_from_dict(data: dict):
 
 def save_frame(frame, path: str):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(frame_to_dict(frame), fh)
-        fh.write("\n")
+        fh.write(json.dumps(frame_to_dict(frame)) + "\n")
 
 
 def load_frame(path: str):
@@ -334,7 +338,11 @@ def cmd_verify(args) -> int:
     except (_ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_suite(plan, frame=frame)
+    try:
+        report = run_suite(plan, frame=frame)
+    except GenerationFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _print_report(report, sys.stdout)
     if args.report is not None:
         text = report_to_csv(report) if args.format == "csv" else report_to_json(report)

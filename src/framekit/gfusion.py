@@ -113,7 +113,7 @@ class GFusionFrame:
     def is_frame(self) -> bool:
         return self.lower_bound > PDTOL
 
-    @property
+    @functools.cached_property
     def is_parseval(self) -> bool:
         return operator_norm(self.frame_operator - identity_like(self.frame_operator)) <= PARSEVAL_TOL
 

@@ -6,11 +6,19 @@ of positive-definite matrices, orthonormal subspace bases with their
 projections, Loewner-order interval tests, and two small operator lemmas the
 verification checks lean on.  Every function is pure and never mutates its
 arguments.
+
+The acceptance gates (Hermitian symmetry in ``hermitian_eig`` and
+``loewner_check``, orthonormality in ``projection``) keep their spectral
+semantics, ``||Y||_2 <= tol * max(floor, ||X||_2, ...)``.  They are decided
+first from an O(d^2) Frobenius certificate, which implies the spectral test,
+and fall back to the exact spectral test only when the certificate is
+inconclusive, so every verdict is the one the spectral test gives.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -174,6 +182,40 @@ def identity_like(a: np.ndarray) -> np.ndarray:
     return np.eye(a.shape[0], dtype=a.dtype)
 
 
+# The certificate below compares computed Frobenius norms; this slack covers
+# their relative rounding and that of the spectral norms (order d * eps each)
+# many times over, so a certificate never passes where the spectral test
+# would fail.
+_CERTIFICATE_SLACK = 1.0 + 1e-6
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _frobenius_sq(a: np.ndarray) -> float:
+    return float(np.vdot(a, a).real)
+
+
+def _norms_within(deviations, tol: float, floor: float, operands=()) -> bool:
+    """Spectral gate: no ``||Y||_2`` exceeds ``tol * max(floor, ||X||_2, ...)``.
+
+    ``||Y||_2 <= ||Y||_F`` and ``||X||_F / sqrt(d) <= ||X||_2``, so when every
+    Frobenius bound passes the spectral test passes too and no SVD runs.
+    Squares that underflow lose less than ``tiny`` each, hence the
+    ``size * tiny`` term.  When the certificate is inconclusive the spectral
+    test itself decides.
+    """
+    lower = floor
+    for x in operands:
+        lower = max(lower, math.sqrt(_frobenius_sq(x) / min(x.shape)))
+    bound = tol * lower
+    if bound < math.inf and all(
+        _CERTIFICATE_SLACK * math.sqrt(_frobenius_sq(y) + 2 * y.size * _TINY) <= bound
+        for y in deviations
+    ):
+        return True
+    scale = max([operator_norm(x) for x in operands] + [floor])
+    return not any(operator_norm(y) > tol * scale for y in deviations)
+
+
 def hermitian_eig(a, htol: float = HTOL) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian operator.
 
@@ -184,7 +226,7 @@ def hermitian_eig(a, htol: float = HTOL) -> SpectralDecomposition:
     a = as_operator(a)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"expected a square operator, got shape {a.shape}")
-    if hermitian_violation(a) > htol * operator_norm(a):
+    if not _norms_within([a - adjoint(a)], htol, 0.0, [a]):
         raise NotHermitian("operator is not Hermitian within tolerance")
     w, u = np.linalg.eigh(symmetrize(a))
     return SpectralDecomposition(w, u)
@@ -231,7 +273,7 @@ def projection(basis, rtol: float = RTOL) -> np.ndarray:
     """Orthogonal projection onto the column span of an orthonormal basis."""
     b = as_operator(basis)
     gram = adjoint(b) @ b
-    if operator_norm(gram - identity_like(gram)) > rtol:
+    if not _norms_within([gram - identity_like(gram)], rtol, 1.0):
         raise NotOrthonormal("basis columns are not orthonormal within tolerance")
     return b @ adjoint(b)
 
@@ -258,10 +300,9 @@ def loewner_check(t, lower, upper, tol: float, htol: float = HTOL) -> LoewnerMar
     up = _as_bound(upper, t)
     if lo.shape != t.shape or up.shape != t.shape:
         raise ShapeMismatch("interval operands must share the operator's shape")
-    scale = max(operator_norm(t), operator_norm(lo), operator_norm(up), 1.0)
-    for x in (t, lo, up):
-        if hermitian_violation(x) > htol * scale:
-            raise NotHermitian("interval operands must be Hermitian within tolerance")
+    operands = (t, lo, up)
+    if not _norms_within([x - adjoint(x) for x in operands], htol, 1.0, operands):
+        raise NotHermitian("interval operands must be Hermitian within tolerance")
     lower_margin = float(np.linalg.eigvalsh(symmetrize(t - lo))[0])
     upper_margin = float(np.linalg.eigvalsh(symmetrize(up - t))[0])
     return LoewnerMargin(lower_margin, upper_margin, lower_margin >= -tol and upper_margin >= -tol)

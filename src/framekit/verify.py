@@ -30,6 +30,7 @@ from . import gframe as gf
 from . import gfusion as gfu
 from .gen import (
     ComponentSpec,
+    GenerationFailed,
     GenSpec,
     random_gframe,
     random_gfusion,
@@ -623,12 +624,18 @@ def build_instances(plan: SuitePlan) -> list[FrameInstance]:
                 tag = f"dim={dim},field={fld.value},seed={seed}"
                 block_dims = _block_dims(dim, plan.components)
                 spec = GenSpec(dim, _component_specs(dim, plan.components, plan.weight_range), fld, seed)
-                frames = [
-                    ("gframe", random_gframe(dim, block_dims, fld, seed)),
-                    ("gframe", random_parseval_gframe(dim, block_dims, fld, seed)),
-                    ("gfusion", random_gfusion(spec)),
-                    ("gfusion", random_parseval_gfusion(spec)),
-                ]
+                try:
+                    frames = [
+                        ("gframe", random_gframe(dim, block_dims, fld, seed)),
+                        ("gframe", random_parseval_gframe(dim, block_dims, fld, seed)),
+                        ("gfusion", random_gfusion(spec)),
+                        ("gfusion", random_parseval_gfusion(spec)),
+                    ]
+                except GenerationFailed as exc:
+                    raise GenerationFailed(
+                        f"cannot generate instances at dim {dim} with block dims "
+                        f"{block_dims} ({fld.value}, seed {seed}): {exc}"
+                    ) from exc
                 for kind, frame in frames:
                     parseval = frame.is_parseval
                     label = f"{kind}{'-parseval' if parseval else ''}[{tag}]"
@@ -639,9 +646,10 @@ def build_instances(plan: SuitePlan) -> list[FrameInstance]:
 
 
 def subsets_for(count: int, plan: SuitePlan, seed: int) -> list[tuple[int, ...]]:
-    """Every subset when feasible, otherwise a seeded sample always
-    containing the empty and the full subset."""
-    if count <= plan.exhaustive_subset_limit:
+    """Every subset when feasible or when the sample would be as large,
+    otherwise a seeded sample always containing the empty and the full
+    subset."""
+    if count <= plan.exhaustive_subset_limit or 2**count <= plan.subset_samples:
         return [
             tuple(c)
             for k in range(count + 1)

@@ -70,6 +70,35 @@ class TestFrameFiles:
             frame_from_dict({"format_version": 99, "field": "real", "dim_h": 1,
                              "kind": "gframe", "components": []})
 
+    def test_signed_zeros_write_golden_bytes_and_reload_bit_exactly(self, tmp_path):
+        z = np.empty((2, 2), dtype=np.complex128)
+        z.real = [[-0.0, 0.1], [1e-300, -2.5]]
+        z.imag = [[-0.0, -0.0], [1 / 3, 0.0]]
+        path = tmp_path / "z.frame"
+        save_frame(GFrame([z]), str(path))
+        assert path.read_bytes() == (
+            b'{"format_version": 1, "field": "complex", "dim_h": 2, "kind": "gframe", '
+            b'"components": [{"lambda": [[[-0.0, -0.0], [0.1, -0.0]], '
+            b'[[1e-300, 0.3333333333333333], [-2.5, 0.0]]]}]}\n'
+        )
+        assert load_frame(str(path)).blocks[0].tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("command", ["verify", "demo-reconstruct"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[1, 2]",
+            json.dumps({"format_version": 1, "field": "complex", "dim_h": 1,
+                        "kind": "gframe", "components": [{"lambda": [[[1.0]]]}]}),
+        ],
+        ids=["top-level-list", "complex-entry-not-a-pair"],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, capsys, command, content):
+        path = tmp_path / "bad.frame"
+        path.write_text(content)
+        assert run_cli([command, "--frame", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_zero_weight_file_is_invalid(self, tmp_path, coordinate_gfusion):
         path = tmp_path / "bad.frame"
         data = frame_to_dict(coordinate_gfusion)
@@ -126,6 +155,12 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run_cli(["verify", "--dims", "x"])
         assert exc.value.code == 2
+
+    def test_grid_that_cannot_be_generated_exits_2(self, capsys):
+        assert run_cli(["verify", "--dims", "16", "--components", "4", "--seeds", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "dim 16" in err and "block dims [2, 3, 4, 5]" in err
 
     def test_zero_tolerance_exits_1(self):
         ret = run_cli([

@@ -1,10 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from framekit import (
+    HTOL,
+    RTOL,
     Field,
     LoewnerMargin,
     NotHermitian,
@@ -14,6 +18,7 @@ from framekit import (
     ShapeMismatch,
     ZeroLeadingCoefficient,
     ZeroSubspace,
+    GFusionFrame,
     adjoint,
     as_operator,
     complement_identity_residual,
@@ -29,6 +34,7 @@ from framekit import (
     substream,
 )
 from framekit.gen import random_operator, random_subspace_basis, random_vector
+from framekit.linops import hermitian_violation
 
 
 class TestAdjoint:
@@ -306,3 +312,143 @@ class TestScalarField:
     def test_dtypes(self):
         assert Field.REAL.dtype == np.float64
         assert Field.COMPLEX.dtype == np.complex128
+
+
+def _gated_operator(dim, field, rank, skew_rank, log_ratio, log_scale, rng):
+    """Hermitian part of the given rank and size plus a skew part whose
+    ||X - X*|| is about 10**log_ratio times the Hermitian gate threshold."""
+    b = random_operator(dim, rank, field, rng)
+    h = (10.0**log_scale / operator_norm(b) ** 2) * (b @ adjoint(b))
+    g = random_operator(dim, skew_rank, field, rng) @ random_operator(skew_rank, dim, field, rng)
+    k = g - adjoint(g)
+    k_norm = operator_norm(k)
+    if k_norm == 0.0:  # a 1 x 1 real matrix has no skew part
+        return h
+    return h + (0.5 * 10.0**log_ratio * HTOL * operator_norm(h) / k_norm) * k
+
+
+_gate_params = dict(
+    dim=st.integers(1, 64),
+    field=st.sampled_from(list(Field)),
+    seed=st.integers(0, 10_000),
+    rank=st.integers(1, 64),
+    skew_rank=st.integers(1, 64),
+    log_ratio=st.floats(-2.0, 2.0),
+    log_scale=st.floats(-3.0, 3.0),
+)
+
+
+def _hermitian_gate_passes(x) -> bool:
+    try:
+        hermitian_eig(x)
+    except NotHermitian:
+        return False
+    return True
+
+
+class TestAcceptanceGates:
+    """The Frobenius-certified gates give exactly the spectral verdicts."""
+
+    # rank-1 Hermitian part, full-rank skew part below the threshold: the
+    # certificate is inconclusive and the spectral test accepts
+    @example(dim=64, field=Field.COMPLEX, seed=0, rank=1, skew_rank=64, log_ratio=-0.3, log_scale=0.0)
+    @example(dim=64, field=Field.REAL, seed=1, rank=1, skew_rank=64, log_ratio=-0.3, log_scale=2.0)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(**_gate_params)
+    def test_hermitian_eig_gate(self, dim, field, seed, rank, skew_rank, log_ratio, log_scale):
+        rng = substream(seed, 31)
+        x = _gated_operator(dim, field, min(rank, dim), min(skew_rank, dim), log_ratio, log_scale, rng)
+        expected = hermitian_violation(x) <= HTOL * operator_norm(x)
+        assert _hermitian_gate_passes(x) == expected
+
+    @example(dim=64, field=Field.COMPLEX, seed=0, rank=1, skew_rank=64, log_ratio=-0.3, log_scale=0.0)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(**_gate_params)
+    def test_loewner_gate(self, dim, field, seed, rank, skew_rank, log_ratio, log_scale):
+        rng = substream(seed, 32)
+        rank, skew_rank = min(rank, dim), min(skew_rank, dim)
+        t = _gated_operator(dim, field, rank, skew_rank, log_ratio, log_scale, rng)
+        lo = _gated_operator(dim, field, skew_rank, rank, -log_ratio, -log_scale, rng)
+        up = _gated_operator(dim, field, rank, rank, log_ratio / 2, log_scale, rng)
+        scale = max(operator_norm(t), operator_norm(lo), operator_norm(up), 1.0)
+        expected = all(hermitian_violation(x) <= HTOL * scale for x in (t, lo, up))
+        try:
+            loewner_check(t, lo, up, tol=0.0)
+            passed = True
+        except NotHermitian:
+            passed = False
+        assert passed == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 64), cols=st.integers(1, 64), field=st.sampled_from(list(Field)),
+           seed=st.integers(0, 10_000), log_ratio=st.floats(-2.0, 2.0))
+    def test_projection_gate(self, dim, cols, field, seed, log_ratio):
+        rng = substream(seed, 33)
+        q = random_subspace_basis(dim, min(cols, dim), field, rng)
+        e = random_operator(*q.shape, field, rng)
+        b = q + (10.0**log_ratio * RTOL / operator_norm(adjoint(q) @ e + adjoint(e) @ q)) * e
+        expected = operator_norm(adjoint(b) @ b - np.eye(b.shape[1])) <= RTOL
+        try:
+            projection(b)
+            passed = True
+        except NotOrthonormal:
+            passed = False
+        assert passed == expected
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record every numpy SVD, direct or inside ``np.linalg.norm(x, 2)``."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", counting_svd)
+    return calls
+
+
+class TestGateCost:
+    @pytest.mark.parametrize("field", list(Field))
+    def test_clean_input_makes_no_svd(self, svd_calls, field):
+        rng = substream(5, 34)
+        g = random_operator(16, 16, field, rng)
+        h = g @ adjoint(g)
+        basis = random_subspace_basis(16, 5, field, rng)
+        svd_calls.clear()
+        hermitian_eig(h)
+        loewner_check(h, 0.0, 2.0 * h, tol=0.0)
+        loewner_check(0.5 * h, 0.25 * h, h, tol=0.0)
+        projection(basis)
+        assert svd_calls == []
+        operator_norm(h)  # the counter does see spectral norms
+        assert svd_calls == [(16, 16)]
+
+    def test_inconclusive_certificate_falls_back_to_the_spectral_test(self, svd_calls):
+        # ||X - X*|| is half the threshold, but the rank-1 Hermitian part
+        # makes ||X||_F / sqrt(64) eight times smaller than ||X||
+        x = np.zeros((64, 64))
+        x[0, 0] = 1.0
+        x[0, 1], x[1, 0] = 0.25 * HTOL, -0.25 * HTOL
+        assert hermitian_violation(x) <= HTOL * operator_norm(x)
+        svd_calls.clear()
+        hermitian_eig(x)
+        assert len(svd_calls) == 2
+        x[0, 1], x[1, 0] = HTOL, -HTOL
+        with pytest.raises(NotHermitian):
+            hermitian_eig(x)
+
+    def test_is_parseval_is_computed_once(self, svd_calls, coordinate_gframe):
+        rng = substream(6, 35)
+        frame = GFusionFrame(
+            [(random_subspace_basis(4, 2, Field.COMPLEX, rng),
+              random_operator(3, 4, Field.COMPLEX, rng), 1.0) for _ in range(3)]
+        )
+        for f in (frame, frame.parsevalize(), coordinate_gframe):
+            svd_calls.clear()
+            first = f.is_parseval
+            assert f.is_parseval is first
+            assert len(svd_calls) == 1

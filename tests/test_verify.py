@@ -145,6 +145,12 @@ class TestSubsets:
         assert () in subsets and tuple(range(20)) in subsets
         assert subsets == subsets_for(20, plan, 7)  # deterministic
 
+    def test_every_subset_when_the_sample_would_hold_them_all(self):
+        plan = SuitePlan(exhaustive_subset_limit=2, subset_samples=256)
+        assert subsets_for(3, plan, 0) == [
+            (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)
+        ]
+
 
 class TestSuitePlan:
     def test_defaults(self):

@@ -59,8 +59,11 @@ _TOL_ENV = "FRAMEKIT_TOLERANCE"
 # frame files
 
 
-def _encode_matrix(m: np.ndarray) -> list:
-    if np.iscomplexobj(m):
+def _encode_matrix(m: np.ndarray, field: Field) -> list:
+    """Nested lists for ``m`` in the frame's field: a real matrix in a
+    complex frame is written as [re, 0.0] pairs, as the decoder expects."""
+    if field is Field.COMPLEX:
+        m = np.asarray(m, dtype=np.complex128)
         return np.stack([m.real, m.imag], axis=-1).tolist()
     return m.tolist()
 
@@ -81,12 +84,12 @@ def frame_to_dict(frame) -> dict:
     kind = frame_kind(frame)
     fld = Field.COMPLEX if np.iscomplexobj(frame.frame_operator) else Field.REAL
     if kind == "gframe":
-        components = [{"lambda": _encode_matrix(b)} for b in frame.blocks]
+        components = [{"lambda": _encode_matrix(b, fld)} for b in frame.blocks]
     else:
         components = [
             {
-                "lambda": _encode_matrix(c.block),
-                "basis": _encode_matrix(c.basis),
+                "lambda": _encode_matrix(c.block, fld),
+                "basis": _encode_matrix(c.basis, fld),
                 "weight": float(c.weight),
             }
             for c in frame.components
@@ -283,6 +286,9 @@ def cmd_gen(args) -> int:
     except GenerationFailed as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         save_frame(frame, args.out)
     except OSError as exc:

@@ -10,6 +10,7 @@ take independent real and imaginary parts, each N(0, 1/2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ class ComponentSpec:
     def __post_init__(self):
         if self.subspace_dim < 1 or self.codomain_dim < 1:
             raise ValueError("component dimensions must be at least 1")
-        if not (0.0 < self.weight_lo <= self.weight_hi):
-            raise ValueError("weight range must satisfy 0 < lo <= hi")
+        if not (0.0 < self.weight_lo <= self.weight_hi < math.inf):
+            raise ValueError("weight range must satisfy 0 < lo <= hi < inf")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ sums the weighted, projected block Gram terms.  The canonical dual maps the
 subspaces through the inverse frame operator; whitening by the inverse
 square root yields a Parseval frame.  Subspaces are stored as orthonormal
 column bases, never as projection matrices; projections are derived.
+
+The identities and bounds are sums of block energies
+weight_j^2 ||block_j P_j f||^2.  ``block_energies`` computes all of them
+with one product by the stacked analysis operator
+[w_1 B_1 P_1; ...; w_n B_n P_n], built once per frame and kept read-only,
+and one segmented sum over the block row ranges.  It raises the same errors
+as the per-block ``analysis`` route, which stays the reference.
 """
 
 from __future__ import annotations
@@ -71,6 +78,8 @@ class GFusionFrame:
             weight = float(weight)
             if not np.isfinite(weight) or weight <= 0.0:
                 raise ValueError("component weights must be positive and finite")
+            if not np.isfinite(weight * weight):
+                raise ValueError(f"component weight {weight!r} has no finite square")
             comps.append(GFusionComponent(basis, block, weight))
         if not comps:
             raise ShapeMismatch("a frame needs at least one component")
@@ -143,10 +152,23 @@ class GFusionFrame:
         return out
 
     def analysis_matrix(self) -> np.ndarray:
-        """Dense stacked analysis operator (oracle route to the frame operator)."""
-        return np.vstack(
-            [c.weight * (c.block @ p) for c, p in zip(self.components, self.projections)]
-        )
+        """Dense stacked analysis operator [w_1 B_1 P_1; ...; w_n B_n P_n].
+
+        Built once per frame and returned as a read-only view that cannot be
+        made writeable, so callers cannot change the operator behind
+        ``block_energies``.  Its Gram matrix is the oracle route to the
+        frame operator.
+        """
+        return self._stacked_analysis[0].view()
+
+    @functools.cached_property
+    def _stacked_analysis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked analysis operator and the first row of each block in it."""
+        rows = [c.weight * (c.block @ p) for c, p in zip(self.components, self.projections)]
+        stack = np.vstack(rows)
+        stack.setflags(write=False)
+        starts = np.cumsum([0] + [r.shape[0] for r in rows[:-1]])
+        return stack, starts
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:
@@ -234,8 +256,20 @@ class DualGFusionFrame(GFusionFrame):
 
 
 def block_energies(frame: GFusionFrame, f) -> np.ndarray:
-    """Per-component energies weight_j^2 ||block_j P_j f||^2."""
-    return np.array([np.vdot(b, b).real for b in frame.analysis(f).blocks])
+    """Per-component energies weight_j^2 ||block_j P_j f||^2.
+
+    One product with the stacked analysis operator and one segmented sum of
+    its squared moduli over the block row ranges; ``analysis`` is the
+    per-block reference route.  ``f`` is validated once and the stacked
+    image once, raising what ``analysis`` raises: ``ShapeMismatch`` for a
+    wrong shape and ``ValueError`` when ``f`` or its image is not finite.
+    """
+    f = as_vector(f, frame.dim_h)
+    stack, starts = frame._stacked_analysis
+    y = stack @ f
+    if not np.isfinite(y).all():
+        raise ValueError("vector entries must be finite")
+    return np.add.reduceat((y.conj() * y).real, starts)
 
 
 def partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:

@@ -136,7 +136,7 @@ def as_operator(a) -> np.ndarray:
     m = _coerce(a)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatch(f"expected a 2-D operator, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("operator entries must be finite")
     return m
 
@@ -148,7 +148,7 @@ def as_vector(f, dim: int | None = None) -> np.ndarray:
         raise ShapeMismatch(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ShapeMismatch(f"expected a vector of length {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -280,7 +280,12 @@ def projection(basis, rtol: float = RTOL) -> np.ndarray:
 
 def _as_bound(x, like: np.ndarray) -> np.ndarray:
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
-        return complex(x).real * identity_like(like) if np.iscomplexobj(like) else float(x) * identity_like(like)
+        z = complex(x)
+        if z.imag != 0.0:
+            raise NotHermitian(f"scalar bound {z!r} is not real")
+        if not math.isfinite(z.real):
+            raise ValueError(f"scalar bound {z.real!r} is not finite")
+        return z.real * identity_like(like)
     return as_operator(x)
 
 

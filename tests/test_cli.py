@@ -7,6 +7,7 @@ import pytest
 from framekit import load_frame, save_frame
 from framekit.cli import frame_from_dict, frame_to_dict, main
 from framekit.gframe import GFrame
+from framekit.gfusion import GFusionFrame
 
 
 def run_cli(argv):
@@ -65,6 +66,29 @@ class TestFrameFiles:
         reloaded = frame_from_dict(data)
         assert reloaded.blocks[0][0, 0] == 1.0 + 2.0j
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            GFusionFrame([(np.eye(2), [[1j, 0], [0, 1]], 1.0)]),
+            GFrame([np.eye(2), np.array([[1j, 0], [0, 1]])]),
+        ],
+        ids=["gfusion-real-basis", "gframe-real-block"],
+    )
+    def test_mixed_dtype_frame_round_trips_bit_exactly(self, tmp_path, frame):
+        path = tmp_path / "mixed.frame"
+        save_frame(frame, str(path))
+        reloaded = load_frame(str(path))
+        assert type(reloaded) is type(frame)
+        assert reloaded.dtype == np.complex128
+        assert reloaded.frame_operator.tobytes() == frame.frame_operator.tobytes()
+        if isinstance(frame, GFrame):
+            pairs = zip(frame.blocks, reloaded.blocks)
+        else:
+            pairs = [(m1, m2) for c1, c2 in zip(frame.components, reloaded.components)
+                     for m1, m2 in ((c1.basis, c2.basis), (c1.block, c2.block))]
+        for m1, m2 in pairs:
+            assert np.array_equal(m1, m2)
+
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):
             frame_from_dict({"format_version": 99, "field": "real", "dim_h": 1,
@@ -106,6 +130,34 @@ class TestFrameFiles:
         path.write_text(json.dumps(data))
         ret = run_cli(["demo-reconstruct", "--frame", str(path), "--vector", "3,4"])
         assert ret == 2
+
+
+def _frame_file_with_weight(tmp_path, weight):
+    path = tmp_path / "heavy.frame"
+    data = frame_to_dict(GFusionFrame([(np.eye(2), np.eye(2), 1.0)]))
+    data["components"][0]["weight"] = weight
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestExtremeWeights:
+    """Weights whose squares or frame terms overflow are invalid input."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda tmp: ["gen", "--dim", "2", "--components", "2:2:inf", "--out", str(tmp / "f")],
+            lambda tmp: ["gen", "--dim", "2", "--components", "2:2:1e160", "--out", str(tmp / "f")],
+            lambda tmp: ["gen", "--dim", "2", "--components", "2:2:1e154", "--out", str(tmp / "f")],
+            lambda tmp: ["demo-reconstruct", "--random", "--dim", "2", "--components", "2:2:1e200"],
+            lambda tmp: ["verify", "--frame", _frame_file_with_weight(tmp, 1e200)],
+        ],
+        ids=["gen-inf", "gen-square-overflows", "gen-terms-overflow",
+             "demo-square-overflows", "verify-file-square-overflows"],
+    )
+    def test_exits_2_with_an_error_line(self, tmp_path, capsys, argv):
+        assert run_cli(argv(tmp_path)) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestGen:

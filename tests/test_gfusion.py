@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from framekit import (
@@ -20,7 +22,10 @@ from framekit import (
     random_gfusion,
     random_parseval_gfusion,
     sample_vectors,
+    substream,
 )
+from framekit import gframe, gfusion
+from framekit.gen import random_operator, random_subspace_basis, random_vector
 from framekit.gfusion import (
     block_energies,
     frame_partition_identity,
@@ -63,6 +68,10 @@ class TestConstruction:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             GFusionFrame([(np.eye(2), np.eye(2), -1.0)])
+
+    def test_weight_without_finite_square_rejected(self):
+        with pytest.raises(ValueError, match="finite square"):
+            GFusionFrame([(np.eye(2), np.eye(2), 1e160)])
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(NotOrthonormal):
@@ -315,3 +324,77 @@ class TestIdentities:
         energies = block_energies(f.canonical_dual, x)
         n2 = float(np.vdot(x, x).real)
         assert energies.sum() == pytest.approx(n2, rel=1e-7)
+
+
+def _random_frame(dim, shapes, field, seed):
+    """Frame with one component per (subspace dim, codomain dim) pair."""
+    rng = substream(seed, 41)
+    return GFusionFrame(
+        [
+            (random_subspace_basis(dim, min(k, dim), field, rng),
+             random_operator(rows, dim, field, rng),
+             float(rng.uniform(0.5, 2.0)))
+            for k, rows in shapes
+        ]
+    )
+
+
+class TestBlockEnergies:
+    """The stacked route gives the per-block energies of ``analysis``."""
+
+    # complex vector on a real frame with 1-row and rectangular blocks
+    @example(dim=3, shapes=[(1, 1), (2, 4), (3, 2)], frame_field=Field.REAL,
+             vector_field=Field.COMPLEX, seed=0, dual=False)
+    @example(dim=3, shapes=[(1, 1), (2, 4), (3, 2)], frame_field=Field.REAL,
+             vector_field=Field.COMPLEX, seed=0, dual=True)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 6),
+           shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 5)), min_size=1, max_size=5),
+           frame_field=st.sampled_from(list(Field)), vector_field=st.sampled_from(list(Field)),
+           seed=st.integers(0, 10_000), dual=st.booleans())
+    def test_matches_per_block_route(self, dim, shapes, frame_field, vector_field, seed, dual):
+        frame = _random_frame(dim, shapes, frame_field, seed)
+        if dual:
+            assume(frame.is_frame)
+            frame = frame.canonical_dual
+        x = random_vector(dim, vector_field, substream(seed, 42))
+        expected = [np.vdot(b, b).real for b in frame.analysis(x).blocks]
+        assert_allclose(block_energies(frame, x), expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("route", ["stacked", "per-block"])
+    def test_errors_match_the_per_block_route(self, route):
+        frame = _random_frame(3, [(2, 2), (3, 1)], Field.COMPLEX, 5)
+        energies = block_energies if route == "stacked" else GFusionFrame.analysis
+        with pytest.raises(ValueError, match="finite"):
+            energies(frame, np.array([1.0, np.nan, 0.0]))
+        with pytest.raises(ShapeMismatch):
+            energies(frame, np.ones(4))
+        huge = GFusionFrame([(np.eye(2), np.ones((2, 2)), 1e150)])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            energies(huge, np.full(2, 1e300))
+
+    def test_validates_the_vector_once(self, monkeypatch):
+        frame = _random_frame(4, [(1, 2), (2, 3), (4, 1)], Field.COMPLEX, 6)
+        calls = []
+        as_vector = gfusion.as_vector
+        assert gframe.as_vector is as_vector
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return as_vector(*args, **kwargs)
+
+        for module in (gfusion, gframe):
+            monkeypatch.setattr(module, "as_vector", counting)
+        block_energies(frame, np.ones(4))
+        assert len(calls) == 1
+
+    def test_analysis_matrix_cannot_change_later_energies(self):
+        frame = _random_frame(4, [(1, 2), (2, 3), (4, 1)], Field.REAL, 7)
+        x = np.arange(1.0, 5.0)
+        before = block_energies(frame, x)
+        a = frame.analysis_matrix()
+        with pytest.raises(ValueError):
+            a[0, 0] = 1e6
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+        assert np.array_equal(block_energies(frame, x), before)

@@ -211,6 +211,20 @@ class TestLoewnerCheck:
         with pytest.raises(NotHermitian):
             loewner_check(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("field", list(Field))
+    def test_rejects_non_real_scalar_bound(self, field):
+        eye = np.eye(2, dtype=field.dtype)
+        with pytest.raises(NotHermitian):
+            loewner_check(eye, 0.5 + 3j, 2.0, tol=0.0)
+        with pytest.raises(NotHermitian):
+            loewner_check(eye, 0.5, np.complex128(2.0 - 1e-3j), tol=0.0)
+        assert loewner_check(eye, 0.5 + 0j, 2.0, tol=0.0).passed
+
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scalar_bound(self, bound):
+        with pytest.raises(ValueError, match="finite"):
+            loewner_check(np.eye(2), bound, 2.0, tol=0.0)
+
     def test_coordinate_parseval_partial(self, coordinate_gfusion):
         # partial reconstruction on one line: P - P^2 = 0 exactly
         p = coordinate_gfusion.partial_sum([0])

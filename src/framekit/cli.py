@@ -260,6 +260,12 @@ def _parse_vector(text: str, fld: Field) -> np.ndarray:
     except ValueError:
         raise _ConfigError(f"could not parse vector {text!r}")
     arr = np.array(values, dtype=np.complex128)
+    if not np.isfinite(arr).all():
+        raise _ConfigError(f"vector {text!r} has a coordinate that is not finite")
+    with np.errstate(over="ignore"):
+        norm_sq = np.vdot(arr, arr).real
+    if not np.isfinite(norm_sq):
+        raise _ConfigError(f"vector {text!r} has a squared norm that is not finite")
     if fld is Field.REAL:
         if np.any(arr.imag != 0):
             raise _ConfigError("complex vector given for a real frame")

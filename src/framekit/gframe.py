@@ -4,6 +4,19 @@ A frame here is a finite family of block operators mapping the common space
 H into per-index codomains.  Frames are immutable; the frame operator and
 its extreme eigenvalues (the optimal bounds) are computed at construction,
 the canonical dual and per-index partial-sum terms lazily and cached.
+
+The partition identities are evaluated from stacked analysis operators
+Lambda = [Lambda_1; ...; Lambda_n], built once per frame by
+``stack_blocks`` and kept read-only.  ``subset_sums`` takes, for a vector f
+and the canonical dual stack Gamma, the per-block inner products
+<Gamma_j f, Lambda_j f> from one segmented sum over the block row starts,
+and the truncated images sum_{j in I} Lambda_j* Gamma_j f over a subset and
+its complement from one product of Lambda* with Gamma f masked to the rows
+of each side.  The number of numpy calls per (subset, vector) therefore does
+not grow with n.  ``stacked_partition_identity`` turns these sums into the
+two sides of the identity for any pair of stacks; with the frame's own
+stack as the dual it is the Parseval case.  Weighted subspace frames
+(``gfusion``) use the same helpers with the blocks w_j B_j P_j.
 """
 
 from __future__ import annotations
@@ -33,6 +46,11 @@ __all__ = [
     "BlockVector",
     "GFrame",
     "IdentityTerms",
+    "StackedAnalysis",
+    "stack_blocks",
+    "stacked_image",
+    "subset_sums",
+    "stacked_partition_identity",
     "partition_identity",
     "parseval_partition_identity",
 ]
@@ -87,6 +105,73 @@ class IdentityTerms(NamedTuple):
     lhs: complex
     rhs: complex
     residual: float
+
+
+class StackedAnalysis(NamedTuple):
+    """Read-only stacked analysis operator and the row layout of its blocks."""
+
+    matrix: np.ndarray  # [Lambda_1; ...; Lambda_n]
+    adjoint: np.ndarray  # its conjugate transpose
+    starts: np.ndarray  # first row of each block
+    owners: np.ndarray  # block index of each row
+
+
+def stack_blocks(blocks) -> StackedAnalysis:
+    """Stack the block operators into one read-only analysis operator."""
+    matrix = np.vstack(blocks)
+    matrix.setflags(write=False)
+    adj = matrix.conj().T
+    adj.setflags(write=False)
+    rows = [b.shape[0] for b in blocks]
+    starts = np.cumsum([0] + rows[:-1])
+    owners = np.repeat(np.arange(len(rows)), rows)
+    return StackedAnalysis(matrix, adj, starts, owners)
+
+
+def stacked_image(stacked: StackedAnalysis, x: np.ndarray) -> np.ndarray:
+    """The stacked operator applied to a vector or to each column of ``x``;
+    raises ``ValueError`` when the image is not finite."""
+    y = stacked.matrix @ x
+    if not np.isfinite(y).all():
+        raise ValueError("vector entries must be finite")
+    return y
+
+
+def subset_sums(frame_stack: StackedAnalysis, dual_stack: StackedAnalysis, subset, f):
+    """Subset and complement sums of the per-block terms of a vector.
+
+    ``subset`` is a validated tuple of block indices and ``f`` a validated
+    vector.  Returns the sums of <Gamma_j f, Lambda_j f> over the subset and
+    over its complement (shape (2,)), and the truncated images
+    sum_j Lambda_j* Gamma_j f over the same two index sets as the columns of
+    a (dim, 2) array, where Lambda is ``frame_stack`` and Gamma
+    ``dual_stack``.  Raises ``ValueError`` when a stacked image of ``f`` is
+    not finite.
+    """
+    y = stacked_image(frame_stack, f)
+    z = y if dual_stack is frame_stack else stacked_image(dual_stack, f)
+    inner_products = np.add.reduceat(y.conj() * z, frame_stack.starts)
+    inside = [0.0] * len(frame_stack.starts)
+    for j in subset:
+        inside[j] = 1.0
+    # 0/1 rows over the blocks: the subset, then its complement
+    sides = np.array((inside, [1.0 - v for v in inside]))
+    images = frame_stack.adjoint @ (sides.take(frame_stack.owners, axis=1) * z).T
+    return sides @ inner_products, images
+
+
+def stacked_partition_identity(frame_stack, dual_stack, subset, f) -> IdentityTerms:
+    """Subset/complement energy identity from a frame stack and a dual stack.
+
+    lhs sums <Gamma_j f, Lambda_j f> over the subset and subtracts the
+    squared norm of the truncated reconstruction of f; rhs mirrors it over
+    the complement with the conjugated sum.
+    """
+    sums, images = subset_sums(frame_stack, dual_stack, subset, f)
+    norms = (images.conj() * images).real.sum(axis=0)
+    lhs = sums[0] - norms[0]
+    rhs = np.conjugate(sums[1]) - norms[1]
+    return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
 
 
 class GFrame:
@@ -162,8 +247,16 @@ class GFrame:
 
     def analysis_matrix(self) -> np.ndarray:
         """Dense stacked analysis operator; its Gram matrix is the oracle
-        route to the frame operator."""
-        return np.vstack(self.blocks)
+        route to the frame operator.
+
+        Returned as a read-only view of the stack behind the partition
+        identities, so callers cannot change it.
+        """
+        return self._stacked_analysis.matrix.view()
+
+    @functools.cached_property
+    def _stacked_analysis(self) -> StackedAnalysis:
+        return stack_blocks(self.blocks)
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:
@@ -228,21 +321,7 @@ def partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
     f = as_vector(f, frame.dim_h)
     dual = frame.canonical_dual
     js = frame._validate_subset(subset)
-    ks = frame.complement(js)
-
-    def side(ids, conjugate):
-        acc = 0j
-        s_f = np.zeros(frame.dim_h, dtype=np.promote_types(frame.dtype, f.dtype))
-        for j in ids:
-            df = dual.blocks[j] @ f
-            ip = inner(df, frame.blocks[j] @ f)
-            acc += np.conjugate(ip) if conjugate else ip
-            s_f = s_f + adjoint(frame.blocks[j]) @ df
-        return acc - np.vdot(s_f, s_f).real
-
-    lhs = side(js, False)
-    rhs = side(ks, True)
-    return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
+    return stacked_partition_identity(frame._stacked_analysis, dual._stacked_analysis, js, f)
 
 
 def parseval_partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
@@ -254,17 +333,5 @@ def parseval_partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
     """
     f = as_vector(f, frame.dim_h)
     js = frame._validate_subset(subset)
-    ks = frame.complement(js)
-
-    def side(ids):
-        energy = 0.0
-        s_f = np.zeros(frame.dim_h, dtype=np.promote_types(frame.dtype, f.dtype))
-        for j in ids:
-            bf = frame.blocks[j] @ f
-            energy += np.vdot(bf, bf).real
-            s_f = s_f + adjoint(frame.blocks[j]) @ bf
-        return energy - np.vdot(s_f, s_f).real
-
-    lhs = side(js)
-    rhs = side(ks)
-    return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
+    stacked = frame._stacked_analysis
+    return stacked_partition_identity(stacked, stacked, js, f)

@@ -7,12 +7,16 @@ subspaces through the inverse frame operator; whitening by the inverse
 square root yields a Parseval frame.  Subspaces are stored as orthonormal
 column bases, never as projection matrices; projections are derived.
 
-The identities and bounds are sums of block energies
-weight_j^2 ||block_j P_j f||^2.  ``block_energies`` computes all of them
-with one product by the stacked analysis operator
-[w_1 B_1 P_1; ...; w_n B_n P_n], built once per frame and kept read-only,
-and one segmented sum over the block row ranges.  It raises the same errors
-as the per-block ``analysis`` route, which stays the reference.
+A weighted subspace frame is the g-frame with blocks Lambda_j = w_j B_j P_j,
+so the identities and bounds use the stacked analysis operators of
+``gframe``: [w_1 B_1 P_1; ...; w_n B_n P_n], built once per frame and kept
+read-only, and the same stack of the canonical dual.  ``block_energies``
+takes all energies weight_j^2 ||block_j P_j f||^2 from one product with the
+stack and one segmented sum over the block row ranges; ``truncated_images``
+takes the subset and complement energies and the truncated frame-operator
+images M_I f = sum_{j in I} Lambda_j* Lambda_j f from ``subset_sums``, with
+no truncated frame operator built.  Both raise the same errors as the
+per-block ``analysis`` route, which stays the reference.
 """
 
 from __future__ import annotations
@@ -22,7 +26,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .gframe import BlockVector, IdentityTerms, IndexOutOfRange, NotAFrame
+from .gframe import (
+    BlockVector,
+    IdentityTerms,
+    IndexOutOfRange,
+    NotAFrame,
+    StackedAnalysis,
+    stack_blocks,
+    stacked_image,
+    stacked_partition_identity,
+    subset_sums,
+)
 from .linops import (
     PARSEVAL_TOL,
     PDTOL,
@@ -44,6 +58,7 @@ __all__ = [
     "GFusionFrame",
     "DualGFusionFrame",
     "block_energies",
+    "truncated_images",
     "partition_identity",
     "parseval_partition_identity",
     "whitened_partition_identity",
@@ -95,12 +110,20 @@ class GFusionFrame:
         # projection() also validates orthonormality of each stored basis
         self.projections = tuple(projection(c.basis) for c in comps)
         terms = []
-        for c, p in zip(self.components, self.projections):
-            terms.append((c.weight**2) * (p @ (adjoint(c.block) @ c.block) @ p))
-        self._component_terms = tuple(terms)
         s = np.zeros((dim, dim), dtype=self.dtype)
-        for term in terms:
-            s = s + term
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (c, p) in enumerate(zip(self.components, self.projections)):
+                term = (c.weight**2) * (p @ (adjoint(c.block) @ c.block) @ p)
+                if not np.isfinite(term).all():
+                    raise ValueError(
+                        f"component {j} with weight {c.weight!r} has a frame-operator "
+                        "term that is not finite"
+                    )
+                terms.append(term)
+                s = s + term
+        if not np.isfinite(s).all():
+            raise ValueError("the frame operator (sum of the component terms) is not finite")
+        self._component_terms = tuple(terms)
         self.frame_operator = s
         dec = hermitian_eig(s)
         self._spectrum = dec
@@ -159,16 +182,13 @@ class GFusionFrame:
         ``block_energies``.  Its Gram matrix is the oracle route to the
         frame operator.
         """
-        return self._stacked_analysis[0].view()
+        return self._stacked_analysis.matrix.view()
 
     @functools.cached_property
-    def _stacked_analysis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked analysis operator and the first row of each block in it."""
-        rows = [c.weight * (c.block @ p) for c, p in zip(self.components, self.projections)]
-        stack = np.vstack(rows)
-        stack.setflags(write=False)
-        starts = np.cumsum([0] + [r.shape[0] for r in rows[:-1]])
-        return stack, starts
+    def _stacked_analysis(self) -> StackedAnalysis:
+        return stack_blocks(
+            [c.weight * (c.block @ p) for c, p in zip(self.components, self.projections)]
+        )
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:
@@ -192,7 +212,7 @@ class GFusionFrame:
             comps.append(
                 (orthonormal_basis(s_inv @ c.basis), c.block @ p @ s_inv, c.weight)
             )
-        return DualGFusionFrame(comps, primal=self)
+        return DualGFusionFrame(comps)
 
     @functools.cached_property
     def _dual_terms(self) -> tuple[np.ndarray, ...]:
@@ -248,11 +268,11 @@ class GFusionFrame:
 
 
 class DualGFusionFrame(GFusionFrame):
-    """Canonical dual of a weighted subspace frame; keeps a primal reference."""
+    """Canonical dual of a weighted subspace frame.
 
-    def __init__(self, components, primal: GFusionFrame):
-        super().__init__(components)
-        self.primal = primal
+    It holds no reference back to its primal frame, which caches it, so
+    the pair is freed without the cyclic garbage collector.
+    """
 
 
 def block_energies(frame: GFusionFrame, f) -> np.ndarray:
@@ -265,11 +285,29 @@ def block_energies(frame: GFusionFrame, f) -> np.ndarray:
     wrong shape and ``ValueError`` when ``f`` or its image is not finite.
     """
     f = as_vector(f, frame.dim_h)
-    stack, starts = frame._stacked_analysis
-    y = stack @ f
-    if not np.isfinite(y).all():
-        raise ValueError("vector entries must be finite")
-    return np.add.reduceat((y.conj() * y).real, starts)
+    stacked = frame._stacked_analysis
+    y = stacked_image(stacked, f)
+    return np.add.reduceat((y.conj() * y).real, stacked.starts)
+
+
+def truncated_images(frame: GFusionFrame, subset, f) -> tuple[np.ndarray, np.ndarray]:
+    """Block energies and truncated frame-operator images, subset side first.
+
+    Returns the summed energies weight_j^2 ||block_j P_j f||^2 over the
+    subset and over its complement (shape (2,)), and M_I f and M_K f, the
+    truncated frame operators of the subset and of its complement applied
+    to f, as the columns of a (dim_h, 2) array.  Both come from the stacked
+    analysis operator; ``partial_frame_operator`` is the reference route.
+    """
+    f = as_vector(f, frame.dim_h)
+    js = frame._validate_subset(subset)
+    stacked = frame._stacked_analysis
+    energies, images = subset_sums(stacked, stacked, js, f)
+    return energies.real, images
+
+
+def _norms_sq(columns: np.ndarray) -> np.ndarray:
+    return (columns.conj() * columns).real.sum(axis=0)
 
 
 def partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
@@ -282,23 +320,7 @@ def partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     f = as_vector(f, frame.dim_h)
     dual = frame.canonical_dual
     js = frame._validate_subset(subset)
-    ks = frame.complement(js)
-
-    def side(ids, conjugate):
-        acc = 0j
-        s_f = np.zeros(frame.dim_h, dtype=np.promote_types(frame.dtype, f.dtype))
-        for j in ids:
-            c, p = frame.components[j], frame.projections[j]
-            dc, dp = dual.components[j], dual.projections[j]
-            dy = dc.block @ (dp @ f)
-            ip = (c.weight**2) * inner(dy, c.block @ (p @ f))
-            acc += np.conjugate(ip) if conjugate else ip
-            s_f = s_f + (c.weight**2) * (p @ (adjoint(c.block) @ dy))
-        return acc - np.vdot(s_f, s_f).real
-
-    lhs = side(js, False)
-    rhs = side(ks, True)
-    return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
+    return stacked_partition_identity(frame._stacked_analysis, dual._stacked_analysis, js, f)
 
 
 def parseval_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
@@ -306,16 +328,8 @@ def parseval_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms
     truncated frame-operator images, subset side versus complement side."""
     f = as_vector(f, frame.dim_h)
     js = frame._validate_subset(subset)
-    ks = frame.complement(js)
-    e = block_energies(frame, f)
-
-    def side(ids):
-        m_f = frame.partial_frame_operator(ids) @ f
-        return float(e[list(ids)].sum()) - np.vdot(m_f, m_f).real
-
-    lhs = side(js)
-    rhs = side(ks)
-    return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
+    stacked = frame._stacked_analysis
+    return stacked_partition_identity(stacked, stacked, js, f)
 
 
 def whitened_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
@@ -325,18 +339,10 @@ def whitened_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms
     complement's truncated frame-operator image mapped through the inverse
     square root of the frame operator.
     """
-    f = as_vector(f, frame.dim_h)
-    r = frame.inverse_sqrt
-    js = frame._validate_subset(subset)
-    ks = frame.complement(js)
-    e = block_energies(frame, f)
-
-    def side(ids, others):
-        w = r @ (frame.partial_frame_operator(others) @ f)
-        return float(e[list(ids)].sum()) + np.vdot(w, w).real
-
-    lhs = side(js, ks)
-    rhs = side(ks, js)
+    e, m = truncated_images(frame, subset, f)
+    w = _norms_sq(frame.inverse_sqrt @ m)
+    lhs = e[0] + w[1]
+    rhs = e[1] + w[0]
     return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
 
 
@@ -347,18 +353,10 @@ def frame_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     Each side subtracts from the subset's block energy the full dual analysis
     energy of the truncated frame-operator image of f.
     """
-    f = as_vector(f, frame.dim_h)
-    dual = frame.canonical_dual
-    js = frame._validate_subset(subset)
-    ks = frame.complement(js)
-    e = block_energies(frame, f)
-
-    def side(ids):
-        m_f = frame.partial_frame_operator(ids) @ f
-        return float(e[list(ids)].sum()) - block_energies(dual, m_f).sum()
-
-    lhs = side(js)
-    rhs = side(ks)
+    e, m = truncated_images(frame, subset, f)
+    d = _norms_sq(stacked_image(frame.canonical_dual._stacked_analysis, m))
+    lhs = e[0] - d[0]
+    rhs = e[1] - d[1]
     return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
 
 

@@ -241,15 +241,14 @@ def _run_cor1_identity(frame, subset, vectors):
 def _run_cor1_34bound(frame, subset, vectors):
     margins = []
     worst, worst_val = None, np.inf
-    comp = frame.complement(subset)
+    frame._validate_subset(subset)
     for f in vectors:
         n2 = _norm_sq(f)
         if n2 == 0.0:
             margins.append(0.0)
             continue
-        e = gfu.block_energies(frame, f)
-        m_f = frame.partial_frame_operator(comp) @ f
-        lhs = float(e[list(frame._validate_subset(subset))].sum()) + _norm_sq(m_f)
+        e, m = gfu.truncated_images(frame, subset, f)
+        lhs = float(e[0]) + _norm_sq(m[:, 1])
         margin = (lhs - 0.75 * n2) / n2
         margins.append(margin)
         if margin < worst_val:
@@ -290,16 +289,15 @@ def _run_cor_34_sinv(frame, subset, vectors):
     margins = []
     worst, worst_val = None, np.inf
     r = frame.inverse_sqrt
-    comp = frame.complement(subset)
     floor = 0.75 * frame.lower_bound
+    frame._validate_subset(subset)
     for f in vectors:
         n2 = _norm_sq(f)
         if n2 == 0.0:
             margins.append(0.0)
             continue
-        e = gfu.block_energies(frame, f)
-        w = r @ (frame.partial_frame_operator(comp) @ f)
-        lhs = float(e[list(frame._validate_subset(subset))].sum()) + _norm_sq(w)
+        e, m = gfu.truncated_images(frame, subset, f)
+        lhs = float(e[0]) + _norm_sq(r @ m[:, 1])
         margin = (lhs - floor * n2) / n2
         margins.append(margin)
         if margin < worst_val:

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -132,9 +133,9 @@ class TestFrameFiles:
         assert ret == 2
 
 
-def _frame_file_with_weight(tmp_path, weight):
+def _frame_file_with_weight(tmp_path, weight, block=1.0):
     path = tmp_path / "heavy.frame"
-    data = frame_to_dict(GFusionFrame([(np.eye(2), np.eye(2), 1.0)]))
+    data = frame_to_dict(GFusionFrame([(np.eye(2), block * np.eye(2), 1.0)]))
     data["components"][0]["weight"] = weight
     path.write_text(json.dumps(data))
     return str(path)
@@ -158,6 +159,23 @@ class TestExtremeWeights:
     def test_exits_2_with_an_error_line(self, tmp_path, capsys, argv):
         assert run_cli(argv(tmp_path)) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda tmp: ["gen", "--dim", "2", "--components", "2:2:1e154", "--out", str(tmp / "f")],
+            lambda tmp: ["verify", "--frame", _frame_file_with_weight(tmp, 1e154, block=2.0)],
+        ],
+        ids=["gen", "verify-file"],
+    )
+    def test_overflowing_term_names_its_weight(self, tmp_path, capsys, argv):
+        argv = argv(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "1e+154" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestGen:
@@ -322,3 +340,15 @@ class TestDemoReconstruct:
 
     def test_nothing_to_do_exits_2(self):
         assert run_cli(["demo-reconstruct"]) == 2
+
+    @pytest.mark.parametrize("vector", ["nan,0", "nan+1j,0", "1e308,1e308"])
+    def test_non_finite_vector_exits_2(self, capsys, vector):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ret = run_cli(["demo-reconstruct", "--random", "--dim", "2",
+                           "--components", "2:2:1", "--vector", vector])
+        assert ret == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert "PASS" not in captured.out
+        assert caught == []

@@ -73,6 +73,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite square"):
             GFusionFrame([(np.eye(2), np.eye(2), 1e160)])
 
+    def test_overflowing_terms_rejected(self):
+        with pytest.raises(ValueError, match="component 1 with weight 1e"):
+            GFusionFrame([(np.eye(2), np.eye(2), 1.0), (np.eye(2), 2 * np.eye(2), 1e154)])
+        with pytest.raises(ValueError, match="frame operator"):
+            GFusionFrame([(np.eye(2), np.eye(2), 1e154)] * 2)
+
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(NotOrthonormal):
             GFusionFrame([(np.array([[1.0], [1.0]]), np.eye(2), 1.0)])

@@ -254,9 +254,16 @@ def _parse_component_triples(tokens) -> tuple[ComponentSpec, ...]:
     return tuple(specs)
 
 
+def _complex_token(tok: str) -> complex:
+    # an "i" that ends the number is the imaginary unit ("2i", "1+i", "1+infi");
+    # any other "i" belongs to "inf" or "infinity"
+    tok = tok.strip()
+    return complex(tok[:-1] + "j" if tok.endswith("i") else tok)
+
+
 def _parse_vector(text: str, fld: Field) -> np.ndarray:
     try:
-        values = [complex(tok.strip().replace("i", "j")) for tok in text.split(",")]
+        values = [_complex_token(tok) for tok in text.split(",")]
     except ValueError:
         raise _ConfigError(f"could not parse vector {text!r}")
     arr = np.array(values, dtype=np.complex128)

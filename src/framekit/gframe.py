@@ -17,11 +17,18 @@ not grow with n.  ``stacked_partition_identity`` turns these sums into the
 two sides of the identity for any pair of stacks; with the frame's own
 stack as the dual it is the Parseval case.  Weighted subspace frames
 (``gfusion``) use the same helpers with the blocks w_j B_j P_j.
+
+The operator checks take many partial sums at once: each frame caches the
+per-index terms behind ``partial_sum`` as a read-only (n, d*d)
+``term_stack``, and ``masked_sums`` turns the 0/1 rows of ``subset_masks``
+into a (k, d, d) stack of partial sums, each equal bit for bit to the
+``partial_sum`` of its subset.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,6 +58,9 @@ __all__ = [
     "stacked_image",
     "subset_sums",
     "stacked_partition_identity",
+    "term_stack",
+    "subset_masks",
+    "masked_sums",
     "partition_identity",
     "parseval_partition_identity",
 ]
@@ -174,6 +184,44 @@ def stacked_partition_identity(frame_stack, dual_stack, subset, f) -> IdentityTe
     return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
 
 
+def term_stack(terms) -> np.ndarray:
+    """Per-index d x d terms flattened into one read-only (n, d*d) array."""
+    stack = np.stack([t.reshape(-1) for t in terms])
+    stack.setflags(write=False)
+    return stack
+
+
+def subset_masks(count: int, subsets) -> np.ndarray:
+    """0/1 rows over ``count`` indices, one row per validated subset."""
+    masks = np.zeros((len(subsets), count))
+    rows = [i for i, js in enumerate(subsets) for _ in js]
+    masks[rows, [j for js in subsets for j in js]] = 1.0
+    return masks
+
+
+def masked_sums(stack: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Partial sums sum_j masks[i, j] * term_j for every mask row i.
+
+    ``stack`` is a ``term_stack`` and ``masks`` a (k, n) 0/1 array; the
+    result is a (k, d, d) stack.  The terms are added in index order to a
+    zero start, and a masked-out term adds an exact zero or nothing, so
+    each matrix equals the ``_sum_terms`` partial sum of its subset bit for
+    bit.  Complex terms are summed as pairs of reals, which keeps that
+    exact.  A term in every subset of the chunk, or in none, costs one
+    addition or none, so a chunk of one subset adds only its own terms.
+    """
+    dim = math.isqrt(stack.shape[1])
+    flat = stack.view(np.float64) if np.iscomplexobj(stack) else stack
+    k = masks.shape[0]
+    out = np.zeros((k, flat.shape[1]))
+    for term, column, count in zip(flat, masks.T, masks.sum(axis=0).tolist()):
+        if count == k:
+            out += term
+        elif count:
+            out += column[:, None] * term
+    return out.view(stack.dtype).reshape(-1, dim, dim)
+
+
 class GFrame:
     """Finite family of block operators with cached frame operator and bounds.
 
@@ -194,10 +242,18 @@ class GFrame:
         self.blocks = blocks
         self.dim_h = int(dim)
         self.dtype = np.result_type(*blocks)
-        self._gram_terms = tuple(adjoint(b) @ b for b in blocks)
+        terms = []
         s = np.zeros((dim, dim), dtype=self.dtype)
-        for term in self._gram_terms:
-            s = s + term
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, b in enumerate(blocks):
+                term = adjoint(b) @ b
+                if not np.isfinite(term).all():
+                    raise ValueError(f"block {j} has a frame-operator term that is not finite")
+                terms.append(term)
+                s = s + term
+        if not np.isfinite(s).all():
+            raise ValueError("the frame operator (sum of the block terms) is not finite")
+        self._gram_terms = tuple(terms)
         self.frame_operator = s
         dec = hermitian_eig(s)
         self._spectrum = dec
@@ -278,6 +334,11 @@ class GFrame:
     def _dual_terms(self) -> tuple[np.ndarray, ...]:
         dual = self.canonical_dual
         return tuple(adjoint(b) @ d for b, d in zip(self.blocks, dual.blocks))
+
+    @functools.cached_property
+    def _dual_term_stack(self) -> np.ndarray:
+        """The terms behind ``partial_sum`` as one read-only (n, d*d) array."""
+        return term_stack(self._dual_terms)
 
     def _validate_subset(self, subset) -> tuple[int, ...]:
         js = sorted({int(j) for j in subset})

@@ -17,6 +17,11 @@ takes the subset and complement energies and the truncated frame-operator
 images M_I f = sum_{j in I} Lambda_j* Lambda_j f from ``subset_sums``, with
 no truncated frame operator built.  Both raise the same errors as the
 per-block ``analysis`` route, which stays the reference.
+
+For the operator checks the frame caches the terms behind ``partial_sum``
+and ``partial_frame_operator`` as read-only (n, d*d) stacks
+(``_dual_term_stack``, ``_component_term_stack``), from which
+``gframe.masked_sums`` takes a whole chunk of partial sums at once.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .gframe import (
     stacked_image,
     stacked_partition_identity,
     subset_sums,
+    term_stack,
 )
 from .linops import (
     PARSEVAL_TOL,
@@ -223,6 +229,17 @@ class GFusionFrame:
         ):
             out.append((c.weight**2) * (p @ adjoint(c.block) @ (dc.block @ dp)))
         return tuple(out)
+
+    @functools.cached_property
+    def _dual_term_stack(self) -> np.ndarray:
+        """The terms behind ``partial_sum`` as one read-only (n, d*d) array."""
+        return term_stack(self._dual_terms)
+
+    @functools.cached_property
+    def _component_term_stack(self) -> np.ndarray:
+        """The terms behind ``partial_frame_operator`` as one read-only
+        (n, d*d) array."""
+        return term_stack(self._component_terms)
 
     def _validate_subset(self, subset) -> tuple[int, ...]:
         js = sorted({int(j) for j in subset})

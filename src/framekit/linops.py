@@ -13,6 +13,13 @@ semantics, ``||Y||_2 <= tol * max(floor, ||X||_2, ...)``.  They are decided
 first from an O(d^2) Frobenius certificate, which implies the spectral test,
 and fall back to the exact spectral test only when the certificate is
 inconclusive, so every verdict is the one the spectral test gives.
+
+``loewner_check``, ``operator_norm`` and ``complement_identity_residual``
+also take a (k, d, d) stack of operators and return one value per matrix.
+The Hermitian gate then runs per matrix, certificate first, with the
+spectral fallback on just the matrices it leaves open, and the margins come
+from one batched ``eigvalsh`` per bound side.  Each matrix of a stack gets
+the same arithmetic, and so the same result, as it would on its own.
 """
 
 from __future__ import annotations
@@ -114,7 +121,8 @@ class SpectralDecomposition(NamedTuple):
 
 
 class LoewnerMargin(NamedTuple):
-    """Smallest eigenvalues of T - L and U - T plus the interval verdict."""
+    """Smallest eigenvalues of T - L and U - T plus the interval verdict
+    (floats for one operator, arrays for a stack)."""
 
     lower_margin: float
     upper_margin: float
@@ -154,8 +162,9 @@ def as_vector(f, dim: int | None = None) -> np.ndarray:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conjugate(np.asarray(a)).T
+    """Conjugate transpose (of each matrix, for a stack)."""
+    a = np.conjugate(np.asarray(a))
+    return a.swapaxes(-1, -2) if a.ndim > 2 else a.T
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
@@ -163,9 +172,15 @@ def inner(x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.vdot(y, x))
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(np.linalg.norm(np.asarray(a), 2))
+def operator_norm(a: np.ndarray):
+    """Spectral norm (largest singular value).
+
+    For a (k, rows, cols) stack, the k norms as an array, from one SVD call.
+    """
+    a = np.asarray(a)
+    if a.ndim > 2:
+        return np.linalg.norm(a, 2, axis=(-2, -1))
+    return float(np.linalg.norm(a, 2))
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -179,7 +194,8 @@ def hermitian_violation(a: np.ndarray) -> float:
 
 
 def identity_like(a: np.ndarray) -> np.ndarray:
-    return np.eye(a.shape[0], dtype=a.dtype)
+    """Identity of the size of a square operator (or of each one in a stack)."""
+    return np.eye(a.shape[-1], dtype=a.dtype)
 
 
 # The certificate below compares computed Frobenius norms; this slack covers
@@ -190,30 +206,59 @@ _CERTIFICATE_SLACK = 1.0 + 1e-6
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def _frobenius_sq(a: np.ndarray) -> float:
-    return float(np.vdot(a, a).real)
+def _frobenius_sq(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of a matrix, or of each matrix in a stack (a
+    scalar for a stack of one, which broadcasts the same way); ``inf``
+    where it overflows, which leaves the certificate inconclusive.  Neither
+    ``vdot`` nor ``einsum`` raises a floating-point warning."""
+    if a.ndim == 2 or len(a) == 1:
+        return np.vdot(a, a).real
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(a).view(np.float64)  # real, imaginary parts side by side
+    return np.einsum("...ij,...ij->...", a, a)
 
 
-def _norms_within(deviations, tol: float, floor: float, operands=()) -> bool:
+def _norms_within(deviations, tol: float, floor: float, operands=()) -> np.ndarray:
     """Spectral gate: no ``||Y||_2`` exceeds ``tol * max(floor, ||X||_2, ...)``.
+
+    Every argument is a matrix or a (k, rows, cols) stack; the gate runs once
+    per stack index, with a plain matrix taking part in every one, and the
+    verdicts come back as a boolean array over that index (0-D when no
+    argument is a stack).
 
     ``||Y||_2 <= ||Y||_F`` and ``||X||_F / sqrt(d) <= ||X||_2``, so when every
     Frobenius bound passes the spectral test passes too and no SVD runs.
     Squares that underflow lose less than ``tiny`` each, hence the
-    ``size * tiny`` term.  When the certificate is inconclusive the spectral
-    test itself decides.
+    ``size * tiny`` term.  Where the certificate is inconclusive the spectral
+    test itself decides, with one ``operator_norm`` call per argument over
+    just those indices.
     """
-    lower = floor
+    lower = np.float64(floor)
     for x in operands:
-        lower = max(lower, math.sqrt(_frobenius_sq(x) / min(x.shape)))
+        lower = np.maximum(lower, np.sqrt(_frobenius_sq(x) / min(x.shape[-2:])))
     bound = tol * lower
-    if bound < math.inf and all(
-        _CERTIFICATE_SLACK * math.sqrt(_frobenius_sq(y) + 2 * y.size * _TINY) <= bound
-        for y in deviations
-    ):
-        return True
-    scale = max([operator_norm(x) for x in operands] + [floor])
-    return not any(operator_norm(y) > tol * scale for y in deviations)
+    ok = bound < math.inf
+    for y in deviations:
+        size = y.shape[-2] * y.shape[-1]
+        ok = ok & (_CERTIFICATE_SLACK * np.sqrt(_frobenius_sq(y) + 2 * size * _TINY) <= bound)
+    if ok.all():
+        return ok
+    open_ = np.flatnonzero(~ok) if ok.ndim else None
+
+    def pick(x):
+        return x if open_ is None or x.ndim == 2 else x[open_]
+
+    scale = np.float64(floor)
+    for x in operands:
+        scale = np.maximum(scale, operator_norm(pick(x)))
+    spectral = np.True_
+    for y in deviations:
+        spectral = spectral & ~(operator_norm(pick(y)) > tol * scale)
+    if open_ is None:
+        return spectral
+    ok = ok.copy()
+    ok[open_] = spectral
+    return ok
 
 
 def hermitian_eig(a, htol: float = HTOL) -> SpectralDecomposition:
@@ -278,15 +323,28 @@ def projection(basis, rtol: float = RTOL) -> np.ndarray:
     return b @ adjoint(b)
 
 
-def _as_bound(x, like: np.ndarray) -> np.ndarray:
+def _as_operators(a) -> np.ndarray:
+    """Validate ``a`` as an operator or a (k, rows, cols) stack of them."""
+    m = _coerce(a)
+    if m.ndim == 2:
+        return as_operator(m)
+    if m.ndim != 3 or m.shape[1] < 1 or m.shape[2] < 1:
+        raise ShapeMismatch(f"expected a 2-D operator or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("operator entries must be finite")
+    return m
+
+
+def _as_bound(x, like: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """The bound as an operator, and its norm |c| when it is a scalar c."""
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
         z = complex(x)
         if z.imag != 0.0:
             raise NotHermitian(f"scalar bound {z!r} is not real")
         if not math.isfinite(z.real):
             raise ValueError(f"scalar bound {z.real!r} is not finite")
-        return z.real * identity_like(like)
-    return as_operator(x)
+        return z.real * identity_like(like), abs(z.real)
+    return _as_operators(x), None
 
 
 def loewner_check(t, lower, upper, tol: float, htol: float = HTOL) -> LoewnerMargin:
@@ -297,20 +355,30 @@ def loewner_check(t, lower, upper, tol: float, htol: float = HTOL) -> LoewnerMar
     the verdict passes iff both are >= -tol.  Hermitian symmetry of the
     inputs is gated relative to the largest operand norm so that nearly-zero
     operands do not trip a relative test against their own size.
+
+    ``t`` may also be a (k, d, d) stack, each bound then a scalar, one
+    operator or a stack of the same shape.  The margins and verdicts come
+    back as length-k arrays, from one ``eigvalsh`` call per side, and
+    ``NotHermitian`` is raised when any matrix fails the gate.
     """
-    t = as_operator(t)
-    if t.shape[0] != t.shape[1]:
+    t = _as_operators(t)
+    if t.shape[-2] != t.shape[-1]:
         raise ShapeMismatch(f"expected a square operator, got shape {t.shape}")
-    lo = _as_bound(lower, t)
-    up = _as_bound(upper, t)
-    if lo.shape != t.shape or up.shape != t.shape:
+    (lo, lo_norm), (up, up_norm) = _as_bound(lower, t), _as_bound(upper, t)
+    if any(x.shape not in (t.shape, t.shape[-2:]) for x in (lo, up)):
         raise ShapeMismatch("interval operands must share the operator's shape")
-    operands = (t, lo, up)
-    if not _norms_within([x - adjoint(x) for x in operands], htol, 1.0, operands):
+    # a scalar bound c*I is exactly Hermitian with norm |c|, so it enters
+    # the gate through the floor alone
+    floor = max([1.0] + [n for n in (lo_norm, up_norm) if n is not None])
+    operands = [t] + [x for x, n in ((lo, lo_norm), (up, up_norm)) if n is None]
+    if not _norms_within([x - adjoint(x) for x in operands], htol, floor, operands).all():
         raise NotHermitian("interval operands must be Hermitian within tolerance")
-    lower_margin = float(np.linalg.eigvalsh(symmetrize(t - lo))[0])
-    upper_margin = float(np.linalg.eigvalsh(symmetrize(up - t))[0])
-    return LoewnerMargin(lower_margin, upper_margin, lower_margin >= -tol and upper_margin >= -tol)
+    lower_margin = np.linalg.eigvalsh(symmetrize(t - lo))[..., 0]
+    upper_margin = np.linalg.eigvalsh(symmetrize(up - t))[..., 0]
+    passed = (lower_margin >= -tol) & (upper_margin >= -tol)
+    if t.ndim == 2:
+        return LoewnerMargin(float(lower_margin), float(upper_margin), bool(passed))
+    return LoewnerMargin(lower_margin, upper_margin, passed)
 
 
 def quad_bound(a: float, b: float, c: float) -> float:
@@ -347,10 +415,13 @@ def projected_adjoint_residual(v_basis, t, rktol: float = RKTOL, rtol: float = R
     return operator_norm(lhs - lhs @ p_tv)
 
 
-def complement_identity_residual(u) -> float:
-    """Residual of u - v = u^2 - v^2 for the complement v = I - u."""
-    u = as_operator(u)
-    if u.shape[0] != u.shape[1]:
+def complement_identity_residual(u):
+    """Residual of u - v = u^2 - v^2 for the complement v = I - u.
+
+    For a (k, d, d) stack, the k residuals as an array, from one SVD call.
+    """
+    u = _as_operators(u)
+    if u.shape[-2] != u.shape[-1]:
         raise NotSquare(f"expected a square operator, got shape {u.shape}")
     v = identity_like(u) - u
     return operator_norm((u - v) - (u @ u - v @ v))

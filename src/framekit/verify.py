@@ -6,6 +6,16 @@ random instances, aggregates per-check extremes into a report, and renders
 an overall verdict.  Probe checks record counterexample witnesses without
 affecting the verdict.
 
+Subsets are handled in chunks of at most ``_CHUNK_ENTRIES`` matrix
+entries; ``run_suite`` hands each (instance, check) its subsets one chunk
+at a time through ``run_check(..., subsets=chunk)``.  The eight operator
+checks (COR2_SANDWICH, THM38_I, THM38_II, COR3_SANDWICH, COR39_PLUS,
+COR39_MINUS_PROBE, SPECTRUM_REMARK, LEMMA_L2) evaluate a whole chunk at
+once: its partial sums come from a 0/1 mask over the frame's cached term
+stack, and its margins, spectra and complement residuals from one stacked
+``linops`` call each.  A single subset is a chunk of one.  The per-vector
+checks keep one evaluation per subset.
+
 Normalization conventions (so a single pair of tolerances applies):
 
 * scalar identity residuals are divided by max(1, ||f||^2);
@@ -256,33 +266,9 @@ def _run_cor1_34bound(frame, subset, vectors):
     return [], margins, None, worst
 
 
-def _run_cor2_sandwich(frame, subset, vectors):
-    p = frame.partial_sum(subset)
-    lm = loewner_check(p - p @ p, 0.0, 0.25, tol=0.0)
-    return [], _margins_of(lm), None, None
-
-
-def _run_thm38_i(frame, subset, vectors):
-    return _run_cor2_sandwich(frame, subset, vectors)
-
-
-def _run_thm38_ii(frame, subset, vectors):
-    p = frame.partial_sum(subset)
-    q = frame.partial_sum(frame.complement(subset))
-    lm = loewner_check(p @ p + q @ q, 0.5, 1.5, tol=0.0)
-    return [], _margins_of(lm), None, None
-
-
 def _run_thm_t33(frame, subset, vectors):
     res, worst = _identity_residuals(gfu.whitened_partition_identity, frame, subset, vectors)
     return res, [], None, worst
-
-
-def _run_cor3_sandwich(frame, subset, vectors):
-    m = frame.partial_frame_operator(subset)
-    x = m - m @ frame.inverse @ m
-    lm = loewner_check(x, 0.0, 0.25 * frame.frame_operator, tol=0.0)
-    return [], _margins_of(lm, _s_scale(frame)), None, None
 
 
 def _run_cor_34_sinv(frame, subset, vectors):
@@ -303,25 +289,6 @@ def _run_cor_34_sinv(frame, subset, vectors):
         if margin < worst_val:
             worst_val, worst = margin, f
     return [], margins, None, worst
-
-
-def _cor39_operator(frame, subset, sign):
-    m = frame.partial_frame_operator(subset)
-    mc = frame.partial_frame_operator(frame.complement(subset))
-    si = frame.inverse
-    return m @ si @ m + sign * (mc @ si @ mc)
-
-
-def _run_cor39_plus(frame, subset, vectors):
-    x = _cor39_operator(frame, subset, +1.0)
-    lm = loewner_check(x, 0.5 * frame.frame_operator, 1.5 * frame.frame_operator, tol=0.0)
-    return [], _margins_of(lm, _s_scale(frame)), None, None
-
-
-def _run_cor39_minus_probe(frame, subset, vectors):
-    x = _cor39_operator(frame, subset, -1.0)
-    lm = loewner_check(x, 0.5 * frame.frame_operator, 1.5 * frame.frame_operator, tol=0.0)
-    return [], _margins_of(lm, _s_scale(frame)), None, None
 
 
 def _run_eq4_recon(frame, subset, vectors):
@@ -371,15 +338,6 @@ def _run_eq6_quadform(frame, subset, vectors):
     return residuals, [], None, worst
 
 
-def _run_spectrum_remark(frame, subset, vectors):
-    p = frame.partial_sum(subset)
-    vals = np.linalg.eigvals(p)
-    margins = [float(vals.real.min()), float(1.0 - vals.real.max())]
-    residuals = [float(np.abs(vals.imag).max())]
-    stats = {"spectral_radius": float(np.abs(vals).max())}
-    return residuals, margins, stats, None
-
-
 def _run_lemma_l0(frame, subset, vectors):
     t = frame.inverse
     tn = operator_norm(t)
@@ -387,11 +345,6 @@ def _run_lemma_l0(frame, subset, vectors):
         projected_adjoint_residual(c.basis, t) / tn for c in frame.components
     ]
     return residuals, [], None, None
-
-
-def _run_lemma_l2(frame, subset, vectors):
-    u = frame.partial_sum(subset)
-    return [complement_identity_residual(u)], [], None, None
 
 
 def _run_thm_final_mi(frame, subset, vectors):
@@ -405,22 +358,113 @@ _DISPATCH = {
     CheckId.THM_TG1: _run_thm_tg1,
     CheckId.COR1_IDENTITY: _run_cor1_identity,
     CheckId.COR1_34BOUND: _run_cor1_34bound,
-    CheckId.COR2_SANDWICH: _run_cor2_sandwich,
     CheckId.THM_T33: _run_thm_t33,
-    CheckId.COR3_SANDWICH: _run_cor3_sandwich,
     CheckId.COR_34_SINV: _run_cor_34_sinv,
-    CheckId.THM38_I: _run_thm38_i,
-    CheckId.THM38_II: _run_thm38_ii,
-    CheckId.COR39_PLUS: _run_cor39_plus,
-    CheckId.COR39_MINUS_PROBE: _run_cor39_minus_probe,
     CheckId.EQ4_RECON: _run_eq4_recon,
     CheckId.EQ5_DUAL_RECON: _run_eq5_dual_recon,
     CheckId.EQ6_QUADFORM: _run_eq6_quadform,
-    CheckId.SPECTRUM_REMARK: _run_spectrum_remark,
     CheckId.LEMMA_L0: _run_lemma_l0,
-    CheckId.LEMMA_L2: _run_lemma_l2,
     CheckId.THM_FINAL_MI: _run_thm_final_mi,
 }
+
+
+# The operator checks run over a chunk of subsets at once.  Each evaluator
+# takes the chunk's (k, n) 0/1 subset masks and returns its residual and
+# margin columns and its stats, each a length-k array per entry.  A chunk
+# holds at most this many matrix entries: 64 subsets at d = 8, one at d = 64.
+# Larger chunks gain no speed and raise peak memory.
+_CHUNK_ENTRIES = 4096
+
+
+def _partials(frame, masks):
+    return gf.masked_sums(frame._dual_term_stack, masks)
+
+
+def _frame_partials(frame, masks):
+    return gf.masked_sums(frame._component_term_stack, masks)
+
+
+def _batch_sandwich(frame, masks):
+    p = _partials(frame, masks)
+    lm = loewner_check(p - p @ p, 0.0, 0.25, tol=0.0)
+    return [], _margins_of(lm), None
+
+
+def _batch_thm38_ii(frame, masks):
+    p = _partials(frame, masks)
+    q = _partials(frame, 1.0 - masks)
+    lm = loewner_check(p @ p + q @ q, 0.5, 1.5, tol=0.0)
+    return [], _margins_of(lm), None
+
+
+def _batch_cor3_sandwich(frame, masks):
+    m = _frame_partials(frame, masks)
+    x = m - m @ frame.inverse @ m
+    lm = loewner_check(x, 0.0, 0.25 * frame.frame_operator, tol=0.0)
+    return [], _margins_of(lm, _s_scale(frame)), None
+
+
+def _batch_cor39(sign):
+    def evaluate(frame, masks):
+        m = _frame_partials(frame, masks)
+        mc = _frame_partials(frame, 1.0 - masks)
+        si = frame.inverse
+        x = m @ si @ m + sign * (mc @ si @ mc)
+        s = frame.frame_operator
+        lm = loewner_check(x, 0.5 * s, 1.5 * s, tol=0.0)
+        return [], _margins_of(lm, _s_scale(frame)), None
+
+    return evaluate
+
+
+def _batch_spectrum_remark(frame, masks):
+    vals = np.linalg.eigvals(_partials(frame, masks))
+    margins = [vals.real.min(axis=-1), 1.0 - vals.real.max(axis=-1)]
+    residuals = [np.abs(vals.imag).max(axis=-1)]
+    return residuals, margins, {"spectral_radius": np.abs(vals).max(axis=-1)}
+
+
+def _batch_lemma_l2(frame, masks):
+    return [complement_identity_residual(_partials(frame, masks))], [], None
+
+
+_BATCHED = {
+    CheckId.COR2_SANDWICH: _batch_sandwich,
+    CheckId.THM38_I: _batch_sandwich,
+    CheckId.THM38_II: _batch_thm38_ii,
+    CheckId.COR3_SANDWICH: _batch_cor3_sandwich,
+    CheckId.COR39_PLUS: _batch_cor39(+1.0),
+    CheckId.COR39_MINUS_PROBE: _batch_cor39(-1.0),
+    CheckId.SPECTRUM_REMARK: _batch_spectrum_remark,
+    CheckId.LEMMA_L2: _batch_lemma_l2,
+}
+
+
+def _chunks(subsets, dim: int) -> list:
+    """Consecutive runs of at most ``_CHUNK_ENTRIES // dim**2`` subsets (at least one)."""
+    size = max(1, _CHUNK_ENTRIES // dim**2)
+    return [subsets[start:start + size] for start in range(0, len(subsets), size)]
+
+
+def _columns(cols, k):
+    return np.column_stack(cols).tolist() if cols else [[] for _ in range(k)]
+
+
+def _evaluate(check, frame, subsets, vectors):
+    """(residuals, margins, stats, worst vector) for each subset, in order."""
+    batch = _BATCHED.get(check)
+    if batch is None:
+        return [_DISPATCH[check](frame, subset, vectors) for subset in subsets]
+    js = [frame._validate_subset(subset) for subset in subsets]
+    rows = []
+    for chunk in _chunks(js, frame.dim_h):
+        masks = gf.subset_masks(_index_count(frame), chunk)
+        residuals, margins, stats = batch(frame, masks)
+        k = len(masks)
+        for i, (res, mar) in enumerate(zip(_columns(residuals, k), _columns(margins, k))):
+            row_stats = {key: float(v[i]) for key, v in stats.items()} if stats else None
+            rows.append((res, mar, row_stats, None))
+    return rows
 
 
 def frame_kind(frame) -> str:
@@ -431,31 +475,24 @@ def frame_kind(frame) -> str:
     raise TypeError(f"not a frame: {type(frame).__name__}")
 
 
-def _require_applicable(info: CheckInfo, frame, subset, vectors):
+def _index_count(frame) -> int:
+    return len(frame.components) if frame_kind(frame) == "gfusion" else len(frame.blocks)
+
+
+def _require_applicable(info: CheckInfo, frame, subsets, vectors):
     kind = frame_kind(frame)
     if info.kind != "any" and info.kind != kind:
         raise WrongFrameKind(f"{info.check.value} expects a {info.kind} frame, got {kind}")
     if info.parseval_only and not frame.is_parseval:
         raise WrongFrameKind(f"{info.check.value} requires a Parseval frame")
-    if info.subsets and subset is None:
+    if info.subsets and any(subset is None for subset in subsets):
         raise ValueError(f"{info.check.value} needs an index subset")
     if info.vectors and not vectors:
         raise ValueError(f"{info.check.value} needs sample vectors")
 
 
-def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = None) -> CheckResult:
-    """Run one catalog check on one frame (and one subset, where used).
-
-    Residuals and margins come back normalized per the module conventions;
-    the verdict compares them against ``tol``.  Probe checks always pass but
-    carry a witness when the printed inequality is violated.
-    """
-    check = CheckId(check)
-    info = CATALOG[check]
-    tol = tol if tol is not None else Tolerances()
-    vectors = list(vectors)
-    _require_applicable(info, frame, subset, vectors)
-    residuals, margins, stats, worst = _DISPATCH[check](frame, subset, vectors)
+def _result(info: CheckInfo, frame, subset, evaluation, tol: Tolerances) -> CheckResult:
+    residuals, margins, stats, worst = evaluation
     violated = any(r > tol.residual for r in residuals) or any(
         m < -tol.margin for m in margins
     )
@@ -468,7 +505,40 @@ def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = No
             "min_margin": min(margins, default=None),
         }
     passed = True if info.probe else not violated
-    return CheckResult(check, residuals, margins, passed, witness, stats)
+    return CheckResult(info.check, residuals, margins, passed, witness, stats)
+
+
+def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = None, *,
+              subsets=None):
+    """Run one catalog check on one frame (and one subset, where used).
+
+    Residuals and margins come back normalized per the module conventions;
+    the verdict compares them against ``tol``.  Probe checks always pass but
+    carry a witness when the printed inequality is violated.
+
+    With ``subsets`` (a sequence of index subsets, for a check that uses
+    them) it returns one ``CheckResult`` per subset, in the given order.
+    The operator checks evaluate those subsets in chunks; a single
+    ``subset`` is a chunk of one, so both calls give the same results.
+    """
+    check = CheckId(check)
+    info = CATALOG[check]
+    tol = tol if tol is not None else Tolerances()
+    vectors = list(vectors)
+    if subsets is None:
+        group = [subset]
+    elif subset is not None:
+        raise ValueError("give one subset or a sequence of subsets, not both")
+    elif not info.subsets:
+        raise ValueError(f"{check.value} takes no index subsets")
+    else:
+        group = list(subsets)
+    _require_applicable(info, frame, group, vectors)
+    results = [
+        _result(info, frame, s, evaluation, tol)
+        for s, evaluation in zip(group, _evaluate(check, frame, group, vectors))
+    ]
+    return results if subsets is not None else results[0]
 
 
 @dataclass(frozen=True)
@@ -751,23 +821,21 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
         vectors = sample_vectors(
             instance.frame.dim_h, instance.field, seed, plan.vectors_per_instance
         )
-        count = (
-            len(instance.frame.components)
-            if instance.kind == "gfusion"
-            else len(instance.frame.blocks)
-        )
-        subsets = subsets_for(count, plan, seed)
+        subsets = subsets_for(_index_count(instance.frame), plan, seed)
         for check in plan.checks:
             info = CATALOG[check]
             if not _applicable(info, instance):
                 continue
             acc = accumulators.setdefault(check, _Accumulator())
             acc.instances += 1
-            if info.subsets:
-                for subset in subsets:
-                    acc.add(run_check(check, instance.frame, subset, vectors, plan.tol), instance, plan)
-            else:
+            if not info.subsets:
                 acc.add(run_check(check, instance.frame, None, vectors, plan.tol), instance, plan)
+                continue
+            # one call per chunk keeps the results held at once to a chunk's worth
+            for chunk in _chunks(subsets, instance.frame.dim_h):
+                for result in run_check(check, instance.frame, vectors=vectors, tol=plan.tol,
+                                        subsets=chunk):
+                    acc.add(result, instance, plan)
     summaries = [
         accumulators[check].summary(check)
         for check in sorted(accumulators, key=lambda c: c.value)

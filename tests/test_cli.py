@@ -178,6 +178,19 @@ class TestExtremeWeights:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+    def test_overflowing_gframe_block_names_its_index(self, tmp_path, capsys):
+        path = tmp_path / "heavy-gframe.frame"
+        data = frame_to_dict(GFrame([np.eye(2), np.eye(2)]))
+        data["components"][1]["lambda"] = [[1e200, 0.0], [0.0, 1e200]]
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["verify", "--frame", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "block 1" in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 class TestGen:
     def test_undersized_spec_exits_1(self, tmp_path):
         ret = run_cli([
@@ -352,3 +365,19 @@ class TestDemoReconstruct:
         assert "error:" in captured.err and "Traceback" not in captured.err
         assert "PASS" not in captured.out
         assert caught == []
+
+    @pytest.mark.parametrize("vector", ["inf,0", "-inf,0", "1+infi,0"])
+    def test_infinite_coordinate_gets_the_non_finite_error(self, capsys, vector):
+        ret = run_cli(["demo-reconstruct", "--random", "--dim", "2",
+                       "--components", "2:2:1", f"--vector={vector}"])
+        assert ret == 2
+        err = capsys.readouterr().err
+        assert "has a coordinate that is not finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("vector, expected", [("1+2i,0", [1 + 2j, 0]), ("2i,1", [2j, 1])])
+    def test_imaginary_unit_i_still_parses(self, capsys, vector, expected):
+        ret = run_cli(["demo-reconstruct", "--random", "--dim", "2",
+                       "--components", "2:2:1", "--vector", vector])
+        assert ret == 0
+        out = capsys.readouterr().out
+        assert f"f               = {np.array2string(np.array(expected, dtype=complex), precision=6)}" in out

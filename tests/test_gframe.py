@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -70,6 +72,14 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ShapeMismatch):
             GFrame([])
+
+    def test_overflowing_terms_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="block 1 has a frame-operator term"):
+                GFrame([np.eye(2), [[1e200, 0.0], [0.0, 1e200]]])
+            with pytest.raises(ValueError, match="frame operator"):
+                GFrame([1e154 * np.eye(2)] * 2)
 
     def test_non_frame_reported_not_raised(self):
         f = GFrame([np.array([[1.0, 0.0]])])  # one functional cannot span R^2

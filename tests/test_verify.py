@@ -254,6 +254,22 @@ class TestRunSuite:
         assert report.overall_pass
         assert all(s.instances == 1 for s in report.checks)
 
+    def test_every_check_goes_through_run_check(self, monkeypatch):
+        # per-check traces attribute time by run_check's first argument
+        import framekit.verify as verify
+
+        seen = set()
+        original = verify.run_check
+
+        def recording(check, *args, **kwargs):
+            seen.add(CheckId(check))
+            return original(check, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "run_check", recording)
+        report = run_suite(SuitePlan(seeds=(0,)))
+        assert seen == set(CheckId) == {s.check for s in report.checks}
+        assert len(CheckId) == 20
+
     def test_zero_residual_tolerance_fails_suite(self):
         plan = SuitePlan(
             dims=(3,), fields=(Field.COMPLEX,), seeds=(0,), components=3,

@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -36,7 +37,8 @@ from .gen import (
 from .gframe import GFrame
 from .gfusion import GFusionFrame
 from .linops import Field, adjoint
-from .verify import CATALOG, CheckId, RunReport, SuitePlan, Tolerances, frame_kind, run_suite
+from .verify import (CATALOG, CheckId, RunReport, SuitePlan, Tolerances, frame_kind,
+                     inapplicable, run_suite)
 
 __all__ = [
     "FRAME_FORMAT_VERSION",
@@ -134,8 +136,13 @@ def save_frame(frame, path: str):
 
 
 def load_frame(path: str):
+    """Read a frame file.  Malformed content, also nesting too deep for the
+    JSON parser or a number out of float range, raises ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return frame_from_dict(json.load(fh))
+        try:
+            return frame_from_dict(json.load(fh))
+        except (RecursionError, OverflowError) as exc:
+            raise ValueError(f"unreadable frame data ({type(exc).__name__}: {exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +206,8 @@ def _env_tolerance() -> float | None:
         value = float(raw)
     except ValueError:
         raise _ConfigError(f"{_TOL_ENV} must be a number, got {raw!r}")
-    if value < 0:
-        raise _ConfigError(f"{_TOL_ENV} must be nonnegative, got {value}")
+    if not 0 <= value < math.inf:
+        raise _ConfigError(f"{_TOL_ENV} must be finite and nonnegative, got {value}")
     return value
 
 
@@ -308,7 +315,7 @@ def cmd_gen(args) -> int:
         print(f"error: could not write frame file: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {frame_kind(frame)} frame (dim {frame.dim_h}, "
-          f"{len(frame.components)} components) to {args.out}")
+          f"{len(frame)} components) to {args.out}")
     return 0
 
 
@@ -329,20 +336,14 @@ def cmd_verify(args) -> int:
                 raise _ConfigError(
                     f"frame file {args.frame!r} has no positive lower bound; nothing to verify"
                 )
-            kind = frame_kind(frame)
-            inapplicable = [
-                c.value
-                for c in checks
-                if (CATALOG[c].kind not in ("any", kind))
-                or (CATALOG[c].parseval_only and not frame.is_parseval)
-            ]
+            refused = [c.value for c in checks if inapplicable(CATALOG[c], frame) is not None]
             if args.checks and not any(t.lower() == "all" for t in args.checks):
-                if inapplicable:
+                if refused:
                     raise _ConfigError(
-                        f"checks not applicable to this frame: {', '.join(inapplicable)}"
+                        f"checks not applicable to this frame: {', '.join(refused)}"
                     )
             else:
-                checks = tuple(c for c in checks if c.value not in inapplicable)
+                checks = tuple(c for c in checks if c.value not in refused)
                 if not checks:
                     raise _ConfigError("no applicable checks for this frame")
         plan = SuitePlan(
@@ -392,8 +393,8 @@ def cmd_demo_reconstruct(args) -> int:
         if args.tol is None:
             env = _env_tolerance()
             args.tol = 1e-9 if env is None else env
-        if args.tol < 0:
-            raise _ConfigError("tolerance must be nonnegative")
+        if not 0 <= args.tol < math.inf:
+            raise _ConfigError(f"tolerance must be finite and nonnegative, got {args.tol}")
         try:
             frame = _demo_frame(args)
         except (OSError, ValueError, KeyError, TypeError, GenerationFailed) as exc:
@@ -416,10 +417,10 @@ def cmd_demo_reconstruct(args) -> int:
     if frame_kind(frame) == "gfusion":
         routes = [
             ("frame-operator route", frame.frame_operator @ (frame.inverse @ f)),
-            ("canonical-dual route", frame.partial_sum(range(len(frame.components))) @ f),
+            ("canonical-dual route", frame.partial_sum(range(len(frame))) @ f),
         ]
     else:
-        s_full = frame.partial_sum(range(len(frame.blocks)))
+        s_full = frame.partial_sum(range(len(frame)))
         routes = [
             ("dual-synthesis route", adjoint(s_full) @ f),
             ("dual-analysis route", s_full @ f),

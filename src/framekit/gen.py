@@ -33,7 +33,6 @@ __all__ = [
     "random_parseval_gframe",
     "random_gfusion",
     "random_parseval_gfusion",
-    "fusion_special_case",
 ]
 
 MAX_RETRIES = 16
@@ -43,8 +42,7 @@ _MASK64 = (1 << 64) - 1
 # Substream purposes; retry attempt a of purpose p uses index 8 * a + p.
 _GFUSION = 0
 _GFRAME = 1
-_FUSION = 2
-_VECTORS = 3
+_VECTORS = 3  # purpose 2 is unused; renumbering would change every sampled vector
 
 
 class GenerationFailed(RuntimeError):
@@ -199,23 +197,3 @@ def random_parseval_gfusion(spec: GenSpec) -> GFusionFrame:
     raise GenerationFailed(
         f"no Parseval frame after {MAX_RETRIES} attempts for seed {spec.seed}"
     )
-
-
-def fusion_special_case(dim_h: int, subspace_dims, weights, field: Field = Field.COMPLEX, seed: int = 0) -> GFusionFrame:
-    """Classical fusion frame as a weighted subspace frame.
-
-    Every block is the identity on H, so analysis reduces to weighted
-    projections and the frame operator to the weighted projection sum.  The
-    subspaces are random; the result need not be a frame.
-    """
-    subspace_dims = [int(k) for k in subspace_dims]
-    weights = [float(w) for w in weights]
-    if len(subspace_dims) != len(weights):
-        raise ValueError("need one weight per subspace")
-    rng = _attempt_stream(seed, _FUSION, 0)
-    eye = np.eye(dim_h, dtype=field.dtype)
-    comps = [
-        (random_subspace_basis(dim_h, k, field, rng), eye, w)
-        for k, w in zip(subspace_dims, weights)
-    ]
-    return GFusionFrame(comps)

@@ -5,6 +5,12 @@ H into per-index codomains.  Frames are immutable; the frame operator and
 its extreme eigenvalues (the optimal bounds) are computed at construction,
 the canonical dual and per-index partial-sum terms lazily and cached.
 
+``GFrame`` and the weighted subspace frame ``gfusion.GFusionFrame`` derive
+from one core, ``_Frame``: it sums the per-index terms into the frame
+operator and its bounds, counts the indices (``len(frame)``), validates
+subsets and takes complements and partial sums.  Each class keeps its own
+terms, stacked blocks, inverse, canonical dual and ``partial_sum``.
+
 The partition identities are evaluated from stacked analysis operators
 Lambda = [Lambda_1; ...; Lambda_n], built once per frame by
 ``stack_blocks`` and kept read-only.  ``subset_sums`` takes, for a vector f
@@ -42,7 +48,6 @@ from .linops import (
     as_vector,
     hermitian_eig,
     identity_like,
-    inner,
     operator_norm,
     psd_power,
 )
@@ -94,16 +99,6 @@ class BlockVector:
     def norm_sq(self) -> float:
         """Squared norm: the sum of the squared block norms."""
         return float(sum(np.vdot(b, b).real for b in self.blocks))
-
-    def inner(self, other: "BlockVector") -> complex:
-        if len(self) != len(other):
-            raise ShapeMismatch("block counts differ")
-        acc = 0j
-        for mine, theirs in zip(self.blocks, other.blocks):
-            if mine.shape != theirs.shape:
-                raise ShapeMismatch("block shapes differ")
-            acc += inner(mine, theirs)
-        return acc
 
     def __repr__(self) -> str:
         return f"BlockVector(blocks={len(self.blocks)})"
@@ -222,47 +217,50 @@ def masked_sums(stack: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return out.view(stack.dtype).reshape(-1, dim, dim)
 
 
-class GFrame:
-    """Finite family of block operators with cached frame operator and bounds.
+class _Frame:
+    """What g-frames and weighted subspace frames share.
 
-    ``blocks[j]`` maps H (dimension ``dim_h``) into the j-th codomain.  The
-    family may fail to be a frame; ``lower_bound`` then sits at (numerical)
-    zero and operations needing the inverse frame operator raise
-    ``NotAFrame``.
+    A subclass hands its per-index terms to ``_set_frame_operator`` in
+    ``__init__`` and defines ``_stacked_analysis`` and ``_dual_terms`` (the
+    terms behind ``partial_sum``).  The members the benchmark tracer times
+    (``perfbench/tracer.py``) stay in each class, which is where it looks
+    them up.
     """
 
-    def __init__(self, blocks: Sequence):
-        blocks = tuple(as_operator(b) for b in blocks)
-        if not blocks:
-            raise ShapeMismatch("a frame needs at least one block operator")
-        dim = blocks[0].shape[1]
-        for b in blocks:
-            if b.shape[1] != dim:
-                raise ShapeMismatch("all blocks must share the domain dimension")
-        self.blocks = blocks
-        self.dim_h = int(dim)
-        self.dtype = np.result_type(*blocks)
-        terms = []
-        s = np.zeros((dim, dim), dtype=self.dtype)
+    _noun = "block"  # what one index holds, in messages and the repr
+
+    def _set_frame_operator(self, terms, name) -> tuple[np.ndarray, ...]:
+        """Sum the per-index ``terms`` into the frame operator and its bounds.
+
+        ``terms`` may be a generator: it is consumed under ``np.errstate``,
+        so an overflow raises this ``ValueError``, naming index j by
+        ``name(j)``, and no warning.  Returns the terms as a tuple.
+        """
+        out = []
+        s = np.zeros((self.dim_h, self.dim_h), dtype=self.dtype)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, b in enumerate(blocks):
-                term = adjoint(b) @ b
+            for j, term in enumerate(terms):
                 if not np.isfinite(term).all():
-                    raise ValueError(f"block {j} has a frame-operator term that is not finite")
-                terms.append(term)
+                    raise ValueError(f"{name(j)} has a frame-operator term that is not finite")
+                out.append(term)
                 s = s + term
         if not np.isfinite(s).all():
-            raise ValueError("the frame operator (sum of the block terms) is not finite")
-        self._gram_terms = tuple(terms)
+            raise ValueError(f"the frame operator (sum of the {self._noun} terms) is not finite")
+        self._count = len(out)
         self.frame_operator = s
         dec = hermitian_eig(s)
         self._spectrum = dec
         self.lower_bound = float(dec.eigenvalues[0])
         self.upper_bound = float(dec.eigenvalues[-1])
+        return tuple(out)
+
+    def __len__(self) -> int:
+        """The number of indices j."""
+        return self._count
 
     def __repr__(self) -> str:
         return (
-            f"GFrame(dim_h={self.dim_h}, blocks={len(self.blocks)}, "
+            f"{type(self).__name__}(dim_h={self.dim_h}, {self._noun}s={len(self)}, "
             f"bounds=({self.lower_bound:.4g}, {self.upper_bound:.4g}))"
         )
 
@@ -285,6 +283,62 @@ class GFrame:
                 f"lower bound {self.lower_bound:.3e} is not above {PDTOL:.1e}"
             )
 
+    def analysis_matrix(self) -> np.ndarray:
+        """Dense stacked analysis operator; its Gram matrix is the oracle
+        route to the frame operator.
+
+        Returned as a read-only view of the stack behind the partition
+        identities, so callers cannot change it.
+        """
+        return self._stacked_analysis.matrix.view()
+
+    @functools.cached_property
+    def _dual_term_stack(self) -> np.ndarray:
+        """The terms behind ``partial_sum`` as one read-only (n, d*d) array."""
+        return term_stack(self._dual_terms)
+
+    def _validate_subset(self, subset) -> tuple[int, ...]:
+        js = sorted({int(j) for j in subset})
+        if js and (js[0] < 0 or js[-1] >= len(self)):
+            raise IndexOutOfRange(
+                f"subset {js} outside index range 0..{len(self) - 1}"
+            )
+        return tuple(js)
+
+    def complement(self, subset) -> tuple[int, ...]:
+        js = set(self._validate_subset(subset))
+        return tuple(j for j in range(len(self)) if j not in js)
+
+    def _sum_terms(self, terms, subset) -> np.ndarray:
+        js = self._validate_subset(subset)
+        out = np.zeros((self.dim_h, self.dim_h), dtype=self.dtype)
+        for j in js:
+            out = out + terms[j]
+        return out
+
+
+class GFrame(_Frame):
+    """Finite family of block operators with cached frame operator and bounds.
+
+    ``blocks[j]`` maps H (dimension ``dim_h``) into the j-th codomain.  The
+    family may fail to be a frame; ``lower_bound`` then sits at (numerical)
+    zero and operations needing the inverse frame operator raise
+    ``NotAFrame``.
+    """
+
+    def __init__(self, blocks: Sequence):
+        blocks = tuple(as_operator(b) for b in blocks)
+        if not blocks:
+            raise ShapeMismatch("a frame needs at least one block operator")
+        dim = blocks[0].shape[1]
+        for b in blocks:
+            if b.shape[1] != dim:
+                raise ShapeMismatch("all blocks must share the domain dimension")
+        self.blocks = blocks
+        self.dim_h = int(dim)
+        self.dtype = np.result_type(*blocks)
+        self._set_frame_operator((adjoint(b) @ b for b in blocks), lambda j: f"block {j}")
+
     def analysis(self, f) -> BlockVector:
         """Block coefficients {blocks[j] @ f}."""
         f = as_vector(f, self.dim_h)
@@ -300,15 +354,6 @@ class GFrame:
             gj = as_vector(gj, b.shape[0])
             out = out + adjoint(b) @ gj
         return out
-
-    def analysis_matrix(self) -> np.ndarray:
-        """Dense stacked analysis operator; its Gram matrix is the oracle
-        route to the frame operator.
-
-        Returned as a read-only view of the stack behind the partition
-        identities, so callers cannot change it.
-        """
-        return self._stacked_analysis.matrix.view()
 
     @functools.cached_property
     def _stacked_analysis(self) -> StackedAnalysis:
@@ -335,30 +380,6 @@ class GFrame:
         dual = self.canonical_dual
         return tuple(adjoint(b) @ d for b, d in zip(self.blocks, dual.blocks))
 
-    @functools.cached_property
-    def _dual_term_stack(self) -> np.ndarray:
-        """The terms behind ``partial_sum`` as one read-only (n, d*d) array."""
-        return term_stack(self._dual_terms)
-
-    def _validate_subset(self, subset) -> tuple[int, ...]:
-        js = sorted({int(j) for j in subset})
-        if js and (js[0] < 0 or js[-1] >= len(self.blocks)):
-            raise IndexOutOfRange(
-                f"subset {js} outside index range 0..{len(self.blocks) - 1}"
-            )
-        return tuple(js)
-
-    def complement(self, subset) -> tuple[int, ...]:
-        js = set(self._validate_subset(subset))
-        return tuple(j for j in range(len(self.blocks)) if j not in js)
-
-    def _sum_terms(self, terms, subset) -> np.ndarray:
-        js = self._validate_subset(subset)
-        out = np.zeros((self.dim_h, self.dim_h), dtype=self.dtype)
-        for j in js:
-            out = out + terms[j]
-        return out
-
     def partial_sum(self, subset) -> np.ndarray:
         """Reconstruction operator truncated to ``subset``: sum over j in the
         subset of blocks[j]* composed with the canonical dual blocks.
@@ -367,9 +388,14 @@ class GFrame:
         """
         return self._sum_terms(self._dual_terms, subset)
 
-    def partial_frame_operator(self, subset) -> np.ndarray:
-        """Frame operator truncated to ``subset``: sum of blocks[j]* blocks[j]."""
-        return self._sum_terms(self._gram_terms, subset)
+
+def _partition_identity(frame: _Frame, subset, f, through_dual: bool) -> IdentityTerms:
+    """The partition identity of either frame kind, through its canonical
+    dual or, for a Parseval frame, through the frame itself."""
+    f = as_vector(f, frame.dim_h)
+    dual = frame.canonical_dual if through_dual else frame
+    js = frame._validate_subset(subset)
+    return stacked_partition_identity(frame._stacked_analysis, dual._stacked_analysis, js, f)
 
 
 def partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
@@ -379,10 +405,7 @@ def partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
     norm of the truncated reconstruction of f; rhs mirrors it over the
     complement with conjugated inner products.
     """
-    f = as_vector(f, frame.dim_h)
-    dual = frame.canonical_dual
-    js = frame._validate_subset(subset)
-    return stacked_partition_identity(frame._stacked_analysis, dual._stacked_analysis, js, f)
+    return _partition_identity(frame, subset, f, True)
 
 
 def parseval_partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
@@ -392,7 +415,4 @@ def parseval_partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
     Parseval frame is the frame itself): block energies minus the squared
     norm of the truncated frame-operator image.
     """
-    f = as_vector(f, frame.dim_h)
-    js = frame._validate_subset(subset)
-    stacked = frame._stacked_analysis
-    return stacked_partition_identity(stacked, stacked, js, f)
+    return _partition_identity(frame, subset, f, False)

@@ -8,15 +8,17 @@ square root yields a Parseval frame.  Subspaces are stored as orthonormal
 column bases, never as projection matrices; projections are derived.
 
 A weighted subspace frame is the g-frame with blocks Lambda_j = w_j B_j P_j,
-so the identities and bounds use the stacked analysis operators of
-``gframe``: [w_1 B_1 P_1; ...; w_n B_n P_n], built once per frame and kept
-read-only, and the same stack of the canonical dual.  ``block_energies``
-takes all energies weight_j^2 ||block_j P_j f||^2 from one product with the
-stack and one segmented sum over the block row ranges; ``truncated_images``
-takes the subset and complement energies and the truncated frame-operator
-images M_I f = sum_{j in I} Lambda_j* Lambda_j f from ``subset_sums``, with
-no truncated frame operator built.  Both raise the same errors as the
-per-block ``analysis`` route, which stays the reference.
+so ``GFusionFrame`` shares the core of ``gframe.GFrame``, and the identities
+and bounds use the stacked analysis operators of ``gframe``:
+[w_1 B_1 P_1; ...; w_n B_n P_n], built once per frame and kept read-only,
+and the same stack of the canonical dual.  Its frame-operator terms stay
+w_j^2 P_j (B_j* B_j) P_j, which rounds differently from Lambda_j* Lambda_j.
+``block_energies`` takes all energies weight_j^2 ||block_j P_j f||^2 from
+one product with the stack and one segmented sum over the block row ranges;
+``truncated_images`` takes the subset and complement energies and the
+truncated frame-operator images M_I f = sum_{j in I} Lambda_j* Lambda_j f
+from ``subset_sums``, with no truncated frame operator built.  Both raise the
+same errors as the per-block ``analysis`` route, which stays the reference.
 
 For the operator checks the frame caches the terms behind ``partial_sum``
 and ``partial_frame_operator`` as read-only (n, d*d) stacks
@@ -34,26 +36,20 @@ import numpy as np
 from .gframe import (
     BlockVector,
     IdentityTerms,
-    IndexOutOfRange,
-    NotAFrame,
     StackedAnalysis,
+    _Frame,
+    _partition_identity,
     stack_blocks,
     stacked_image,
-    stacked_partition_identity,
     subset_sums,
     term_stack,
 )
 from .linops import (
-    PARSEVAL_TOL,
-    PDTOL,
     ShapeMismatch,
     adjoint,
     as_operator,
     as_vector,
-    hermitian_eig,
-    identity_like,
     inner,
-    operator_norm,
     orthonormal_basis,
     projection,
     psd_power,
@@ -62,7 +58,6 @@ from .linops import (
 __all__ = [
     "GFusionComponent",
     "GFusionFrame",
-    "DualGFusionFrame",
     "block_energies",
     "truncated_images",
     "partition_identity",
@@ -81,7 +76,7 @@ class GFusionComponent(NamedTuple):
     weight: float
 
 
-class GFusionFrame:
+class GFusionFrame(_Frame):
     """Weighted subspace frame with cached frame operator and optimal bounds.
 
     Components whose subspace is numerically zero, or whose weight is not
@@ -89,6 +84,8 @@ class GFusionFrame:
     fail to be a frame (lower bound at numerical zero); operations that need
     the inverse frame operator then raise ``NotAFrame``.
     """
+
+    _noun = "component"
 
     def __init__(self, components: Sequence):
         comps = []
@@ -115,51 +112,10 @@ class GFusionFrame:
         self.dtype = np.result_type(*(c.basis for c in comps), *(c.block for c in comps))
         # projection() also validates orthonormality of each stored basis
         self.projections = tuple(projection(c.basis) for c in comps)
-        terms = []
-        s = np.zeros((dim, dim), dtype=self.dtype)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, (c, p) in enumerate(zip(self.components, self.projections)):
-                term = (c.weight**2) * (p @ (adjoint(c.block) @ c.block) @ p)
-                if not np.isfinite(term).all():
-                    raise ValueError(
-                        f"component {j} with weight {c.weight!r} has a frame-operator "
-                        "term that is not finite"
-                    )
-                terms.append(term)
-                s = s + term
-        if not np.isfinite(s).all():
-            raise ValueError("the frame operator (sum of the component terms) is not finite")
-        self._component_terms = tuple(terms)
-        self.frame_operator = s
-        dec = hermitian_eig(s)
-        self._spectrum = dec
-        self.lower_bound = float(dec.eigenvalues[0])
-        self.upper_bound = float(dec.eigenvalues[-1])
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(dim_h={self.dim_h}, "
-            f"components={len(self.components)}, "
-            f"bounds=({self.lower_bound:.4g}, {self.upper_bound:.4g}))"
-        )
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (self.lower_bound, self.upper_bound)
-
-    @property
-    def is_frame(self) -> bool:
-        return self.lower_bound > PDTOL
-
-    @functools.cached_property
-    def is_parseval(self) -> bool:
-        return operator_norm(self.frame_operator - identity_like(self.frame_operator)) <= PARSEVAL_TOL
-
-    def _require_frame(self):
-        if not self.is_frame:
-            raise NotAFrame(
-                f"lower bound {self.lower_bound:.3e} is not above {PDTOL:.1e}"
-            )
+        terms = ((c.weight**2) * (p @ (adjoint(c.block) @ c.block) @ p)
+                 for c, p in zip(comps, self.projections))
+        self._component_terms = self._set_frame_operator(
+            terms, lambda j: f"component {j} with weight {comps[j].weight!r}")
 
     def analysis(self, f) -> BlockVector:
         """Block coefficients {weight_j * block_j @ (P_j @ f)}."""
@@ -180,18 +136,9 @@ class GFusionFrame:
             out = out + c.weight * (p @ (adjoint(c.block) @ gj))
         return out
 
-    def analysis_matrix(self) -> np.ndarray:
-        """Dense stacked analysis operator [w_1 B_1 P_1; ...; w_n B_n P_n].
-
-        Built once per frame and returned as a read-only view that cannot be
-        made writeable, so callers cannot change the operator behind
-        ``block_energies``.  Its Gram matrix is the oracle route to the
-        frame operator.
-        """
-        return self._stacked_analysis.matrix.view()
-
     @functools.cached_property
     def _stacked_analysis(self) -> StackedAnalysis:
+        """[w_1 B_1 P_1; ...; w_n B_n P_n], behind ``analysis_matrix``."""
         return stack_blocks(
             [c.weight * (c.block @ p) for c, p in zip(self.components, self.projections)]
         )
@@ -209,16 +156,20 @@ class GFusionFrame:
         return psd_power(self.frame_operator, -0.5)
 
     @functools.cached_property
-    def canonical_dual(self) -> "DualGFusionFrame":
+    def canonical_dual(self) -> "GFusionFrame":
         """Canonical dual triple: subspaces pushed through the inverse frame
-        operator (re-orthonormalized), blocks composed with it, same weights."""
+        operator (re-orthonormalized), blocks composed with it, same weights.
+
+        It holds no reference back to this frame, which caches it, so the
+        pair is freed without the cyclic garbage collector.
+        """
         s_inv = self.inverse
         comps = []
         for c, p in zip(self.components, self.projections):
             comps.append(
                 (orthonormal_basis(s_inv @ c.basis), c.block @ p @ s_inv, c.weight)
             )
-        return DualGFusionFrame(comps)
+        return GFusionFrame(comps)
 
     @functools.cached_property
     def _dual_terms(self) -> tuple[np.ndarray, ...]:
@@ -231,34 +182,10 @@ class GFusionFrame:
         return tuple(out)
 
     @functools.cached_property
-    def _dual_term_stack(self) -> np.ndarray:
-        """The terms behind ``partial_sum`` as one read-only (n, d*d) array."""
-        return term_stack(self._dual_terms)
-
-    @functools.cached_property
     def _component_term_stack(self) -> np.ndarray:
         """The terms behind ``partial_frame_operator`` as one read-only
         (n, d*d) array."""
         return term_stack(self._component_terms)
-
-    def _validate_subset(self, subset) -> tuple[int, ...]:
-        js = sorted({int(j) for j in subset})
-        if js and (js[0] < 0 or js[-1] >= len(self.components)):
-            raise IndexOutOfRange(
-                f"subset {js} outside index range 0..{len(self.components) - 1}"
-            )
-        return tuple(js)
-
-    def complement(self, subset) -> tuple[int, ...]:
-        js = set(self._validate_subset(subset))
-        return tuple(j for j in range(len(self.components)) if j not in js)
-
-    def _sum_terms(self, terms, subset) -> np.ndarray:
-        js = self._validate_subset(subset)
-        out = np.zeros((self.dim_h, self.dim_h), dtype=self.dtype)
-        for j in js:
-            out = out + terms[j]
-        return out
 
     def partial_sum(self, subset) -> np.ndarray:
         """Reconstruction operator truncated to ``subset``, built through the
@@ -282,14 +209,6 @@ class GFusionFrame:
         for c, p in zip(self.components, self.projections):
             comps.append((orthonormal_basis(r @ c.basis), c.block @ p @ r, c.weight))
         return GFusionFrame(comps)
-
-
-class DualGFusionFrame(GFusionFrame):
-    """Canonical dual of a weighted subspace frame.
-
-    It holds no reference back to its primal frame, which caches it, so
-    the pair is freed without the cyclic garbage collector.
-    """
 
 
 def block_energies(frame: GFusionFrame, f) -> np.ndarray:
@@ -334,19 +253,13 @@ def partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     the subset and subtracts the squared norm of the truncated reconstruction
     of f; rhs mirrors it over the complement with conjugated inner products.
     """
-    f = as_vector(f, frame.dim_h)
-    dual = frame.canonical_dual
-    js = frame._validate_subset(subset)
-    return stacked_partition_identity(frame._stacked_analysis, dual._stacked_analysis, js, f)
+    return _partition_identity(frame, subset, f, True)
 
 
 def parseval_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     """Parseval special case: block energies minus the squared norms of the
     truncated frame-operator images, subset side versus complement side."""
-    f = as_vector(f, frame.dim_h)
-    js = frame._validate_subset(subset)
-    stacked = frame._stacked_analysis
-    return stacked_partition_identity(stacked, stacked, js, f)
+    return _partition_identity(frame, subset, f, False)
 
 
 def whitened_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:

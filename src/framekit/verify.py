@@ -13,8 +13,12 @@ checks (COR2_SANDWICH, THM38_I, THM38_II, COR3_SANDWICH, COR39_PLUS,
 COR39_MINUS_PROBE, SPECTRUM_REMARK, LEMMA_L2) evaluate a whole chunk at
 once: its partial sums come from a 0/1 mask over the frame's cached term
 stack, and its margins, spectra and complement residuals from one stacked
-``linops`` call each.  A single subset is a chunk of one.  The per-vector
-checks keep one evaluation per subset.
+``linops`` call each.  A single subset is a chunk of one.  The twelve
+per-vector checks take one evaluation per subset from three shared loops
+(the six identities, whose function ``_IDENTITIES`` looks up at call time;
+the plain and whitened pointwise bounds; the two reconstructions) and two
+of their own (EQ6_QUADFORM, LEMMA_L0).  ``inapplicable`` is the one rule
+for which checks apply to which frame.
 
 Normalization conventions (so a single pair of tolerances applies):
 
@@ -30,7 +34,9 @@ Normalization conventions (so a single pair of tolerances applies):
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -66,6 +72,7 @@ __all__ = [
     "Tolerances",
     "CheckResult",
     "run_check",
+    "inapplicable",
     "FrameInstance",
     "SuitePlan",
     "CheckSummary",
@@ -179,8 +186,9 @@ class Tolerances:
     margin: float = 1e-8
 
     def __post_init__(self):
-        if self.residual < 0 or self.margin < 0:
-            raise ValueError("tolerances must be nonnegative")
+        # NaN fails both comparisons, so it is refused too
+        if not (0 <= self.residual < math.inf and 0 <= self.margin < math.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
 
 
 @dataclass
@@ -205,8 +213,22 @@ def _json_vector(f: np.ndarray) -> list:
     return [float(x) for x in f]
 
 
-def _identity_residuals(fn, frame, subset, vectors):
+# The identity checks: check id -> (module, function name).  The function is
+# looked up when the check runs, so a module attribute replaced later (a
+# tracing or counting wrapper) is the one called.
+_IDENTITIES = {
+    CheckId.THM_T1: (gf, "partition_identity"),
+    CheckId.FAMOUS_PARSEVAL: (gf, "parseval_partition_identity"),
+    CheckId.THM_TG1: (gfu, "partition_identity"),
+    CheckId.COR1_IDENTITY: (gfu, "parseval_partition_identity"),
+    CheckId.THM_T33: (gfu, "whitened_partition_identity"),
+    CheckId.THM_FINAL_MI: (gfu, "frame_partition_identity"),
+}
+
+
+def _identity_residuals(source, frame, subset, vectors):
     """Normalized |lhs - rhs| and |Im(lhs - rhs)| per sample vector."""
+    fn = getattr(*source)
     residuals = []
     worst, worst_val = None, -1.0
     for f in vectors:
@@ -217,7 +239,7 @@ def _identity_residuals(fn, frame, subset, vectors):
         residuals.append(abs((terms.lhs - terms.rhs).imag) / scale)
         if r > worst_val:
             worst_val, worst = r, f
-    return residuals, worst
+    return residuals, [], None, worst
 
 
 def _margins_of(lm, scale=1.0):
@@ -228,105 +250,59 @@ def _s_scale(frame) -> float:
     return max(1.0, frame.upper_bound)
 
 
-def _run_thm_t1(frame, subset, vectors):
-    res, worst = _identity_residuals(gf.partition_identity, frame, subset, vectors)
-    return res, [], None, worst
-
-
-def _run_famous_parseval(frame, subset, vectors):
-    res, worst = _identity_residuals(gf.parseval_partition_identity, frame, subset, vectors)
-    return res, [], None, worst
-
-
-def _run_thm_tg1(frame, subset, vectors):
-    res, worst = _identity_residuals(gfu.partition_identity, frame, subset, vectors)
-    return res, [], None, worst
-
-
-def _run_cor1_identity(frame, subset, vectors):
-    res, worst = _identity_residuals(gfu.parseval_partition_identity, frame, subset, vectors)
-    return res, [], None, worst
-
-
-def _run_cor1_34bound(frame, subset, vectors):
+def _pointwise_bound(whitened, frame, subset, vectors):
+    """Margins of e_I(f) + ||R M_K f||^2 >= c ||f||^2 over ||f||^2, with K the
+    complement: R = I and c = 3/4 (COR1_34BOUND), or R = S^(-1/2) and
+    c = (3/4) A when ``whitened`` (COR_34_SINV)."""
+    r = frame.inverse_sqrt if whitened else None
+    floor = 0.75 * frame.lower_bound if whitened else 0.75
+    frame._validate_subset(subset)
     margins = []
     worst, worst_val = None, np.inf
-    frame._validate_subset(subset)
     for f in vectors:
         n2 = _norm_sq(f)
         if n2 == 0.0:
             margins.append(0.0)
             continue
         e, m = gfu.truncated_images(frame, subset, f)
-        lhs = float(e[0]) + _norm_sq(m[:, 1])
-        margin = (lhs - 0.75 * n2) / n2
+        tail = m[:, 1] if r is None else r @ m[:, 1]
+        margin = (float(e[0]) + _norm_sq(tail) - floor * n2) / n2
         margins.append(margin)
         if margin < worst_val:
             worst_val, worst = margin, f
     return [], margins, None, worst
 
 
-def _run_thm_t33(frame, subset, vectors):
-    res, worst = _identity_residuals(gfu.whitened_partition_identity, frame, subset, vectors)
-    return res, [], None, worst
-
-
-def _run_cor_34_sinv(frame, subset, vectors):
-    margins = []
-    worst, worst_val = None, np.inf
-    r = frame.inverse_sqrt
-    floor = 0.75 * frame.lower_bound
-    frame._validate_subset(subset)
-    for f in vectors:
-        n2 = _norm_sq(f)
-        if n2 == 0.0:
-            margins.append(0.0)
-            continue
-        e, m = gfu.truncated_images(frame, subset, f)
-        lhs = float(e[0]) + _norm_sq(r @ m[:, 1])
-        margin = (lhs - floor * n2) / n2
-        margins.append(margin)
-        if margin < worst_val:
-            worst_val, worst = margin, f
-    return [], margins, None, worst
-
-
-def _run_eq4_recon(frame, subset, vectors):
-    residuals = []
-    worst, worst_val = None, -1.0
+def _operator_maps(frame):
     s, si = frame.frame_operator, frame.inverse
-    for f in vectors:
-        nf = float(np.sqrt(_norm_sq(f)))
-        if nf == 0.0:
-            residuals += [0.0, 0.0]
-            continue
-        r1 = float(np.linalg.norm(s @ (si @ f) - f)) / nf
-        r2 = float(np.linalg.norm(si @ (s @ f) - f)) / nf
-        residuals += [r1, r2]
-        if max(r1, r2) > worst_val:
-            worst_val, worst = max(r1, r2), f
-    return residuals, [], None, worst
+    return (lambda f: s @ (si @ f)), (lambda f: si @ (s @ f))
 
 
-def _run_eq5_dual_recon(frame, subset, vectors):
+def _dual_maps(frame):
+    s_full = frame.partial_sum(range(len(frame)))
+    s_full_adj = adjoint(s_full)
+    return (lambda f: s_full @ f), (lambda f: s_full_adj @ f)
+
+
+def _reconstruction(maps, frame, subset, vectors):
+    """Relative errors ||g(f) - f|| / ||f|| of the two maps g in ``maps(frame)``."""
+    first, second = maps(frame)
     residuals = []
     worst, worst_val = None, -1.0
-    s_full = frame.partial_sum(range(len(frame.components)))
-    s_full_adj = adjoint(s_full)
     for f in vectors:
         nf = float(np.sqrt(_norm_sq(f)))
         if nf == 0.0:
             residuals += [0.0, 0.0]
             continue
-        r1 = float(np.linalg.norm(s_full @ f - f)) / nf
-        r2 = float(np.linalg.norm(s_full_adj @ f - f)) / nf
+        r1 = float(np.linalg.norm(first(f) - f)) / nf
+        r2 = float(np.linalg.norm(second(f) - f)) / nf
         residuals += [r1, r2]
         if max(r1, r2) > worst_val:
             worst_val, worst = max(r1, r2), f
     return residuals, [], None, worst
 
 
-def _run_eq6_quadform(frame, subset, vectors):
+def _eq6_quadform(frame, subset, vectors):
     residuals = []
     worst, worst_val = None, -1.0
     for f in vectors:
@@ -338,7 +314,7 @@ def _run_eq6_quadform(frame, subset, vectors):
     return residuals, [], None, worst
 
 
-def _run_lemma_l0(frame, subset, vectors):
+def _lemma_l0(frame, subset, vectors):
     t = frame.inverse
     tn = operator_norm(t)
     residuals = [
@@ -347,24 +323,17 @@ def _run_lemma_l0(frame, subset, vectors):
     return residuals, [], None, None
 
 
-def _run_thm_final_mi(frame, subset, vectors):
-    res, worst = _identity_residuals(gfu.frame_partition_identity, frame, subset, vectors)
-    return res, [], None, worst
-
-
-_DISPATCH = {
-    CheckId.THM_T1: _run_thm_t1,
-    CheckId.FAMOUS_PARSEVAL: _run_famous_parseval,
-    CheckId.THM_TG1: _run_thm_tg1,
-    CheckId.COR1_IDENTITY: _run_cor1_identity,
-    CheckId.COR1_34BOUND: _run_cor1_34bound,
-    CheckId.THM_T33: _run_thm_t33,
-    CheckId.COR_34_SINV: _run_cor_34_sinv,
-    CheckId.EQ4_RECON: _run_eq4_recon,
-    CheckId.EQ5_DUAL_RECON: _run_eq5_dual_recon,
-    CheckId.EQ6_QUADFORM: _run_eq6_quadform,
-    CheckId.LEMMA_L0: _run_lemma_l0,
-    CheckId.THM_FINAL_MI: _run_thm_final_mi,
+# The per-vector checks, one evaluation per subset: (frame, subset, vectors)
+# -> (residuals, margins, stats, worst vector).
+_PER_SUBSET = {
+    **{check: functools.partial(_identity_residuals, source)
+       for check, source in _IDENTITIES.items()},
+    CheckId.COR1_34BOUND: functools.partial(_pointwise_bound, False),
+    CheckId.COR_34_SINV: functools.partial(_pointwise_bound, True),
+    CheckId.EQ4_RECON: functools.partial(_reconstruction, _operator_maps),
+    CheckId.EQ5_DUAL_RECON: functools.partial(_reconstruction, _dual_maps),
+    CheckId.EQ6_QUADFORM: _eq6_quadform,
+    CheckId.LEMMA_L0: _lemma_l0,
 }
 
 
@@ -454,11 +423,11 @@ def _evaluate(check, frame, subsets, vectors):
     """(residuals, margins, stats, worst vector) for each subset, in order."""
     batch = _BATCHED.get(check)
     if batch is None:
-        return [_DISPATCH[check](frame, subset, vectors) for subset in subsets]
+        return [_PER_SUBSET[check](frame, subset, vectors) for subset in subsets]
     js = [frame._validate_subset(subset) for subset in subsets]
     rows = []
     for chunk in _chunks(js, frame.dim_h):
-        masks = gf.subset_masks(_index_count(frame), chunk)
+        masks = gf.subset_masks(len(frame), chunk)
         residuals, margins, stats = batch(frame, masks)
         k = len(masks)
         for i, (res, mar) in enumerate(zip(_columns(residuals, k), _columns(margins, k))):
@@ -475,20 +444,14 @@ def frame_kind(frame) -> str:
     raise TypeError(f"not a frame: {type(frame).__name__}")
 
 
-def _index_count(frame) -> int:
-    return len(frame.components) if frame_kind(frame) == "gfusion" else len(frame.blocks)
-
-
-def _require_applicable(info: CheckInfo, frame, subsets, vectors):
+def inapplicable(info: CheckInfo, frame) -> str | None:
+    """Why ``info``'s check does not apply to ``frame``, or None when it does."""
     kind = frame_kind(frame)
     if info.kind != "any" and info.kind != kind:
-        raise WrongFrameKind(f"{info.check.value} expects a {info.kind} frame, got {kind}")
+        return f"{info.check.value} expects a {info.kind} frame, got {kind}"
     if info.parseval_only and not frame.is_parseval:
-        raise WrongFrameKind(f"{info.check.value} requires a Parseval frame")
-    if info.subsets and any(subset is None for subset in subsets):
-        raise ValueError(f"{info.check.value} needs an index subset")
-    if info.vectors and not vectors:
-        raise ValueError(f"{info.check.value} needs sample vectors")
+        return f"{info.check.value} requires a Parseval frame"
+    return None
 
 
 def _result(info: CheckInfo, frame, subset, evaluation, tol: Tolerances) -> CheckResult:
@@ -533,7 +496,13 @@ def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = No
         raise ValueError(f"{check.value} takes no index subsets")
     else:
         group = list(subsets)
-    _require_applicable(info, frame, group, vectors)
+    reason = inapplicable(info, frame)
+    if reason is not None:
+        raise WrongFrameKind(reason)
+    if info.subsets and any(s is None for s in group):
+        raise ValueError(f"{check.value} needs an index subset")
+    if info.vectors and not vectors:
+        raise ValueError(f"{check.value} needs sample vectors")
     results = [
         _result(info, frame, s, evaluation, tol)
         for s, evaluation in zip(group, _evaluate(check, frame, group, vectors))
@@ -785,14 +754,6 @@ class _Accumulator:
         )
 
 
-def _applicable(info: CheckInfo, instance: FrameInstance) -> bool:
-    if info.kind != "any" and info.kind != instance.kind:
-        return False
-    if info.parseval_only and not instance.parseval:
-        return False
-    return True
-
-
 def run_suite(plan: SuitePlan, frame=None) -> RunReport:
     """Run the plan's checks over generated instances (or one given frame).
 
@@ -821,10 +782,10 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
         vectors = sample_vectors(
             instance.frame.dim_h, instance.field, seed, plan.vectors_per_instance
         )
-        subsets = subsets_for(_index_count(instance.frame), plan, seed)
+        subsets = subsets_for(len(instance.frame), plan, seed)
         for check in plan.checks:
             info = CATALOG[check]
-            if not _applicable(info, instance):
+            if inapplicable(info, instance.frame) is not None:
                 continue
             acc = accumulators.setdefault(check, _Accumulator())
             acc.instances += 1

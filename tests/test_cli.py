@@ -133,6 +133,28 @@ class TestFrameFiles:
         assert ret == 2
 
 
+def _unreadable_frame_text(kind, coordinate_gfusion):
+    text = json.dumps(frame_to_dict(coordinate_gfusion))
+    if kind == "nested-200000-deep":
+        return "[" * 200_000
+    if kind == "dim-h-1e400":
+        return text.replace('"dim_h": 2', '"dim_h": 1e400')
+    # a matrix entry no float can hold
+    return text.replace('"lambda": [[1.0,', '"lambda": [[1' + "0" * 399 + ",", 1)
+
+
+@pytest.mark.parametrize("command", ["verify", "demo-reconstruct"])
+@pytest.mark.parametrize("kind", ["nested-200000-deep", "dim-h-1e400", "400-digit-entry"])
+def test_unreadable_frame_file_exits_2(tmp_path, capsys, coordinate_gfusion, command, kind):
+    text = _unreadable_frame_text(kind, coordinate_gfusion)
+    assert text != json.dumps(frame_to_dict(coordinate_gfusion))
+    path = tmp_path / "bad.frame"
+    path.write_text(text)
+    assert run_cli([command, "--frame", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def _frame_file_with_weight(tmp_path, weight, block=1.0):
     path = tmp_path / "heavy.frame"
     data = frame_to_dict(GFusionFrame([(np.eye(2), block * np.eye(2), 1.0)]))
@@ -318,6 +340,28 @@ class TestVerify:
         ret = run_cli(["verify", "--dims", "2", "--seeds", "1", "--components", "3",
                        "--checks", "THM_TG1"])
         assert ret == 1  # zero tolerance cannot survive rounding
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["verify", "--dims", "2", "--seeds", "1", "--tol-residual", "{}"], None),
+        (["verify", "--dims", "2", "--seeds", "1", "--tol-margin", "{}"], None),
+        (["verify", "--dims", "2", "--seeds", "1"], "{}"),
+        (["demo-reconstruct", "--random", "--tol", "{}"], None),
+        (["demo-reconstruct", "--random"], "{}"),
+    ],
+    ids=["verify-tol-residual", "verify-tol-margin", "verify-env", "demo-tol", "demo-env"],
+)
+def test_tolerance_that_is_not_finite_exits_2(monkeypatch, capsys, argv, env, value):
+    # NaN compares false with every residual, so it would pass every check
+    if env is not None:
+        monkeypatch.setenv("FRAMEKIT_TOLERANCE", env.format(value))
+    assert run_cli([a.format(value) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "finite" in captured.err
+    assert "PASS" not in captured.out
 
 
 class TestDemoReconstruct:

@@ -8,7 +8,6 @@ from framekit import (
     GenerationFailed,
     GenSpec,
     GFusionFrame,
-    fusion_special_case,
     operator_norm,
     random_gframe,
     random_gfusion,
@@ -139,15 +138,6 @@ class TestParsevalGeneration:
 
 
 class TestFusionSpecialCase:
-    def test_blocks_are_identity_and_operator_is_projection_sum(self):
-        f = fusion_special_case(4, [2, 1, 3], [1.0, 2.0, 0.5], Field.REAL, 3)
-        expected = sum(
-            (w**2) * p for w, p in zip([1.0, 2.0, 0.5], f.projections)
-        )
-        assert_allclose(f.frame_operator, expected, atol=1e-13)
-        for c in f.components:
-            assert_allclose(c.block, np.eye(4))
-
     def test_orthogonal_lines_give_identity(self):
         e1 = np.array([[1.0], [0.0]])
         e2 = np.array([[0.0], [1.0]])
@@ -168,13 +158,3 @@ class TestFusionSpecialCase:
         ]
         f = GFusionFrame([(b, np.eye(3), 1.0) for b in planes])
         assert_allclose(f.frame_operator, 2.0 * np.eye(3), atol=1e-15)
-
-    def test_deterministic(self):
-        f1 = fusion_special_case(3, [1, 2], [1.0, 1.0], Field.COMPLEX, 5)
-        f2 = fusion_special_case(3, [1, 2], [1.0, 1.0], Field.COMPLEX, 5)
-        for c1, c2 in zip(f1.components, f2.components):
-            assert np.array_equal(c1.basis, c2.basis)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            fusion_special_case(3, [1, 2], [1.0], Field.REAL, 0)

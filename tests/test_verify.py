@@ -164,6 +164,13 @@ class TestSuitePlan:
         with pytest.raises(ValueError):
             Tolerances(residual=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_tolerance_that_is_not_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances(residual=value)
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances(margin=value)
+
     def test_zero_tolerance_is_legal(self):
         assert Tolerances(residual=0.0, margin=0.0).residual == 0.0
 

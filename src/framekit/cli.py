@@ -106,26 +106,33 @@ def frame_to_dict(frame) -> dict:
 
 
 def frame_from_dict(data: dict):
+    """The frame a frame-file dict describes; malformed data, a missing key
+    or a number out of range included, raises ``ValueError``."""
     if not isinstance(data, dict):
         raise ValueError(f"frame file must hold a JSON object, got {type(data).__name__}")
     version = data.get("format_version")
     if version != FRAME_FORMAT_VERSION:
         raise ValueError(f"unsupported frame file version: {version!r}")
-    fld = Field(data["field"])
-    kind = data["kind"]
-    components = data["components"]
-    if kind == "gframe":
-        frame = GFrame([_decode_matrix(c["lambda"], fld) for c in components])
-    elif kind == "gfusion":
-        frame = GFusionFrame(
-            [
-                (_decode_matrix(c["basis"], fld), _decode_matrix(c["lambda"], fld), c["weight"])
-                for c in components
-            ]
-        )
-    else:
-        raise ValueError(f"unknown frame kind: {kind!r}")
-    if frame.dim_h != int(data["dim_h"]):
+    try:
+        fld = Field(data["field"])
+        kind = data["kind"]
+        components = data["components"]
+        if kind == "gframe":
+            frame = GFrame([_decode_matrix(c["lambda"], fld) for c in components])
+        elif kind == "gfusion":
+            frame = GFusionFrame(
+                [
+                    (_decode_matrix(c["basis"], fld), _decode_matrix(c["lambda"], fld),
+                     c["weight"])
+                    for c in components
+                ]
+            )
+        else:
+            raise ValueError(f"unknown frame kind: {kind!r}")
+        dim_h = int(data["dim_h"])
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed frame data ({type(exc).__name__}: {exc})") from exc
+    if frame.dim_h != dim_h:
         raise ValueError("frame file dim_h does not match its matrices")
     return frame
 
@@ -137,11 +144,11 @@ def save_frame(frame, path: str):
 
 def load_frame(path: str):
     """Read a frame file.  Malformed content, also nesting too deep for the
-    JSON parser or a number out of float range, raises ``ValueError``."""
+    JSON parser, raises ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return frame_from_dict(json.load(fh))
-        except (RecursionError, OverflowError) as exc:
+        except RecursionError as exc:
             raise ValueError(f"unreadable frame data ({type(exc).__name__}: {exc})") from exc
 
 
@@ -330,7 +337,7 @@ def cmd_verify(args) -> int:
         if args.frame is not None:
             try:
                 frame = load_frame(args.frame)
-            except (OSError, ValueError, KeyError, TypeError) as exc:
+            except (OSError, ValueError) as exc:
                 raise _ConfigError(f"could not load frame file {args.frame!r}: {exc}")
             if not frame.is_frame:
                 raise _ConfigError(
@@ -397,7 +404,7 @@ def cmd_demo_reconstruct(args) -> int:
             raise _ConfigError(f"tolerance must be finite and nonnegative, got {args.tol}")
         try:
             frame = _demo_frame(args)
-        except (OSError, ValueError, KeyError, TypeError, GenerationFailed) as exc:
+        except (OSError, ValueError, GenerationFailed) as exc:
             raise _ConfigError(f"could not obtain a frame: {exc}")
         if not frame.is_frame:
             raise _ConfigError("frame has no positive lower bound; cannot reconstruct")

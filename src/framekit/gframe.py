@@ -9,7 +9,7 @@ the canonical dual and per-index partial-sum terms lazily and cached.
 from one core, ``_Frame``: it sums the per-index terms into the frame
 operator and its bounds, counts the indices (``len(frame)``), validates
 subsets and takes complements and partial sums.  Each class keeps its own
-terms, stacked blocks, inverse, canonical dual and ``partial_sum``.
+dual term stack, stacked blocks, inverse, canonical dual and ``partial_sum``.
 
 The partition identities are evaluated from stacked analysis operators
 Lambda = [Lambda_1; ...; Lambda_n], built once per frame by
@@ -24,8 +24,8 @@ two sides of the identity for any pair of stacks; with the frame's own
 stack as the dual it is the Parseval case.  Weighted subspace frames
 (``gfusion``) use the same helpers with the blocks w_j B_j P_j.
 
-The operator checks take many partial sums at once: each frame caches the
-per-index terms behind ``partial_sum`` as a read-only (n, d*d)
+The operator checks take many partial sums at once: each frame keeps the
+per-index terms behind ``partial_sum`` only as a read-only (n, d*d)
 ``term_stack``, and ``masked_sums`` turns the 0/1 rows of ``subset_masks``
 into a (k, d, d) stack of partial sums, each equal bit for bit to the
 ``partial_sum`` of its subset.
@@ -221,10 +221,10 @@ class _Frame:
     """What g-frames and weighted subspace frames share.
 
     A subclass hands its per-index terms to ``_set_frame_operator`` in
-    ``__init__`` and defines ``_stacked_analysis`` and ``_dual_terms`` (the
-    terms behind ``partial_sum``).  The members the benchmark tracer times
-    (``perfbench/tracer.py``) stay in each class, which is where it looks
-    them up.
+    ``__init__`` and defines ``_stacked_analysis`` and ``_dual_term_stack``
+    (the ``term_stack`` behind ``partial_sum``).  The members the benchmark
+    tracer times (``perfbench/tracer.py``) stay in each class, which is
+    where it looks them up.
     """
 
     _noun = "block"  # what one index holds, in messages and the repr
@@ -248,10 +248,9 @@ class _Frame:
             raise ValueError(f"the frame operator (sum of the {self._noun} terms) is not finite")
         self._count = len(out)
         self.frame_operator = s
-        dec = hermitian_eig(s)
-        self._spectrum = dec
-        self.lower_bound = float(dec.eigenvalues[0])
-        self.upper_bound = float(dec.eigenvalues[-1])
+        eigenvalues = hermitian_eig(s).eigenvalues
+        self.lower_bound = float(eigenvalues[0])
+        self.upper_bound = float(eigenvalues[-1])
         return tuple(out)
 
     def __len__(self) -> int:
@@ -292,11 +291,6 @@ class _Frame:
         """
         return self._stacked_analysis.matrix.view()
 
-    @functools.cached_property
-    def _dual_term_stack(self) -> np.ndarray:
-        """The terms behind ``partial_sum`` as one read-only (n, d*d) array."""
-        return term_stack(self._dual_terms)
-
     def _validate_subset(self, subset) -> tuple[int, ...]:
         js = sorted({int(j) for j in subset})
         if js and (js[0] < 0 or js[-1] >= len(self)):
@@ -309,11 +303,12 @@ class _Frame:
         js = set(self._validate_subset(subset))
         return tuple(j for j in range(len(self)) if j not in js)
 
-    def _sum_terms(self, terms, subset) -> np.ndarray:
+    def _sum_terms(self, stack, subset) -> np.ndarray:
+        """The rows of a ``term_stack`` over ``subset``, added in index order."""
         js = self._validate_subset(subset)
         out = np.zeros((self.dim_h, self.dim_h), dtype=self.dtype)
         for j in js:
-            out = out + terms[j]
+            out = out + stack[j].reshape(out.shape)
         return out
 
 
@@ -376,9 +371,10 @@ class GFrame(_Frame):
         return GFrame([b @ s_inv for b in self.blocks])
 
     @functools.cached_property
-    def _dual_terms(self) -> tuple[np.ndarray, ...]:
+    def _dual_term_stack(self) -> np.ndarray:
+        """The terms blocks[j]* dual_j behind ``partial_sum``."""
         dual = self.canonical_dual
-        return tuple(adjoint(b) @ d for b, d in zip(self.blocks, dual.blocks))
+        return term_stack(adjoint(b) @ d for b, d in zip(self.blocks, dual.blocks))
 
     def partial_sum(self, subset) -> np.ndarray:
         """Reconstruction operator truncated to ``subset``: sum over j in the
@@ -386,7 +382,7 @@ class GFrame(_Frame):
 
         Summed with the complement's partial sum this gives the identity.
         """
-        return self._sum_terms(self._dual_terms, subset)
+        return self._sum_terms(self._dual_term_stack, subset)
 
 
 def _partition_identity(frame: _Frame, subset, f, through_dual: bool) -> IdentityTerms:

@@ -20,10 +20,11 @@ truncated frame-operator images M_I f = sum_{j in I} Lambda_j* Lambda_j f
 from ``subset_sums``, with no truncated frame operator built.  Both raise the
 same errors as the per-block ``analysis`` route, which stays the reference.
 
-For the operator checks the frame caches the terms behind ``partial_sum``
-and ``partial_frame_operator`` as read-only (n, d*d) stacks
-(``_dual_term_stack``, ``_component_term_stack``), from which
-``gframe.masked_sums`` takes a whole chunk of partial sums at once.
+The frame keeps the terms behind ``partial_sum`` and
+``partial_frame_operator`` only as read-only (n, d*d) stacks
+(``_dual_term_stack``, cached, and ``_component_term_stack``, built with
+the frame operator), from which ``gframe.masked_sums`` takes a whole chunk
+of partial sums at once.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ class GFusionFrame(_Frame):
         self.projections = tuple(projection(c.basis) for c in comps)
         terms = ((c.weight**2) * (p @ (adjoint(c.block) @ c.block) @ p)
                  for c, p in zip(comps, self.projections))
-        self._component_terms = self._set_frame_operator(
-            terms, lambda j: f"component {j} with weight {comps[j].weight!r}")
+        self._component_term_stack = term_stack(self._set_frame_operator(
+            terms, lambda j: f"component {j} with weight {comps[j].weight!r}"))
 
     def analysis(self, f) -> BlockVector:
         """Block coefficients {weight_j * block_j @ (P_j @ f)}."""
@@ -172,30 +173,25 @@ class GFusionFrame(_Frame):
         return GFusionFrame(comps)
 
     @functools.cached_property
-    def _dual_terms(self) -> tuple[np.ndarray, ...]:
+    def _dual_term_stack(self) -> np.ndarray:
+        """The terms w_j^2 P_j B_j* (dual B_j dual P_j) behind ``partial_sum``."""
         dual = self.canonical_dual
-        out = []
-        for c, p, dc, dp in zip(
-            self.components, self.projections, dual.components, dual.projections
-        ):
-            out.append((c.weight**2) * (p @ adjoint(c.block) @ (dc.block @ dp)))
-        return tuple(out)
-
-    @functools.cached_property
-    def _component_term_stack(self) -> np.ndarray:
-        """The terms behind ``partial_frame_operator`` as one read-only
-        (n, d*d) array."""
-        return term_stack(self._component_terms)
+        return term_stack(
+            (c.weight**2) * (p @ adjoint(c.block) @ (dc.block @ dp))
+            for c, p, dc, dp in zip(
+                self.components, self.projections, dual.components, dual.projections
+            )
+        )
 
     def partial_sum(self, subset) -> np.ndarray:
         """Reconstruction operator truncated to ``subset``, built through the
         canonical dual; summed with the complement's it gives the identity."""
-        return self._sum_terms(self._dual_terms, subset)
+        return self._sum_terms(self._dual_term_stack, subset)
 
     def partial_frame_operator(self, subset) -> np.ndarray:
         """Frame operator truncated to ``subset``; summed with the
         complement's it gives the full frame operator."""
-        return self._sum_terms(self._component_terms, subset)
+        return self._sum_terms(self._component_term_stack, subset)
 
     def parsevalize(self) -> "GFusionFrame":
         """Whiten by the inverse square root of the frame operator.

@@ -6,19 +6,20 @@ random instances, aggregates per-check extremes into a report, and renders
 an overall verdict.  Probe checks record counterexample witnesses without
 affecting the verdict.
 
-Subsets are handled in chunks of at most ``_CHUNK_ENTRIES`` matrix
-entries; ``run_suite`` hands each (instance, check) its subsets one chunk
-at a time through ``run_check(..., subsets=chunk)``.  The eight operator
-checks (COR2_SANDWICH, THM38_I, THM38_II, COR3_SANDWICH, COR39_PLUS,
-COR39_MINUS_PROBE, SPECTRUM_REMARK, LEMMA_L2) evaluate a whole chunk at
-once: its partial sums come from a 0/1 mask over the frame's cached term
-stack, and its margins, spectra and complement residuals from one stacked
-``linops`` call each.  A single subset is a chunk of one.  The twelve
-per-vector checks take one evaluation per subset from three shared loops
-(the six identities, whose function ``_IDENTITIES`` looks up at call time;
-the plain and whitened pointwise bounds; the two reconstructions) and two
-of their own (EQ6_QUADFORM, LEMMA_L0).  ``inapplicable`` is the one rule
-for which checks apply to which frame.
+Every check takes its subsets in chunks of at most ``_CHUNK_ENTRIES``
+matrix entries, through one contract: ``_evaluate`` validates each subset
+once, cuts the chunks, builds each chunk's 0/1 subset masks and hands
+(frame, chunk, masks, vectors) to the check's entry in ``_EVALUATORS``.  A
+check that takes no subsets (EQ4_RECON, EQ5_DUAL_RECON, EQ6_QUADFORM,
+LEMMA_L0) gets the one chunk [None].  ``run_suite`` calls
+``run_check(..., subsets=chunk)`` once per chunk; a single subset is a
+chunk of one.  The eight operator checks evaluate a chunk at once: partial
+sums from the masks over the frame's term stacks, then one stacked
+``linops`` call for the margins, spectra or complement residuals.  The
+other twelve loop over the chunk's (subset, vector) pairs, the identities
+through the functions ``_IDENTITIES`` looks up at call time; LEMMA_L0 loops
+over the components.  ``inapplicable`` is the one rule for which checks
+apply to which frame.
 
 Normalization conventions (so a single pair of tolerances applies):
 
@@ -226,51 +227,49 @@ _IDENTITIES = {
 }
 
 
-def _identity_residuals(source, frame, subset, vectors):
+# Every check is one evaluator (frame, chunk, masks, vectors) -> (residuals,
+# margins, stats, worst): (k, r) and (k, m) arrays, a dict of length-k arrays
+# and each row's index into ``vectors`` of its worst vector (the first, where
+# tied), each None where the check has none.  A chunk holds at most this many
+# matrix entries: 64 subsets at d = 8, one at d = 64.  Larger chunks gain no
+# speed and raise peak memory.
+_CHUNK_ENTRIES = 4096
+
+
+def _identity_residuals(source, frame, chunk, masks, vectors):
     """Normalized |lhs - rhs| and |Im(lhs - rhs)| per sample vector."""
     fn = getattr(*source)
-    residuals = []
-    worst, worst_val = None, -1.0
-    for f in vectors:
-        terms = fn(frame, subset, f)
-        scale = max(1.0, _norm_sq(f))
-        r = terms.residual / scale
-        residuals.append(r)
-        residuals.append(abs((terms.lhs - terms.rhs).imag) / scale)
-        if r > worst_val:
-            worst_val, worst = r, f
-    return residuals, [], None, worst
+    # (lhs, rhs, residual) per (subset, vector)
+    terms = np.array([[fn(frame, js, f) for f in vectors] for js in chunk], dtype=complex)
+    scales = np.array([max(1.0, _norm_sq(f)) for f in vectors])
+    r = terms[..., 2].real / scales
+    imag = np.abs((terms[..., 0] - terms[..., 1]).imag) / scales
+    return np.stack([r, imag], axis=-1).reshape(len(chunk), -1), None, None, r.argmax(axis=1)
 
 
 def _margins_of(lm, scale=1.0):
-    return [lm.lower_margin / scale, lm.upper_margin / scale]
+    return np.column_stack([lm.lower_margin, lm.upper_margin]) / scale
 
 
 def _s_scale(frame) -> float:
     return max(1.0, frame.upper_bound)
 
 
-def _pointwise_bound(whitened, frame, subset, vectors):
+def _pointwise_bound(whitened, frame, chunk, masks, vectors):
     """Margins of e_I(f) + ||R M_K f||^2 >= c ||f||^2 over ||f||^2, with K the
     complement: R = I and c = 3/4 (COR1_34BOUND), or R = S^(-1/2) and
-    c = (3/4) A when ``whitened`` (COR_34_SINV)."""
+    c = (3/4) A when ``whitened`` (COR_34_SINV).  A zero vector's margin is 0."""
     r = frame.inverse_sqrt if whitened else None
     floor = 0.75 * frame.lower_bound if whitened else 0.75
-    frame._validate_subset(subset)
-    margins = []
-    worst, worst_val = None, np.inf
-    for f in vectors:
-        n2 = _norm_sq(f)
-        if n2 == 0.0:
-            margins.append(0.0)
-            continue
-        e, m = gfu.truncated_images(frame, subset, f)
-        tail = m[:, 1] if r is None else r @ m[:, 1]
-        margin = (float(e[0]) + _norm_sq(tail) - floor * n2) / n2
-        margins.append(margin)
-        if margin < worst_val:
-            worst_val, worst = margin, f
-    return [], margins, None, worst
+    norms = [_norm_sq(f) for f in vectors]
+    margins = np.zeros((len(chunk), len(vectors)))
+    for i, js in enumerate(chunk):
+        for v, (f, n2) in enumerate(zip(vectors, norms)):
+            if n2 != 0.0:
+                e, m = gfu.truncated_images(frame, js, f)
+                tail = m[:, 1] if r is None else r @ m[:, 1]
+                margins[i, v] = (float(e[0]) + _norm_sq(tail) - floor * n2) / n2
+    return None, margins, None, margins.argmin(axis=1)
 
 
 def _operator_maps(frame):
@@ -284,67 +283,38 @@ def _dual_maps(frame):
     return (lambda f: s_full @ f), (lambda f: s_full_adj @ f)
 
 
-def _reconstruction(maps, frame, subset, vectors):
-    """Relative errors ||g(f) - f|| / ||f|| of the two maps g in ``maps(frame)``."""
+def _reconstruction(maps, frame, chunk, masks, vectors):
+    """Relative errors ||g(f) - f|| / ||f|| of the two maps g in ``maps(frame)``,
+    0 for a zero vector."""
     first, second = maps(frame)
-    residuals = []
-    worst, worst_val = None, -1.0
-    for f in vectors:
+    errors = np.zeros((len(vectors), 2))
+    for v, f in enumerate(vectors):
         nf = float(np.sqrt(_norm_sq(f)))
-        if nf == 0.0:
-            residuals += [0.0, 0.0]
-            continue
-        r1 = float(np.linalg.norm(first(f) - f)) / nf
-        r2 = float(np.linalg.norm(second(f) - f)) / nf
-        residuals += [r1, r2]
-        if max(r1, r2) > worst_val:
-            worst_val, worst = max(r1, r2), f
-    return residuals, [], None, worst
+        if nf != 0.0:
+            errors[v] = (float(np.linalg.norm(first(f) - f)) / nf,
+                         float(np.linalg.norm(second(f) - f)) / nf)
+    return errors.reshape(1, -1), None, None, errors.max(axis=1).argmax(keepdims=True)
 
 
-def _eq6_quadform(frame, subset, vectors):
-    residuals = []
-    worst, worst_val = None, -1.0
-    for f in vectors:
+def _eq6_quadform(frame, chunk, masks, vectors):
+    residuals = np.zeros((1, len(vectors)))
+    for v, f in enumerate(vectors):
         n2 = _norm_sq(f)
-        r = 0.0 if n2 == 0.0 else gfu.inverse_quadratic_residual(frame, f) / n2
-        residuals.append(r)
-        if r > worst_val:
-            worst_val, worst = r, f
-    return residuals, [], None, worst
+        if n2 != 0.0:
+            residuals[0, v] = gfu.inverse_quadratic_residual(frame, f) / n2
+    return residuals, None, None, residuals.argmax(axis=1)
 
 
-def _lemma_l0(frame, subset, vectors):
+def _lemma_l0(frame, chunk, masks, vectors):
     t = frame.inverse
     tn = operator_norm(t)
-    residuals = [
-        projected_adjoint_residual(c.basis, t) / tn for c in frame.components
-    ]
-    return residuals, [], None, None
+    residuals = [projected_adjoint_residual(c.basis, t) / tn for c in frame.components]
+    return np.array([residuals]), None, None, None
 
 
-# The per-vector checks, one evaluation per subset: (frame, subset, vectors)
-# -> (residuals, margins, stats, worst vector).
-_PER_SUBSET = {
-    **{check: functools.partial(_identity_residuals, source)
-       for check, source in _IDENTITIES.items()},
-    CheckId.COR1_34BOUND: functools.partial(_pointwise_bound, False),
-    CheckId.COR_34_SINV: functools.partial(_pointwise_bound, True),
-    CheckId.EQ4_RECON: functools.partial(_reconstruction, _operator_maps),
-    CheckId.EQ5_DUAL_RECON: functools.partial(_reconstruction, _dual_maps),
-    CheckId.EQ6_QUADFORM: _eq6_quadform,
-    CheckId.LEMMA_L0: _lemma_l0,
-}
-
-
-# The operator checks run over a chunk of subsets at once.  Each evaluator
-# takes the chunk's (k, n) 0/1 subset masks and returns its residual and
-# margin columns and its stats, each a length-k array per entry.  A chunk
-# holds at most this many matrix entries: 64 subsets at d = 8, one at d = 64.
-# Larger chunks gain no speed and raise peak memory.
-_CHUNK_ENTRIES = 4096
-
-
+# The operator checks take a chunk's partial sums from 0/1 masks over the
+# frame's term stacks, and its margins, spectra and complement residuals
+# from one stacked ``linops`` call each.
 def _partials(frame, masks):
     return gf.masked_sums(frame._dual_term_stack, masks)
 
@@ -353,59 +323,67 @@ def _frame_partials(frame, masks):
     return gf.masked_sums(frame._component_term_stack, masks)
 
 
-def _batch_sandwich(frame, masks):
+def _sandwich(frame, chunk, masks, vectors):
     p = _partials(frame, masks)
     lm = loewner_check(p - p @ p, 0.0, 0.25, tol=0.0)
-    return [], _margins_of(lm), None
+    return None, _margins_of(lm), None, None
 
 
-def _batch_thm38_ii(frame, masks):
+def _thm38_ii(frame, chunk, masks, vectors):
     p = _partials(frame, masks)
     q = _partials(frame, 1.0 - masks)
     lm = loewner_check(p @ p + q @ q, 0.5, 1.5, tol=0.0)
-    return [], _margins_of(lm), None
+    return None, _margins_of(lm), None, None
 
 
-def _batch_cor3_sandwich(frame, masks):
+def _cor3_sandwich(frame, chunk, masks, vectors):
     m = _frame_partials(frame, masks)
     x = m - m @ frame.inverse @ m
     lm = loewner_check(x, 0.0, 0.25 * frame.frame_operator, tol=0.0)
-    return [], _margins_of(lm, _s_scale(frame)), None
+    return None, _margins_of(lm, _s_scale(frame)), None, None
 
 
-def _batch_cor39(sign):
-    def evaluate(frame, masks):
+def _cor39(sign):
+    def evaluate(frame, chunk, masks, vectors):
         m = _frame_partials(frame, masks)
         mc = _frame_partials(frame, 1.0 - masks)
         si = frame.inverse
         x = m @ si @ m + sign * (mc @ si @ mc)
         s = frame.frame_operator
         lm = loewner_check(x, 0.5 * s, 1.5 * s, tol=0.0)
-        return [], _margins_of(lm, _s_scale(frame)), None
+        return None, _margins_of(lm, _s_scale(frame)), None, None
 
     return evaluate
 
 
-def _batch_spectrum_remark(frame, masks):
+def _spectrum_remark(frame, chunk, masks, vectors):
     vals = np.linalg.eigvals(_partials(frame, masks))
-    margins = [vals.real.min(axis=-1), 1.0 - vals.real.max(axis=-1)]
-    residuals = [np.abs(vals.imag).max(axis=-1)]
-    return residuals, margins, {"spectral_radius": np.abs(vals).max(axis=-1)}
+    margins = np.column_stack([vals.real.min(axis=-1), 1.0 - vals.real.max(axis=-1)])
+    residuals = np.abs(vals.imag).max(axis=-1)[:, None]
+    return residuals, margins, {"spectral_radius": np.abs(vals).max(axis=-1)}, None
 
 
-def _batch_lemma_l2(frame, masks):
-    return [complement_identity_residual(_partials(frame, masks))], [], None
+def _lemma_l2(frame, chunk, masks, vectors):
+    return complement_identity_residual(_partials(frame, masks))[:, None], None, None, None
 
 
-_BATCHED = {
-    CheckId.COR2_SANDWICH: _batch_sandwich,
-    CheckId.THM38_I: _batch_sandwich,
-    CheckId.THM38_II: _batch_thm38_ii,
-    CheckId.COR3_SANDWICH: _batch_cor3_sandwich,
-    CheckId.COR39_PLUS: _batch_cor39(+1.0),
-    CheckId.COR39_MINUS_PROBE: _batch_cor39(-1.0),
-    CheckId.SPECTRUM_REMARK: _batch_spectrum_remark,
-    CheckId.LEMMA_L2: _batch_lemma_l2,
+_EVALUATORS = {
+    **{check: functools.partial(_identity_residuals, source)
+       for check, source in _IDENTITIES.items()},
+    CheckId.COR1_34BOUND: functools.partial(_pointwise_bound, False),
+    CheckId.COR_34_SINV: functools.partial(_pointwise_bound, True),
+    CheckId.EQ4_RECON: functools.partial(_reconstruction, _operator_maps),
+    CheckId.EQ5_DUAL_RECON: functools.partial(_reconstruction, _dual_maps),
+    CheckId.EQ6_QUADFORM: _eq6_quadform,
+    CheckId.LEMMA_L0: _lemma_l0,
+    CheckId.COR2_SANDWICH: _sandwich,
+    CheckId.THM38_I: _sandwich,
+    CheckId.THM38_II: _thm38_ii,
+    CheckId.COR3_SANDWICH: _cor3_sandwich,
+    CheckId.COR39_PLUS: _cor39(+1.0),
+    CheckId.COR39_MINUS_PROBE: _cor39(-1.0),
+    CheckId.SPECTRUM_REMARK: _spectrum_remark,
+    CheckId.LEMMA_L2: _lemma_l2,
 }
 
 
@@ -415,25 +393,29 @@ def _chunks(subsets, dim: int) -> list:
     return [subsets[start:start + size] for start in range(0, len(subsets), size)]
 
 
-def _columns(cols, k):
-    return np.column_stack(cols).tolist() if cols else [[] for _ in range(k)]
-
-
-def _evaluate(check, frame, subsets, vectors):
-    """(residuals, margins, stats, worst vector) for each subset, in order."""
-    batch = _BATCHED.get(check)
-    if batch is None:
-        return [_PER_SUBSET[check](frame, subset, vectors) for subset in subsets]
-    js = [frame._validate_subset(subset) for subset in subsets]
-    rows = []
+def _evaluate(info: CheckInfo, frame, subsets, vectors, tol: Tolerances) -> list[CheckResult]:
+    """One result per subset, in order; a check that takes no subsets gives one."""
+    js = [frame._validate_subset(s) for s in subsets] if info.subsets else [None]
+    results = []
     for chunk in _chunks(js, frame.dim_h):
-        masks = gf.subset_masks(len(frame), chunk)
-        residuals, margins, stats = batch(frame, masks)
-        k = len(masks)
-        for i, (res, mar) in enumerate(zip(_columns(residuals, k), _columns(margins, k))):
-            row_stats = {key: float(v[i]) for key, v in stats.items()} if stats else None
-            rows.append((res, mar, row_stats, None))
-    return rows
+        masks = gf.subset_masks(len(frame), chunk) if info.subsets else None
+        residuals, margins, stats, worst = _EVALUATORS[info.check](frame, chunk, masks, vectors)
+        for i, subset in enumerate(chunk):
+            res = [] if residuals is None else residuals[i].tolist()
+            mar = [] if margins is None else margins[i].tolist()
+            witness = None
+            if any(r > tol.residual for r in res) or any(m < -tol.margin for m in mar):
+                witness = {
+                    "subset": None if subset is None else list(subset),
+                    "vector": None if worst is None else _json_vector(vectors[worst[i]]),
+                    "max_residual": max(res, default=None),
+                    "min_margin": min(mar, default=None),
+                }
+            row_stats = None if stats is None else {key: float(v[i]) for key, v in stats.items()}
+            # a probe passes even when its printed inequality is violated
+            results.append(CheckResult(info.check, res, mar, info.probe or witness is None,
+                                       witness, row_stats))
+    return results
 
 
 def frame_kind(frame) -> str:
@@ -454,23 +436,6 @@ def inapplicable(info: CheckInfo, frame) -> str | None:
     return None
 
 
-def _result(info: CheckInfo, frame, subset, evaluation, tol: Tolerances) -> CheckResult:
-    residuals, margins, stats, worst = evaluation
-    violated = any(r > tol.residual for r in residuals) or any(
-        m < -tol.margin for m in margins
-    )
-    witness = None
-    if violated:
-        witness = {
-            "subset": list(frame._validate_subset(subset)) if subset is not None else None,
-            "vector": _json_vector(worst) if worst is not None else None,
-            "max_residual": max(residuals, default=None),
-            "min_margin": min(margins, default=None),
-        }
-    passed = True if info.probe else not violated
-    return CheckResult(info.check, residuals, margins, passed, witness, stats)
-
-
 def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = None, *,
               subsets=None):
     """Run one catalog check on one frame (and one subset, where used).
@@ -481,8 +446,8 @@ def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = No
 
     With ``subsets`` (a sequence of index subsets, for a check that uses
     them) it returns one ``CheckResult`` per subset, in the given order.
-    The operator checks evaluate those subsets in chunks; a single
-    ``subset`` is a chunk of one, so both calls give the same results.
+    Every check evaluates its subsets in chunks; a single ``subset`` is a
+    chunk of one, so both calls give the same results.
     """
     check = CheckId(check)
     info = CATALOG[check]
@@ -503,10 +468,7 @@ def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = No
         raise ValueError(f"{check.value} needs an index subset")
     if info.vectors and not vectors:
         raise ValueError(f"{check.value} needs sample vectors")
-    results = [
-        _result(info, frame, s, evaluation, tol)
-        for s, evaluation in zip(group, _evaluate(check, frame, group, vectors))
-    ]
+    results = _evaluate(info, frame, group, vectors, tol)
     return results if subsets is not None else results[0]
 
 
@@ -587,14 +549,44 @@ class CheckSummary:
     """Aggregate of one check across all instances and subsets."""
 
     check: CheckId
-    instances: int
-    evaluations: int
-    max_residual: float | None
-    min_margin: float | None
-    passed: bool
-    witness_count: int
-    witnesses: list[dict]
+    instances: int = 0
+    evaluations: int = 0
+    max_residual: float | None = None
+    min_margin: float | None = None
+    passed: bool = True
+    witness_count: int = 0
+    witnesses: list[dict] = field(default_factory=list)
     stats: dict | None = None
+
+    def add(self, result: CheckResult, instance: FrameInstance, witness_limit: int):
+        """Fold one result in: extremes, verdict, witnesses (the first
+        ``witness_limit``, tagged with the instance) and the largest stats."""
+        self.evaluations += len(result.residuals) + len(result.margins)
+        if result.residuals:
+            top = max(result.residuals)
+            self.max_residual = top if self.max_residual is None else max(self.max_residual, top)
+        if result.margins:
+            low = min(result.margins)
+            self.min_margin = low if self.min_margin is None else min(self.min_margin, low)
+        self.passed = self.passed and result.passed
+        if result.witness is not None:
+            self.witness_count += 1
+            if len(self.witnesses) < witness_limit:
+                self.witnesses.append({
+                    "kind": instance.kind,
+                    "parseval": instance.parseval,
+                    "dim": instance.dim,
+                    "field": instance.field.value,
+                    "seed": instance.seed,
+                    "label": instance.label,
+                    **result.witness,
+                })
+        if result.stats:
+            if self.stats is None:
+                self.stats = dict(result.stats)
+            else:
+                for key, value in result.stats.items():
+                    self.stats[key] = max(self.stats.get(key, value), value)
 
     def to_dict(self) -> dict:
         out = {
@@ -700,60 +692,6 @@ def subsets_for(count: int, plan: SuitePlan, seed: int) -> list[tuple[int, ...]]
     return sorted(picks, key=lambda s: (len(s), s))
 
 
-class _Accumulator:
-    def __init__(self):
-        self.instances = 0
-        self.evaluations = 0
-        self.max_residual = None
-        self.min_margin = None
-        self.passed = True
-        self.witnesses = []
-        self.witness_count = 0
-        self.stats = None
-
-    def add(self, result: CheckResult, instance: FrameInstance, plan: SuitePlan):
-        self.evaluations += len(result.residuals) + len(result.margins)
-        if result.residuals:
-            top = max(result.residuals)
-            self.max_residual = top if self.max_residual is None else max(self.max_residual, top)
-        if result.margins:
-            low = min(result.margins)
-            self.min_margin = low if self.min_margin is None else min(self.min_margin, low)
-        self.passed = self.passed and result.passed
-        if result.witness is not None:
-            self.witness_count += 1
-            if len(self.witnesses) < plan.witness_limit:
-                enriched = {
-                    "kind": instance.kind,
-                    "parseval": instance.parseval,
-                    "dim": instance.dim,
-                    "field": instance.field.value,
-                    "seed": instance.seed,
-                    "label": instance.label,
-                }
-                enriched.update(result.witness)
-                self.witnesses.append(enriched)
-        if result.stats:
-            if self.stats is None:
-                self.stats = dict(result.stats)
-            else:
-                for key, value in result.stats.items():
-                    self.stats[key] = max(self.stats.get(key, value), value)
-
-    def summary(self, check: CheckId) -> CheckSummary:
-        return CheckSummary(
-            check,
-            self.instances,
-            self.evaluations,
-            self.max_residual,
-            self.min_margin,
-            self.passed,
-            self.witness_count,
-            self.witnesses,
-            self.stats,
-        )
-
-
 def run_suite(plan: SuitePlan, frame=None) -> RunReport:
     """Run the plan's checks over generated instances (or one given frame).
 
@@ -776,7 +714,7 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
         ]
     else:
         instances = build_instances(plan)
-    accumulators: dict[CheckId, _Accumulator] = {}
+    summaries: dict[CheckId, CheckSummary] = {}
     for instance in instances:
         seed = instance.seed if instance.seed is not None else 0
         vectors = sample_vectors(
@@ -787,19 +725,17 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
             info = CATALOG[check]
             if inapplicable(info, instance.frame) is not None:
                 continue
-            acc = accumulators.setdefault(check, _Accumulator())
-            acc.instances += 1
+            summary = summaries.setdefault(check, CheckSummary(check))
+            summary.instances += 1
             if not info.subsets:
-                acc.add(run_check(check, instance.frame, None, vectors, plan.tol), instance, plan)
+                summary.add(run_check(check, instance.frame, None, vectors, plan.tol), instance,
+                            plan.witness_limit)
                 continue
             # one call per chunk keeps the results held at once to a chunk's worth
             for chunk in _chunks(subsets, instance.frame.dim_h):
                 for result in run_check(check, instance.frame, vectors=vectors, tol=plan.tol,
                                         subsets=chunk):
-                    acc.add(result, instance, plan)
-    summaries = [
-        accumulators[check].summary(check)
-        for check in sorted(accumulators, key=lambda c: c.value)
-    ]
-    overall = all(s.passed for s in summaries)
-    return RunReport(plan, summaries, overall, time.perf_counter() - start)
+                    summary.add(result, instance, plan.witness_limit)
+    ordered = [summaries[check] for check in sorted(summaries, key=lambda c: c.value)]
+    overall = all(s.passed for s in ordered)
+    return RunReport(plan, ordered, overall, time.perf_counter() - start)

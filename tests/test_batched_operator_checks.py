@@ -1,4 +1,4 @@
-"""The chunked operator checks against their per-subset reference routes.
+"""The chunked checks against their per-subset reference routes.
 
 ``verify`` evaluates COR2_SANDWICH, THM38_I, THM38_II, COR3_SANDWICH,
 COR39_PLUS, COR39_MINUS_PROBE, SPECTRUM_REMARK and LEMMA_L2 over chunks of
@@ -9,6 +9,10 @@ the per-subset bodies they replaced: one ``partial_sum`` or
 ``eigvals`` or ``complement_identity_residual`` per matrix.  Each returns
 (residuals, margins, stats, X), X being the operator whose margins,
 spectrum or residual are taken.
+
+Every check, the twelve per-vector ones too, goes through the same chunked
+route, so a sequence of subsets gives what one call per subset gives,
+witnesses and their worst vectors included.
 """
 
 import inspect
@@ -19,6 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from framekit import (
+    CATALOG,
     CheckId,
     Field,
     GFrame,
@@ -26,16 +31,19 @@ from framekit import (
     HTOL,
     NotHermitian,
     SuitePlan,
+    Tolerances,
     complement_identity_residual,
     loewner_check,
     operator_norm,
+    random_parseval_gframe,
     run_check,
     run_suite,
+    sample_vectors,
     substream,
 )
 from framekit import cli, gen, gframe, gfusion, linops, verify
 from framekit.gen import random_operator, random_subspace_basis
-from framekit.verify import subsets_for
+from framekit.verify import inapplicable, subsets_for
 
 # |batched - reference| <= TOL * max(1, ||X||) for every residual, margin and stat
 TOL = 1e-12
@@ -159,15 +167,13 @@ def _assert_matches(check, frame, subsets, results):
             assert abs(result.stats[key] - want) <= bound, (check, subset, key)
 
 
-def _run_and_compare(checks, frame, subsets):
+def _run_and_compare(checks, frame, subsets, vectors=(), tol=None):
     for check in checks:
-        results = run_check(check, frame, subsets=subsets)
-        _assert_matches(check, frame, subsets, results)
+        results = run_check(check, frame, vectors=vectors, tol=tol, subsets=subsets)
+        if check in REFERENCE:
+            _assert_matches(check, frame, subsets, results)
         # a single subset is a chunk of one and gives the same result
-        for subset, batched in zip(subsets[:3] + subsets[-3:], results[:3] + results[-3:]):
-            single = run_check(check, frame, subset)
-            assert (single.residuals, single.margins, single.stats, single.witness) == (
-                batched.residuals, batched.margins, batched.stats, batched.witness)
+        assert [run_check(check, frame, s, vectors, tol) for s in subsets] == results, check
 
 
 # 1-row and rectangular blocks on a real frame; every subset of the four
@@ -282,15 +288,82 @@ def _record_stack_shapes(monkeypatch):
     return shapes
 
 
+def _first(values, pick):
+    return values.index(pick(values))
+
+
+# how each per-vector check picks its witness vector from a result: the
+# first vector with the largest residual or the smallest margin
+WORST_VECTOR = {
+    **dict.fromkeys(
+        (CheckId.THM_T1, CheckId.FAMOUS_PARSEVAL, CheckId.THM_TG1, CheckId.COR1_IDENTITY,
+         CheckId.THM_T33, CheckId.THM_FINAL_MI),
+        lambda r: _first(r.residuals[::2], max)),  # |lhs - rhs|, then its imaginary part
+    **dict.fromkeys(
+        (CheckId.EQ4_RECON, CheckId.EQ5_DUAL_RECON),
+        lambda r: _first([max(pair) for pair in zip(r.residuals[::2], r.residuals[1::2])], max)),
+    CheckId.EQ6_QUADFORM: lambda r: _first(r.residuals, max),
+    CheckId.COR1_34BOUND: lambda r: _first(r.margins, min),
+    CheckId.COR_34_SINV: lambda r: _first(r.margins, min),
+    CheckId.LEMMA_L0: None,
+}
+VECTOR_CHECKS = tuple(WORST_VECTOR)
+
+
+@pytest.fixture(scope="module")
+def wide_frames(wide_parseval):
+    """A general and a Parseval weighted frame and a Parseval g-frame, each
+    with 12 indices at d = 8, so every one of the 20 checks applies to one."""
+    general = _random_gfusion(8, [(1 + j % 8, 1 + (j + 1) % 8) for j in range(12)],
+                              Field.COMPLEX, 1)
+    return [general, wide_parseval,
+            random_parseval_gframe(8, [1 + (j + 1) % 8 for j in range(12)], Field.COMPLEX, 1)]
+
+
+def _applicable(checks, frame):
+    return [c for c in checks if inapplicable(CATALOG[c], frame) is None]
+
+
+class TestSingleRoute:
+    def test_every_check_is_covered(self, wide_frames):
+        assert set(VECTOR_CHECKS) | set(OPERATOR_CHECKS) == set(CheckId)
+        assert {c for frame in wide_frames for c in _applicable(CheckId, frame)} == set(CheckId)
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65])
+    def test_chunk_boundaries_of_the_per_vector_checks(self, wide_frames, count):
+        # zero tolerances, so the witnesses and their vectors are compared too
+        subsets = subsets_for(12, SuitePlan(), 0)[-count:]
+        vectors = sample_vectors(8, Field.COMPLEX, 0, 3)
+        for frame in wide_frames:
+            checks = [c for c in _applicable(VECTOR_CHECKS, frame) if CATALOG[c].subsets]
+            _run_and_compare(checks, frame, subsets, vectors, Tolerances(0.0, 0.0))
+
+    def test_witness_is_the_first_worst_vector(self, wide_frames):
+        vectors = sample_vectors(8, Field.COMPLEX, 2, 8)
+        witnessed = set()
+        for frame in wide_frames:
+            for check in _applicable(VECTOR_CHECKS, frame):
+                subset = [0, 3, 4] if CATALOG[check].subsets else None
+                result = run_check(check, frame, subset, vectors, Tolerances(0.0, 0.0))
+                if result.witness is None:
+                    continue
+                witnessed.add(check)
+                worst = WORST_VECTOR[check]
+                want = None if worst is None else verify._json_vector(vectors[worst(result)])
+                assert result.witness["vector"] == want, check
+        # the pointwise bounds hold with room to spare, so they carry none
+        assert witnessed == set(VECTOR_CHECKS) - {CheckId.COR1_34BOUND, CheckId.COR_34_SINV}
+
+
 class TestErrorParity:
     def _skewed_parseval(self, magnitude):
         frame = _random_gfusion(4, [(2, 3), (3, 2), (1, 4)], Field.COMPLEX, 3).parsevalize()
         rng = substream(4, 55)
         g = random_operator(4, 4, Field.COMPLEX, rng)
         skew = g - g.conj().T
-        terms = list(frame._dual_terms)
-        terms[1] = terms[1] + (magnitude / operator_norm(skew)) * skew
-        frame.__dict__["_dual_terms"] = tuple(terms)
+        stack = frame._dual_term_stack.copy()
+        stack[1] = stack[1] + (magnitude / operator_norm(skew)) * skew.reshape(-1)
+        frame.__dict__["_dual_term_stack"] = stack
         return frame
 
     @pytest.mark.parametrize("magnitude, raises", [(1e-6, True), (1e-13, False)])

@@ -155,6 +155,30 @@ def test_unreadable_frame_file_exits_2(tmp_path, capsys, coordinate_gfusion, com
     assert "error:" in err and "Traceback" not in err
 
 
+# frame dicts whose decoding raised KeyError, TypeError or OverflowError
+_MALFORMED_DICTS = {
+    "missing-kind": lambda d: d.pop("kind"),
+    "components-5": lambda d: d.update(components=5),
+    "components-list-of-5": lambda d: d.update(components=[5]),
+    "dim-h-1e400": lambda d: d.update(dim_h=json.loads("1e400")),
+    "400-digit-entry": lambda d: d["components"][0]["lambda"][0].__setitem__(0, 10**400),
+}
+
+
+@pytest.mark.parametrize("spoil", _MALFORMED_DICTS.values(), ids=_MALFORMED_DICTS.keys())
+def test_malformed_frame_dict_raises_value_error(tmp_path, capsys, coordinate_gfusion, spoil):
+    data = frame_to_dict(coordinate_gfusion)
+    spoil(data)
+    with pytest.raises(ValueError):
+        frame_from_dict(data)
+    path = tmp_path / "bad.frame"
+    path.write_text(json.dumps(data))
+    for command in ("verify", "demo-reconstruct"):
+        assert run_cli([command, "--frame", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+
 def _frame_file_with_weight(tmp_path, weight, block=1.0):
     path = tmp_path / "heavy.frame"
     data = frame_to_dict(GFusionFrame([(np.eye(2), block * np.eye(2), 1.0)]))

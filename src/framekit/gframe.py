@@ -7,9 +7,10 @@ the canonical dual and per-index partial-sum terms lazily and cached.
 
 ``GFrame`` and the weighted subspace frame ``gfusion.GFusionFrame`` derive
 from one core, ``_Frame``: it sums the per-index terms into the frame
-operator and its bounds, counts the indices (``len(frame)``), validates
-subsets and takes complements and partial sums.  Each class keeps its own
-dual term stack, stacked blocks, inverse, canonical dual and ``partial_sum``.
+operator and its bounds, builds ``analysis`` (a tuple of block images),
+``synthesis`` and the stacked analysis operator from ``blocks``, counts and
+validates indices, and takes complements and partial sums.  Each class
+keeps its own dual term stack, inverse, canonical dual and ``partial_sum``.
 
 The partition identities are evaluated from stacked analysis operators
 Lambda = [Lambda_1; ...; Lambda_n], built once per frame by
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import index
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,7 +57,6 @@ from .linops import (
 __all__ = [
     "NotAFrame",
     "IndexOutOfRange",
-    "BlockVector",
     "GFrame",
     "IdentityTerms",
     "StackedAnalysis",
@@ -77,31 +78,6 @@ class NotAFrame(ValueError):
 
 class IndexOutOfRange(ValueError):
     """Subset refers to indices outside the frame's index set."""
-
-
-class BlockVector:
-    """Element of the direct sum of the block codomains, one block per index."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks):
-        self.blocks = tuple(as_vector(b) for b in blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.blocks[j]
-
-    def norm_sq(self) -> float:
-        """Squared norm: the sum of the squared block norms."""
-        return float(sum(np.vdot(b, b).real for b in self.blocks))
-
-    def __repr__(self) -> str:
-        return f"BlockVector(blocks={len(self.blocks)})"
 
 
 class IdentityTerms(NamedTuple):
@@ -221,10 +197,10 @@ class _Frame:
     """What g-frames and weighted subspace frames share.
 
     A subclass hands its per-index terms to ``_set_frame_operator`` in
-    ``__init__`` and defines ``_stacked_analysis`` and ``_dual_term_stack``
-    (the ``term_stack`` behind ``partial_sum``).  The members the benchmark
-    tracer times (``perfbench/tracer.py``) stay in each class, which is
-    where it looks them up.
+    ``__init__`` and defines ``blocks`` (the g-frame blocks Lambda_j) and
+    ``_dual_term_stack`` (the ``term_stack`` behind ``partial_sum``).  The
+    members the benchmark tracer times (``perfbench/tracer.py``) stay in
+    each class, which is where it looks them up.
     """
 
     _noun = "block"  # what one index holds, in messages and the repr
@@ -282,6 +258,27 @@ class _Frame:
                 f"lower bound {self.lower_bound:.3e} is not above {PDTOL:.1e}"
             )
 
+    def analysis(self, f) -> tuple[np.ndarray, ...]:
+        """Block images blocks[j] @ f; ``ValueError`` when one is not finite."""
+        f = as_vector(f, self.dim_h)
+        return tuple(as_vector(b @ f) for b in self.blocks)
+
+    def synthesis(self, g) -> np.ndarray:
+        """Adjoint of analysis: sum of blocks[j]* applied to the j-th block."""
+        blocks = self.blocks
+        parts = list(g)
+        if len(parts) != len(blocks):
+            raise ShapeMismatch("block count does not match the frame")
+        out = np.zeros(self.dim_h, dtype=self.dtype)
+        for b, gj in zip(blocks, parts):
+            out = out + adjoint(b) @ as_vector(gj, b.shape[0])
+        return out
+
+    @functools.cached_property
+    def _stacked_analysis(self) -> StackedAnalysis:
+        """[Lambda_1; ...; Lambda_n], behind ``analysis_matrix`` and the identities."""
+        return stack_blocks(self.blocks)
+
     def analysis_matrix(self) -> np.ndarray:
         """Dense stacked analysis operator; its Gram matrix is the oracle
         route to the frame operator.
@@ -292,7 +289,14 @@ class _Frame:
         return self._stacked_analysis.matrix.view()
 
     def _validate_subset(self, subset) -> tuple[int, ...]:
-        js = sorted({int(j) for j in subset})
+        """Sorted distinct indices; each entry must pass ``operator.index``."""
+        found = set()
+        for j in subset:
+            try:
+                found.add(index(j))
+            except TypeError:
+                raise IndexOutOfRange(f"subset entry {j!r} is not an integer index") from None
+        js = sorted(found)
         if js and (js[0] < 0 or js[-1] >= len(self)):
             raise IndexOutOfRange(
                 f"subset {js} outside index range 0..{len(self) - 1}"
@@ -333,26 +337,6 @@ class GFrame(_Frame):
         self.dim_h = int(dim)
         self.dtype = np.result_type(*blocks)
         self._set_frame_operator((adjoint(b) @ b for b in blocks), lambda j: f"block {j}")
-
-    def analysis(self, f) -> BlockVector:
-        """Block coefficients {blocks[j] @ f}."""
-        f = as_vector(f, self.dim_h)
-        return BlockVector(b @ f for b in self.blocks)
-
-    def synthesis(self, g) -> np.ndarray:
-        """Adjoint of analysis: sum of blocks[j]* applied to the j-th block."""
-        parts = list(g)
-        if len(parts) != len(self.blocks):
-            raise ShapeMismatch("block count does not match the frame")
-        out = np.zeros(self.dim_h, dtype=self.dtype)
-        for b, gj in zip(self.blocks, parts):
-            gj = as_vector(gj, b.shape[0])
-            out = out + adjoint(b) @ gj
-        return out
-
-    @functools.cached_property
-    def _stacked_analysis(self) -> StackedAnalysis:
-        return stack_blocks(self.blocks)
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:

@@ -2,23 +2,24 @@
 
 Each component carries an orthonormal basis of a closed subspace W_j of H,
 a block operator acting on H, and a positive weight.  The frame operator
-sums the weighted, projected block Gram terms.  The canonical dual maps the
-subspaces through the inverse frame operator; whitening by the inverse
-square root yields a Parseval frame.  Subspaces are stored as orthonormal
-column bases, never as projection matrices; projections are derived.
+sums the weighted, projected block Gram terms.  Subspaces are stored as
+orthonormal column bases, never as projection matrices; projections are derived.
 
-A weighted subspace frame is the g-frame with blocks Lambda_j = w_j B_j P_j,
-so ``GFusionFrame`` shares the core of ``gframe.GFrame``, and the identities
-and bounds use the stacked analysis operators of ``gframe``:
+A weighted subspace frame is the g-frame with blocks Lambda_j = w_j B_j P_j:
+``GFusionFrame.blocks`` computes them on access, and the core of
+``gframe.GFrame`` gives ``analysis``, ``synthesis`` and the stack
 [w_1 B_1 P_1; ...; w_n B_n P_n], built once per frame and kept read-only,
-and the same stack of the canonical dual.  Its frame-operator terms stay
-w_j^2 P_j (B_j* B_j) P_j, which rounds differently from Lambda_j* Lambda_j.
+the only copy of the blocks a frame keeps.  The triples stay in frame files,
+LEMMA_L0, and the canonical dual and whitened (Parseval) frames, which are
+the triples composed with S^-1 and S^(-1/2) (``_composed``).  The
+frame-operator and dual terms stay in triple form, w_j^2 P_j (B_j* B_j) P_j,
+which rounds differently from Lambda_j* Lambda_j.
 ``block_energies`` takes all energies weight_j^2 ||block_j P_j f||^2 from
 one product with the stack and one segmented sum over the block row ranges;
 ``truncated_images`` takes the subset and complement energies and the
 truncated frame-operator images M_I f = sum_{j in I} Lambda_j* Lambda_j f
 from ``subset_sums``, with no truncated frame operator built.  Both raise the
-same errors as the per-block ``analysis`` route, which stays the reference.
+same errors as ``analysis``.
 
 The frame keeps the terms behind ``partial_sum`` and
 ``partial_frame_operator`` only as read-only (n, d*d) stacks
@@ -35,12 +36,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gframe import (
-    BlockVector,
     IdentityTerms,
-    StackedAnalysis,
     _Frame,
     _partition_identity,
-    stack_blocks,
     stacked_image,
     subset_sums,
     term_stack,
@@ -118,31 +116,19 @@ class GFusionFrame(_Frame):
         self._component_term_stack = term_stack(self._set_frame_operator(
             terms, lambda j: f"component {j} with weight {comps[j].weight!r}"))
 
-    def analysis(self, f) -> BlockVector:
-        """Block coefficients {weight_j * block_j @ (P_j @ f)}."""
-        f = as_vector(f, self.dim_h)
-        return BlockVector(
-            c.weight * (c.block @ (p @ f))
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The g-frame blocks w_j B_j P_j, computed on each access, so the
+        cached stack behind ``analysis_matrix`` stays their only copy."""
+        return tuple(c.weight * (c.block @ p) for c, p in zip(self.components, self.projections))
+
+    def _composed(self, t: np.ndarray) -> "GFusionFrame":
+        """The triples (span of T U_j, B_j P_j T, w_j): every block composed
+        with T.  The result holds no reference back to this frame."""
+        return GFusionFrame([
+            (orthonormal_basis(t @ c.basis), c.block @ p @ t, c.weight)
             for c, p in zip(self.components, self.projections)
-        )
-
-    def synthesis(self, g) -> np.ndarray:
-        """Adjoint of analysis: weighted projected block adjoints, summed."""
-        parts = list(g)
-        if len(parts) != len(self.components):
-            raise ShapeMismatch("block count does not match the frame")
-        out = np.zeros(self.dim_h, dtype=self.dtype)
-        for c, p, gj in zip(self.components, self.projections, parts):
-            gj = as_vector(gj, c.block.shape[0])
-            out = out + c.weight * (p @ (adjoint(c.block) @ gj))
-        return out
-
-    @functools.cached_property
-    def _stacked_analysis(self) -> StackedAnalysis:
-        """[w_1 B_1 P_1; ...; w_n B_n P_n], behind ``analysis_matrix``."""
-        return stack_blocks(
-            [c.weight * (c.block @ p) for c, p in zip(self.components, self.projections)]
-        )
+        ])
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:
@@ -164,13 +150,7 @@ class GFusionFrame(_Frame):
         It holds no reference back to this frame, which caches it, so the
         pair is freed without the cyclic garbage collector.
         """
-        s_inv = self.inverse
-        comps = []
-        for c, p in zip(self.components, self.projections):
-            comps.append(
-                (orthonormal_basis(s_inv @ c.basis), c.block @ p @ s_inv, c.weight)
-            )
-        return GFusionFrame(comps)
+        return self._composed(self.inverse)
 
     @functools.cached_property
     def _dual_term_stack(self) -> np.ndarray:
@@ -200,20 +180,15 @@ class GFusionFrame(_Frame):
         identity; its truncated frame operators are the originals conjugated
         by the inverse square root.
         """
-        r = self.inverse_sqrt
-        comps = []
-        for c, p in zip(self.components, self.projections):
-            comps.append((orthonormal_basis(r @ c.basis), c.block @ p @ r, c.weight))
-        return GFusionFrame(comps)
+        return self._composed(self.inverse_sqrt)
 
 
 def block_energies(frame: GFusionFrame, f) -> np.ndarray:
     """Per-component energies weight_j^2 ||block_j P_j f||^2.
 
     One product with the stacked analysis operator and one segmented sum of
-    its squared moduli over the block row ranges; ``analysis`` is the
-    per-block reference route.  ``f`` is validated once and the stacked
-    image once, raising what ``analysis`` raises: ``ShapeMismatch`` for a
+    its squared moduli over the block row ranges.  ``f`` is validated once
+    and the stacked image once, raising what ``analysis`` raises: ``ShapeMismatch`` for a
     wrong shape and ``ValueError`` when ``f`` or its image is not finite.
     """
     f = as_vector(f, frame.dim_h)

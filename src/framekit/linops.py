@@ -64,9 +64,8 @@ __all__ = [
     "complement_identity_residual",
 ]
 
-# Default tolerances.  Double precision at dimensions <= 64 keeps rounding
-# error orders of magnitude below all of these; every consumer may override
-# them per call.
+# Tolerances.  Double precision at dimensions <= 64 keeps rounding error
+# orders of magnitude below all of these.
 RTOL = 1e-9  # relative residual tolerance
 HTOL = 1e-10  # Hermitian-symmetry gate, relative to the operator norm
 PDTOL = 1e-10  # eigenvalue floor for positive definiteness
@@ -261,44 +260,44 @@ def _norms_within(deviations, tol: float, floor: float, operands=()) -> np.ndarr
     return ok
 
 
-def hermitian_eig(a, htol: float = HTOL) -> SpectralDecomposition:
+def hermitian_eig(a) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian operator.
 
-    The input is gated by ``||A - A*|| <= htol * ||A||`` and symmetrized
+    The input is gated by ``||A - A*|| <= HTOL * ||A||`` and symmetrized
     before decomposition so rounding noise cannot change the code path.
     Eigenvalues come back ascending with orthonormal eigenvectors.
     """
     a = as_operator(a)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"expected a square operator, got shape {a.shape}")
-    if not _norms_within([a - adjoint(a)], htol, 0.0, [a]):
+    if not _norms_within([a - adjoint(a)], HTOL, 0.0, [a]):
         raise NotHermitian("operator is not Hermitian within tolerance")
     w, u = np.linalg.eigh(symmetrize(a))
     return SpectralDecomposition(w, u)
 
 
-def psd_power(a, p: float, pdtol: float = PDTOL, htol: float = HTOL) -> np.ndarray:
+def psd_power(a, p: float) -> np.ndarray:
     """Real power of a Hermitian positive-definite operator.
 
     Computed spectrally as U diag(w**p) U*; the result is Hermitian.  Raises
     ``NotPositiveDefinite`` when the smallest eigenvalue is at or below
-    ``pdtol``.
+    ``PDTOL``.
     """
-    dec = hermitian_eig(a, htol=htol)
-    if dec.eigenvalues[0] <= pdtol:
+    dec = hermitian_eig(a)
+    if dec.eigenvalues[0] <= PDTOL:
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {dec.eigenvalues[0]:.3e} is not above {pdtol:.1e}"
+            f"smallest eigenvalue {dec.eigenvalues[0]:.3e} is not above {PDTOL:.1e}"
         )
     u = dec.eigenvectors
     return (u * dec.eigenvalues**p) @ adjoint(u)
 
 
-def orthonormal_basis(vectors, rktol: float = RKTOL) -> np.ndarray:
+def orthonormal_basis(vectors) -> np.ndarray:
     """Orthonormal columns spanning the same subspace as ``vectors``.
 
     ``vectors`` is either a matrix whose columns span the subspace or a
     sequence of 1-D vectors.  Rank-deficient input is compressed to its
-    numerical rank (singular values above ``rktol`` times the largest).
+    numerical rank (singular values above ``RKTOL`` times the largest).
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         m = as_operator(vectors)
@@ -310,15 +309,15 @@ def orthonormal_basis(vectors, rktol: float = RKTOL) -> np.ndarray:
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] <= np.finfo(np.float64).tiny:
         raise ZeroSubspace("all spanning vectors are numerically zero")
-    rank = int(np.count_nonzero(s > rktol * s[0]))
+    rank = int(np.count_nonzero(s > RKTOL * s[0]))
     return u[:, :rank]
 
 
-def projection(basis, rtol: float = RTOL) -> np.ndarray:
+def projection(basis) -> np.ndarray:
     """Orthogonal projection onto the column span of an orthonormal basis."""
     b = as_operator(basis)
     gram = adjoint(b) @ b
-    if not _norms_within([gram - identity_like(gram)], rtol, 1.0):
+    if not _norms_within([gram - identity_like(gram)], RTOL, 1.0):
         raise NotOrthonormal("basis columns are not orthonormal within tolerance")
     return b @ adjoint(b)
 
@@ -347,7 +346,7 @@ def _as_bound(x, like: np.ndarray) -> tuple[np.ndarray, float | None]:
     return _as_operators(x), None
 
 
-def loewner_check(t, lower, upper, tol: float, htol: float = HTOL) -> LoewnerMargin:
+def loewner_check(t, lower, upper, tol: float) -> LoewnerMargin:
     """Test the operator interval L <= T <= U in the Loewner order.
 
     ``lower``/``upper`` may be operators or scalars (taken as multiples of
@@ -371,7 +370,7 @@ def loewner_check(t, lower, upper, tol: float, htol: float = HTOL) -> LoewnerMar
     # the gate through the floor alone
     floor = max([1.0] + [n for n in (lo_norm, up_norm) if n is not None])
     operands = [t] + [x for x, n in ((lo, lo_norm), (up, up_norm)) if n is None]
-    if not _norms_within([x - adjoint(x) for x in operands], htol, floor, operands).all():
+    if not _norms_within([x - adjoint(x) for x in operands], HTOL, floor, operands).all():
         raise NotHermitian("interval operands must be Hermitian within tolerance")
     lower_margin = np.linalg.eigvalsh(symmetrize(t - lo))[..., 0]
     upper_margin = np.linalg.eigvalsh(symmetrize(up - t))[..., 0]
@@ -393,7 +392,7 @@ def quad_bound(a: float, b: float, c: float) -> float:
     return (4.0 * a * c - b * b) / (4.0 * a)
 
 
-def projected_adjoint_residual(v_basis, t, rktol: float = RKTOL, rtol: float = RTOL) -> float:
+def projected_adjoint_residual(v_basis, t) -> float:
     """Residual of the absorption identity P_V T* = P_V T* P_{TV}.
 
     ``v_basis`` holds orthonormal columns spanning V; TV is the image of V
@@ -406,10 +405,10 @@ def projected_adjoint_residual(v_basis, t, rktol: float = RKTOL, rtol: float = R
     b = as_operator(v_basis)
     if b.shape[0] != t.shape[0]:
         raise ShapeMismatch("basis and operator dimensions differ")
-    p_v = projection(b, rtol=rtol)
+    p_v = projection(b)
     lhs = p_v @ adjoint(t)
     try:
-        p_tv = projection(orthonormal_basis(t @ b, rktol=rktol), rtol=rtol)
+        p_tv = projection(orthonormal_basis(t @ b))
     except ZeroSubspace:
         return operator_norm(lhs)
     return operator_norm(lhs - lhs @ p_tv)

@@ -453,14 +453,11 @@ def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = No
     info = CATALOG[check]
     tol = tol if tol is not None else Tolerances()
     vectors = list(vectors)
-    if subsets is None:
-        group = [subset]
-    elif subset is not None:
+    if subset is not None and subsets is not None:
         raise ValueError("give one subset or a sequence of subsets, not both")
-    elif not info.subsets:
+    if not info.subsets and (subset is not None or subsets is not None):
         raise ValueError(f"{check.value} takes no index subsets")
-    else:
-        group = list(subsets)
+    group = [subset] if subsets is None else list(subsets)
     reason = inapplicable(info, frame)
     if reason is not None:
         raise WrongFrameKind(reason)

@@ -1,13 +1,14 @@
 """The core both frame kinds share, and how ``verify`` reaches the identities.
 
-A weighted subspace frame is the g-frame with blocks w_j B_j P_j: split its
-stacked analysis operator into those blocks and ``GFrame`` must give the
-same frame operator, bounds, partial sums, complements and partition
-identity.  Both kinds count, validate and complement their indices, and
-word their errors, through one ``_Frame`` core.
+A weighted subspace frame is the g-frame with blocks w_j B_j P_j: a
+``GFrame`` of its ``blocks`` must give the same frame operator, bounds,
+partial sums, complements and partition identity.  Both kinds give their
+blocks, analysis and synthesis, count, validate and complement their
+indices, and word their errors, through one ``_Frame`` core.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from framekit import (
     GFusionFrame,
     IndexOutOfRange,
     NotAFrame,
+    ShapeMismatch,
     operator_norm,
     random_gframe,
     random_gfusion,
@@ -52,9 +54,8 @@ def _random_gfusion(dim, shapes, field, seed):
 
 
 def _as_gframe(frame):
-    """The g-frame whose blocks are the rows w_j B_j P_j of ``analysis_matrix``."""
-    cuts = np.cumsum([c.block.shape[0] for c in frame.components])[:-1]
-    return GFrame(np.split(frame.analysis_matrix(), cuts))
+    """The g-frame whose blocks are the blocks w_j B_j P_j of ``frame``."""
+    return GFrame(frame.blocks)
 
 
 def _all_subsets(count):
@@ -130,6 +131,37 @@ class TestSharedCore:
             frame.complement([index])
         with pytest.raises(IndexOutOfRange):
             frame.partial_sum([0, index])
+
+    @pytest.mark.parametrize("subset, bad", [([0.7], "0.7"), ("12", "'1'"), ([1, 2.0], "2.0"),
+                                             ([None], "None")])
+    def test_subset_entries_must_be_integers(self, kind, subset, bad):
+        frame = _make(kind, [np.eye(2), [[1.0, 2.0]], np.ones((3, 2))])
+        message = f"^subset entry {re.escape(bad)} is not an integer index$"
+        for take in (frame.partial_sum, frame.complement):
+            with pytest.raises(IndexOutOfRange, match=message):
+                take(subset)
+        check = CheckId.THM_T1 if kind == "gframe" else CheckId.THM_TG1
+        with pytest.raises(IndexOutOfRange, match=message):
+            run_check(check, frame, subset, [np.ones(2)])
+
+    def test_numpy_integer_indices_work(self, kind):
+        frame = _make(kind, [np.eye(2), [[1.0, 2.0]], np.ones((3, 2))])
+        assert frame.complement([np.int64(2), np.intp(0)]) == (1,)
+        assert np.array_equal(frame.partial_sum(np.array([0, 2])), frame.partial_sum([0, 2]))
+
+    def test_blocks_stack_into_the_analysis_matrix(self, kind):
+        if kind == "gframe":
+            frame = _make(kind, [np.eye(3), [[1.0, 2.0, 0.5]], np.ones((2, 3))])
+        else:  # proper subspaces and weights, so P_j and w_j matter
+            frame = _random_gfusion(3, _SHAPES, Field.COMPLEX, 1)
+        assert np.array_equal(np.vstack(frame.blocks), frame.analysis_matrix())
+        x = np.arange(1.0, 4.0)
+        images = frame.analysis(x)
+        assert isinstance(images, tuple) and len(images) == len(frame)
+        assert all(np.array_equal(y, b @ x) for y, b in zip(images, frame.blocks, strict=True))
+        assert np.allclose(frame.synthesis(images), frame.frame_operator @ x, atol=1e-12)
+        with pytest.raises(ShapeMismatch, match="block count"):
+            frame.synthesis(images[:-1])
 
     def test_not_a_frame_message(self, kind):
         frame = _make(kind, [[[1.0, 0.0]]])  # one functional cannot span R^2

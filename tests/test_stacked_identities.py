@@ -86,8 +86,13 @@ def ref_gfusion_partition(frame, subset, f):
     return side(js, False), side(frame.complement(js), True)
 
 
+def _images(frame, f):
+    """The block images w_j B_j (P_j f), computed from the triples."""
+    return [c.weight * (c.block @ (p @ f)) for c, p in zip(frame.components, frame.projections)]
+
+
 def _energy(frame, ids, f):
-    blocks = frame.analysis(f).blocks
+    blocks = _images(frame, f)
     return sum(np.vdot(blocks[j], blocks[j]).real for j in ids)
 
 
@@ -123,7 +128,7 @@ def ref_gfusion_frame(frame, subset, f):
 
     def side(ids):
         m_f = frame.partial_frame_operator(ids) @ f
-        return _energy(frame, ids, f) - dual.analysis(m_f).norm_sq()
+        return _energy(frame, ids, f) - _energy(dual, range(len(dual)), m_f)
 
     return side(js), side(ks)
 

@@ -97,6 +97,16 @@ class TestRunCheck:
         with pytest.raises(WrongFrameKind):
             run_check(CheckId.COR2_SANDWICH, general_gfusion, subset=[0])
 
+    @pytest.mark.parametrize("subset", [[99], [0], []])
+    @pytest.mark.parametrize("check", [CheckId.EQ4_RECON, CheckId.EQ5_DUAL_RECON,
+                                       CheckId.EQ6_QUADFORM, CheckId.LEMMA_L0])
+    def test_subset_refused_where_none_is_taken(self, general_gfusion, check, subset):
+        # as ``subsets=`` is refused, so is a single subset, even an empty one
+        vectors = sample_vectors(general_gfusion.dim_h, Field.COMPLEX, 0, 2)
+        with pytest.raises(ValueError, match=f"^{check.value} takes no index subsets$"):
+            run_check(check, general_gfusion, subset, vectors)
+        assert run_check(check, general_gfusion, None, vectors).passed
+
     def test_subset_required(self, parseval_gfusion):
         with pytest.raises(ValueError):
             run_check(CheckId.COR2_SANDWICH, parseval_gfusion)

@@ -64,6 +64,7 @@ __all__ = [
     "stacked_image",
     "subset_sums",
     "stacked_partition_identity",
+    "identity_terms",
     "term_stack",
     "subset_masks",
     "masked_sums",
@@ -148,7 +149,11 @@ def stacked_partition_identity(frame_stack, dual_stack, subset, f) -> IdentityTe
     squared norm of the truncated reconstruction of f; rhs mirrors it over
     the complement with the conjugated sum.
     """
-    sums, images = subset_sums(frame_stack, dual_stack, subset, f)
+    return identity_terms(*subset_sums(frame_stack, dual_stack, subset, f))
+
+
+def identity_terms(sums, images) -> IdentityTerms:
+    """The partition identity's two sides from one ``subset_sums`` result."""
     norms = (images.conj() * images).real.sum(axis=0)
     lhs = sums[0] - norms[0]
     rhs = np.conjugate(sums[1]) - norms[1]

@@ -63,6 +63,8 @@ __all__ = [
     "parseval_partition_identity",
     "whitened_partition_identity",
     "frame_partition_identity",
+    "whitened_terms",
+    "dual_energy_terms",
     "inverse_quadratic_residual",
 ]
 
@@ -241,9 +243,15 @@ def whitened_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms
     square root of the frame operator.
     """
     e, m = truncated_images(frame, subset, f)
-    w = _norms_sq(frame.inverse_sqrt @ m)
-    lhs = e[0] + w[1]
-    rhs = e[1] + w[0]
+    return whitened_terms(frame.inverse_sqrt, e, m)
+
+
+def whitened_terms(r: np.ndarray, energies, images) -> IdentityTerms:
+    """The whitened identity's two sides from the energies and images of
+    ``truncated_images``, with ``r`` the inverse square root of S."""
+    w = _norms_sq(r @ images)
+    lhs = energies[0] + w[1]
+    rhs = energies[1] + w[0]
     return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
 
 
@@ -255,9 +263,16 @@ def frame_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     energy of the truncated frame-operator image of f.
     """
     e, m = truncated_images(frame, subset, f)
-    d = _norms_sq(stacked_image(frame.canonical_dual._stacked_analysis, m))
-    lhs = e[0] - d[0]
-    rhs = e[1] - d[1]
+    return dual_energy_terms(frame.canonical_dual._stacked_analysis, e, m)
+
+
+def dual_energy_terms(dual_stack, energies, images) -> IdentityTerms:
+    """The truncated-operator identity's two sides from the energies and
+    images of ``truncated_images``, with ``dual_stack`` the canonical dual's
+    stacked analysis operator."""
+    d = _norms_sq(stacked_image(dual_stack, images))
+    lhs = energies[0] - d[0]
+    rhs = energies[1] - d[1]
     return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
 
 

@@ -7,19 +7,25 @@ an overall verdict.  Probe checks record counterexample witnesses without
 affecting the verdict.
 
 Every check takes its subsets in chunks of at most ``_CHUNK_ENTRIES``
-matrix entries, through one contract: ``_evaluate`` validates each subset
-once, cuts the chunks, builds each chunk's 0/1 subset masks and hands
-(frame, chunk, masks, vectors) to the check's entry in ``_EVALUATORS``.  A
-check that takes no subsets (EQ4_RECON, EQ5_DUAL_RECON, EQ6_QUADFORM,
-LEMMA_L0) gets the one chunk [None].  ``run_suite`` calls
-``run_check(..., subsets=chunk)`` once per chunk; a single subset is a
-chunk of one.  The eight operator checks evaluate a chunk at once: partial
-sums from the masks over the frame's term stacks, then one stacked
-``linops`` call for the margins, spectra or complement residuals.  The
-other twelve loop over the chunk's (subset, vector) pairs, the identities
-through the functions ``_IDENTITIES`` looks up at call time; LEMMA_L0 loops
-over the components.  ``inapplicable`` is the one rule for which checks
-apply to which frame.
+matrix entries, through one contract: its entry in ``_EVALUATORS`` takes a
+chunk context (``_Chunk``: the frame, the chunk's validated subsets and the
+sample vectors) and returns the chunk's residual and margin rows.
+``run_suite`` walks instance -> chunk -> check: it validates an
+instance's subsets once, cuts them into chunks, and hands each chunk's one
+context to every check in turn.  What several checks read (the
+``subset_sums`` of each (subset, vector), the subset masks, the partial
+sums and their products, COR2_SANDWICH's margins for THM38_I) is computed
+once per chunk, on first read, by the expression a single check would use,
+so sharing changes no bit of a report.  A check that takes no subsets
+(EQ4_RECON, EQ5_DUAL_RECON, EQ6_QUADFORM, LEMMA_L0) gets the one chunk
+[None].  ``run_check`` builds one context per chunk for its one check, and
+a single subset is a chunk of one.  The eight operator checks evaluate a
+chunk at once: partial sums from the masks over the frame's term stacks,
+then one stacked ``linops`` call for the margins, spectra or complement
+residuals.  The other twelve loop over the chunk's (subset, vector) pairs;
+the identity functions of ``gframe`` and ``gfusion`` stay their reference
+routes.  LEMMA_L0 loops over the components.  ``inapplicable`` is the one
+rule for which checks apply to which frame.
 
 Normalization conventions (so a single pair of tolerances applies):
 
@@ -59,6 +65,7 @@ from .gen import (
 from .linops import (
     Field,
     adjoint,
+    as_vector,
     complement_identity_residual,
     loewner_check,
     operator_norm,
@@ -214,37 +221,131 @@ def _json_vector(f: np.ndarray) -> list:
     return [float(x) for x in f]
 
 
-# The identity checks: check id -> (module, function name).  The function is
-# looked up when the check runs, so a module attribute replaced later (a
-# tracing or counting wrapper) is the one called.
-_IDENTITIES = {
-    CheckId.THM_T1: (gf, "partition_identity"),
-    CheckId.FAMOUS_PARSEVAL: (gf, "parseval_partition_identity"),
-    CheckId.THM_TG1: (gfu, "partition_identity"),
-    CheckId.COR1_IDENTITY: (gfu, "parseval_partition_identity"),
-    CheckId.THM_T33: (gfu, "whitened_partition_identity"),
-    CheckId.THM_FINAL_MI: (gfu, "frame_partition_identity"),
-}
-
-
-# Every check is one evaluator (frame, chunk, masks, vectors) -> (residuals,
-# margins, stats, worst): (k, r) and (k, m) arrays, a dict of length-k arrays
-# and each row's index into ``vectors`` of its worst vector (the first, where
-# tied), each None where the check has none.  A chunk holds at most this many
-# matrix entries: 64 subsets at d = 8, one at d = 64.  Larger chunks gain no
-# speed and raise peak memory.
+# Every check is one evaluator taking a chunk's ``_Chunk`` and returning
+# (residuals, margins, stats, worst): (k, r) and (k, m) arrays, a dict of
+# length-k arrays and each row's index into the chunk's vectors of its worst
+# vector (the first, where tied), each None where the check has none.  A
+# chunk holds at most this many matrix entries: 64 subsets at d = 8, one at
+# d = 64.  Larger chunks gain no speed and raise peak memory.
 _CHUNK_ENTRIES = 4096
 
 
-def _identity_residuals(source, frame, chunk, masks, vectors):
-    """Normalized |lhs - rhs| and |Im(lhs - rhs)| per sample vector."""
-    fn = getattr(*source)
-    # (lhs, rhs, residual) per (subset, vector)
-    terms = np.array([[fn(frame, js, f) for f in vectors] for js in chunk], dtype=complex)
-    scales = np.array([max(1.0, _norm_sq(f)) for f in vectors])
-    r = terms[..., 2].real / scales
-    imag = np.abs((terms[..., 0] - terms[..., 1]).imag) / scales
-    return np.stack([r, imag], axis=-1).reshape(len(chunk), -1), None, None, r.argmax(axis=1)
+class _Chunk:
+    """One chunk of subsets on one frame, and what its checks share.
+
+    ``subsets`` are validated index tuples ([None] for the checks that take
+    none) and ``vectors`` the sample vectors as given.  Every other member
+    is computed on first read, by the expression a single check would use,
+    and then read by every check of the chunk: the validated vectors, the
+    ``subset_sums`` of each (subset, vector) over the frame's own stack and
+    over the stack and its canonical dual, the 0/1 subset masks, the partial
+    sums P, Q = P_{I^c}, M and M' = M_{I^c} with the products P P, M S^-1 M
+    and M' S^-1 M', and COR2_SANDWICH's margins, which THM38_I reads too.
+    """
+
+    def __init__(self, frame, subsets, vectors):
+        self.frame = frame
+        self.subsets = subsets
+        self.vectors = vectors
+
+    @functools.cached_property
+    def valid_vectors(self) -> list[np.ndarray]:
+        return [as_vector(f, self.frame.dim_h) for f in self.vectors]
+
+    def _sums(self, vectors, dual) -> list[list[tuple]]:
+        stack, dual_stack = self.frame._stacked_analysis, dual._stacked_analysis
+        return [[gf.subset_sums(stack, dual_stack, js, f) for f in vectors] for js in self.subsets]
+
+    @functools.cached_property
+    def own_sums(self) -> list[list[tuple]]:
+        """Per subset I and vector f, the subset and complement energies and
+        M_I f, M_K f: ``subset_sums`` of the frame's stack with itself."""
+        return self._sums(self.valid_vectors, self.frame)
+
+    @functools.cached_property
+    def dual_sums(self) -> list[list[tuple]]:
+        """``subset_sums`` of the frame's stack with its canonical dual's."""
+        return self._sums(self.valid_vectors, self.frame.canonical_dual)
+
+    @functools.cached_property
+    def masks(self) -> np.ndarray:
+        return gf.subset_masks(len(self.frame), self.subsets)
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        return gf.masked_sums(self.frame._dual_term_stack, self.masks)
+
+    @functools.cached_property
+    def q(self) -> np.ndarray:
+        return gf.masked_sums(self.frame._dual_term_stack, 1.0 - self.masks)
+
+    @functools.cached_property
+    def p_sq(self) -> np.ndarray:
+        return self.p @ self.p
+
+    @functools.cached_property
+    def m(self) -> np.ndarray:
+        return gf.masked_sums(self.frame._component_term_stack, self.masks)
+
+    @functools.cached_property
+    def m_c(self) -> np.ndarray:
+        return gf.masked_sums(self.frame._component_term_stack, 1.0 - self.masks)
+
+    @functools.cached_property
+    def m_si_m(self) -> np.ndarray:
+        return self.m @ self.frame.inverse @ self.m
+
+    @functools.cached_property
+    def mc_si_mc(self) -> np.ndarray:
+        return self.m_c @ self.frame.inverse @ self.m_c
+
+    @functools.cached_property
+    def sandwich(self) -> np.ndarray:
+        """Margins of 0 <= P - P^2 <= I/4 (COR2_SANDWICH and THM38_I)."""
+        return _margins_of(loewner_check(self.p - self.p_sq, 0.0, 0.25, tol=0.0))
+
+
+def _identity_residuals(terms, chunk):
+    """Normalized |lhs - rhs| and |Im(lhs - rhs)| per (subset, vector), from
+    the ``IdentityTerms`` rows ``terms(chunk)``."""
+    t = np.array(terms(chunk), dtype=complex)
+    scales = np.array([max(1.0, _norm_sq(f)) for f in chunk.vectors])
+    r = t[..., 2].real / scales
+    imag = np.abs((t[..., 0] - t[..., 1]).imag) / scales
+    rows = np.stack([r, imag], axis=-1).reshape(len(chunk.subsets), -1)
+    return rows, None, None, r.argmax(axis=1)
+
+
+def _partition_terms(through_dual, chunk):
+    """The partition identity through the canonical dual, or through the
+    frame itself (the Parseval case)."""
+    rows = chunk.dual_sums if through_dual else chunk.own_sums
+    return [[gf.identity_terms(s, m) for s, m in row] for row in rows]
+
+
+def _whitened_terms(chunk):
+    rows = chunk.own_sums
+    r = chunk.frame.inverse_sqrt
+    return [[gfu.whitened_terms(r, s.real, m) for s, m in row] for row in rows]
+
+
+def _dual_energy_terms(chunk):
+    rows = chunk.own_sums
+    dual = chunk.frame.canonical_dual._stacked_analysis
+    return [[gfu.dual_energy_terms(dual, s.real, m) for s, m in row] for row in rows]
+
+
+# The identity checks: check id -> its IdentityTerms rows from the chunk's
+# shared sums.  The module functions they match (``gframe.partition_identity``
+# and the like) stay the reference routes.
+_IDENTITIES = {
+    CheckId.THM_T1: functools.partial(_partition_terms, True),
+    CheckId.FAMOUS_PARSEVAL: functools.partial(_partition_terms, False),
+    CheckId.THM_TG1: functools.partial(_partition_terms, True),
+    CheckId.COR1_IDENTITY: functools.partial(_partition_terms, False),
+    CheckId.THM_T33: _whitened_terms,
+    CheckId.THM_FINAL_MI: _dual_energy_terms,
+}
 
 
 def _margins_of(lm, scale=1.0):
@@ -255,20 +356,20 @@ def _s_scale(frame) -> float:
     return max(1.0, frame.upper_bound)
 
 
-def _pointwise_bound(whitened, frame, chunk, masks, vectors):
+def _pointwise_bound(whitened, chunk):
     """Margins of e_I(f) + ||R M_K f||^2 >= c ||f||^2 over ||f||^2, with K the
     complement: R = I and c = 3/4 (COR1_34BOUND), or R = S^(-1/2) and
     c = (3/4) A when ``whitened`` (COR_34_SINV).  A zero vector's margin is 0."""
+    frame = chunk.frame
     r = frame.inverse_sqrt if whitened else None
     floor = 0.75 * frame.lower_bound if whitened else 0.75
-    norms = [_norm_sq(f) for f in vectors]
-    margins = np.zeros((len(chunk), len(vectors)))
-    for i, js in enumerate(chunk):
-        for v, (f, n2) in enumerate(zip(vectors, norms)):
+    norms = [_norm_sq(f) for f in chunk.vectors]
+    margins = np.zeros((len(chunk.subsets), len(norms)))
+    for i, row in enumerate(chunk.own_sums):
+        for v, ((s, m), n2) in enumerate(zip(row, norms)):
             if n2 != 0.0:
-                e, m = gfu.truncated_images(frame, js, f)
                 tail = m[:, 1] if r is None else r @ m[:, 1]
-                margins[i, v] = (float(e[0]) + _norm_sq(tail) - floor * n2) / n2
+                margins[i, v] = (float(s.real[0]) + _norm_sq(tail) - floor * n2) / n2
     return None, margins, None, margins.argmin(axis=1)
 
 
@@ -283,12 +384,12 @@ def _dual_maps(frame):
     return (lambda f: s_full @ f), (lambda f: s_full_adj @ f)
 
 
-def _reconstruction(maps, frame, chunk, masks, vectors):
+def _reconstruction(maps, chunk):
     """Relative errors ||g(f) - f|| / ||f|| of the two maps g in ``maps(frame)``,
     0 for a zero vector."""
-    first, second = maps(frame)
-    errors = np.zeros((len(vectors), 2))
-    for v, f in enumerate(vectors):
+    first, second = maps(chunk.frame)
+    errors = np.zeros((len(chunk.vectors), 2))
+    for v, f in enumerate(chunk.vectors):
         nf = float(np.sqrt(_norm_sq(f)))
         if nf != 0.0:
             errors[v] = (float(np.linalg.norm(first(f) - f)) / nf,
@@ -296,80 +397,63 @@ def _reconstruction(maps, frame, chunk, masks, vectors):
     return errors.reshape(1, -1), None, None, errors.max(axis=1).argmax(keepdims=True)
 
 
-def _eq6_quadform(frame, chunk, masks, vectors):
-    residuals = np.zeros((1, len(vectors)))
-    for v, f in enumerate(vectors):
+def _eq6_quadform(chunk):
+    residuals = np.zeros((1, len(chunk.vectors)))
+    for v, f in enumerate(chunk.vectors):
         n2 = _norm_sq(f)
         if n2 != 0.0:
-            residuals[0, v] = gfu.inverse_quadratic_residual(frame, f) / n2
+            residuals[0, v] = gfu.inverse_quadratic_residual(chunk.frame, f) / n2
     return residuals, None, None, residuals.argmax(axis=1)
 
 
-def _lemma_l0(frame, chunk, masks, vectors):
-    t = frame.inverse
+def _lemma_l0(chunk):
+    t = chunk.frame.inverse
     tn = operator_norm(t)
-    residuals = [projected_adjoint_residual(c.basis, t) / tn for c in frame.components]
+    residuals = [projected_adjoint_residual(c.basis, t) / tn for c in chunk.frame.components]
     return np.array([residuals]), None, None, None
 
 
-# The operator checks take a chunk's partial sums from 0/1 masks over the
-# frame's term stacks, and its margins, spectra and complement residuals
-# from one stacked ``linops`` call each.
-def _partials(frame, masks):
-    return gf.masked_sums(frame._dual_term_stack, masks)
+# The operator checks read the chunk's partial sums and their products, and
+# take their margins, spectra and complement residuals from one stacked
+# ``linops`` call each.
+def _sandwich(chunk):
+    return None, chunk.sandwich, None, None
 
 
-def _frame_partials(frame, masks):
-    return gf.masked_sums(frame._component_term_stack, masks)
-
-
-def _sandwich(frame, chunk, masks, vectors):
-    p = _partials(frame, masks)
-    lm = loewner_check(p - p @ p, 0.0, 0.25, tol=0.0)
+def _thm38_ii(chunk):
+    lm = loewner_check(chunk.p_sq + chunk.q @ chunk.q, 0.5, 1.5, tol=0.0)
     return None, _margins_of(lm), None, None
 
 
-def _thm38_ii(frame, chunk, masks, vectors):
-    p = _partials(frame, masks)
-    q = _partials(frame, 1.0 - masks)
-    lm = loewner_check(p @ p + q @ q, 0.5, 1.5, tol=0.0)
-    return None, _margins_of(lm), None, None
-
-
-def _cor3_sandwich(frame, chunk, masks, vectors):
-    m = _frame_partials(frame, masks)
-    x = m - m @ frame.inverse @ m
-    lm = loewner_check(x, 0.0, 0.25 * frame.frame_operator, tol=0.0)
+def _cor3_sandwich(chunk):
+    frame = chunk.frame
+    lm = loewner_check(chunk.m - chunk.m_si_m, 0.0, 0.25 * frame.frame_operator, tol=0.0)
     return None, _margins_of(lm, _s_scale(frame)), None, None
 
 
 def _cor39(sign):
-    def evaluate(frame, chunk, masks, vectors):
-        m = _frame_partials(frame, masks)
-        mc = _frame_partials(frame, 1.0 - masks)
-        si = frame.inverse
-        x = m @ si @ m + sign * (mc @ si @ mc)
-        s = frame.frame_operator
-        lm = loewner_check(x, 0.5 * s, 1.5 * s, tol=0.0)
-        return None, _margins_of(lm, _s_scale(frame)), None, None
+    def evaluate(chunk):
+        s = chunk.frame.frame_operator
+        lm = loewner_check(chunk.m_si_m + sign * chunk.mc_si_mc, 0.5 * s, 1.5 * s, tol=0.0)
+        return None, _margins_of(lm, _s_scale(chunk.frame)), None, None
 
     return evaluate
 
 
-def _spectrum_remark(frame, chunk, masks, vectors):
-    vals = np.linalg.eigvals(_partials(frame, masks))
+def _spectrum_remark(chunk):
+    vals = np.linalg.eigvals(chunk.p)
     margins = np.column_stack([vals.real.min(axis=-1), 1.0 - vals.real.max(axis=-1)])
     residuals = np.abs(vals.imag).max(axis=-1)[:, None]
     return residuals, margins, {"spectral_radius": np.abs(vals).max(axis=-1)}, None
 
 
-def _lemma_l2(frame, chunk, masks, vectors):
-    return complement_identity_residual(_partials(frame, masks))[:, None], None, None, None
+def _lemma_l2(chunk):
+    return complement_identity_residual(chunk.p)[:, None], None, None, None
 
 
 _EVALUATORS = {
-    **{check: functools.partial(_identity_residuals, source)
-       for check, source in _IDENTITIES.items()},
+    **{check: functools.partial(_identity_residuals, terms)
+       for check, terms in _IDENTITIES.items()},
     CheckId.COR1_34BOUND: functools.partial(_pointwise_bound, False),
     CheckId.COR_34_SINV: functools.partial(_pointwise_bound, True),
     CheckId.EQ4_RECON: functools.partial(_reconstruction, _operator_maps),
@@ -393,28 +477,37 @@ def _chunks(subsets, dim: int) -> list:
     return [subsets[start:start + size] for start in range(0, len(subsets), size)]
 
 
-def _evaluate(info: CheckInfo, frame, subsets, vectors, tol: Tolerances) -> list[CheckResult]:
-    """One result per subset, in order; a check that takes no subsets gives one."""
-    js = [frame._validate_subset(s) for s in subsets] if info.subsets else [None]
-    results = []
+def _contexts(frame, subsets, vectors):
+    """One ``_Chunk`` per chunk of ``subsets``, each subset validated once,
+    made as the caller reaches it; ``subsets`` None gives the one chunk [None]."""
+    if subsets is None:
+        yield _Chunk(frame, [None], vectors)
+        return
+    js = [frame._validate_subset(s) for s in subsets]
     for chunk in _chunks(js, frame.dim_h):
-        masks = gf.subset_masks(len(frame), chunk) if info.subsets else None
-        residuals, margins, stats, worst = _EVALUATORS[info.check](frame, chunk, masks, vectors)
-        for i, subset in enumerate(chunk):
-            res = [] if residuals is None else residuals[i].tolist()
-            mar = [] if margins is None else margins[i].tolist()
-            witness = None
-            if any(r > tol.residual for r in res) or any(m < -tol.margin for m in mar):
-                witness = {
-                    "subset": None if subset is None else list(subset),
-                    "vector": None if worst is None else _json_vector(vectors[worst[i]]),
-                    "max_residual": max(res, default=None),
-                    "min_margin": min(mar, default=None),
-                }
-            row_stats = None if stats is None else {key: float(v[i]) for key, v in stats.items()}
-            # a probe passes even when its printed inequality is violated
-            results.append(CheckResult(info.check, res, mar, info.probe or witness is None,
-                                       witness, row_stats))
+        yield _Chunk(frame, chunk, vectors)
+
+
+def _run_chunk(check: CheckId, chunk: _Chunk, tol: Tolerances) -> list[CheckResult]:
+    """One check on one chunk: one result per subset, in order."""
+    info = CATALOG[check]
+    residuals, margins, stats, worst = _EVALUATORS[check](chunk)
+    results = []
+    for i, subset in enumerate(chunk.subsets):
+        res = [] if residuals is None else residuals[i].tolist()
+        mar = [] if margins is None else margins[i].tolist()
+        witness = None
+        if any(r > tol.residual for r in res) or any(m < -tol.margin for m in mar):
+            witness = {
+                "subset": None if subset is None else list(subset),
+                "vector": None if worst is None else _json_vector(chunk.vectors[worst[i]]),
+                "max_residual": max(res, default=None),
+                "min_margin": min(mar, default=None),
+            }
+        row_stats = None if stats is None else {key: float(v[i]) for key, v in stats.items()}
+        # a probe passes even when its printed inequality is violated
+        results.append(CheckResult(check, res, mar, info.probe or witness is None,
+                                   witness, row_stats))
     return results
 
 
@@ -465,7 +558,8 @@ def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = No
         raise ValueError(f"{check.value} needs an index subset")
     if info.vectors and not vectors:
         raise ValueError(f"{check.value} needs sample vectors")
-    results = _evaluate(info, frame, group, vectors, tol)
+    chunks = _contexts(frame, group if info.subsets else None, vectors)
+    results = [result for chunk in chunks for result in _run_chunk(check, chunk, tol)]
     return results if subsets is not None else results[0]
 
 
@@ -713,26 +807,23 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
         instances = build_instances(plan)
     summaries: dict[CheckId, CheckSummary] = {}
     for instance in instances:
+        frame = instance.frame
         seed = instance.seed if instance.seed is not None else 0
-        vectors = sample_vectors(
-            instance.frame.dim_h, instance.field, seed, plan.vectors_per_instance
-        )
-        subsets = subsets_for(len(instance.frame), plan, seed)
-        for check in plan.checks:
-            info = CATALOG[check]
-            if inapplicable(info, instance.frame) is not None:
+        vectors = sample_vectors(frame.dim_h, instance.field, seed, plan.vectors_per_instance)
+        subsets = subsets_for(len(frame), plan, seed)
+        checks = [check for check in plan.checks if inapplicable(CATALOG[check], frame) is None]
+        for check in checks:
+            summaries.setdefault(check, CheckSummary(check)).instances += 1
+        # the checks that take no subsets share one chunk, the others each
+        # chunk of the instance's subsets; one chunk is held at a time
+        for takes_subsets in (False, True):
+            group = [check for check in checks if CATALOG[check].subsets == takes_subsets]
+            if not group:
                 continue
-            summary = summaries.setdefault(check, CheckSummary(check))
-            summary.instances += 1
-            if not info.subsets:
-                summary.add(run_check(check, instance.frame, None, vectors, plan.tol), instance,
-                            plan.witness_limit)
-                continue
-            # one call per chunk keeps the results held at once to a chunk's worth
-            for chunk in _chunks(subsets, instance.frame.dim_h):
-                for result in run_check(check, instance.frame, vectors=vectors, tol=plan.tol,
-                                        subsets=chunk):
-                    summary.add(result, instance, plan.witness_limit)
+            for chunk in _contexts(frame, subsets if takes_subsets else None, vectors):
+                for check in group:
+                    for result in _run_chunk(check, chunk, plan.tol):
+                        summaries[check].add(result, instance, plan.witness_limit)
     ordered = [summaries[check] for check in sorted(summaries, key=lambda c: c.value)]
     overall = all(s.passed for s in ordered)
     return RunReport(plan, ordered, overall, time.perf_counter() - start)

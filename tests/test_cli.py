@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -449,3 +452,15 @@ class TestDemoReconstruct:
         assert ret == 0
         out = capsys.readouterr().out
         assert f"f               = {np.array2string(np.array(expected, dtype=complex), precision=6)}" in out
+
+
+@pytest.mark.parametrize("extra, code", [([], 0), (["--tol-residual", "nan"], 2)])
+def test_python_m_framekit_runs_the_cli(extra, code):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "framekit", "verify",
+         "--dims", "2", "--seeds", "1", "--checks", "LEMMA_L2", *extra],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    assert ("overall: PASS" in done.stdout) == (code == 0)

@@ -23,6 +23,7 @@ from framekit import (
     IndexOutOfRange,
     NotAFrame,
     ShapeMismatch,
+    Tolerances,
     operator_norm,
     random_gframe,
     random_gfusion,
@@ -204,20 +205,15 @@ _IDENTITY_CHECKS = [
 
 @pytest.mark.parametrize("check, module, name, make", _IDENTITY_CHECKS,
                          ids=[c.value for c, *_ in _IDENTITY_CHECKS])
-def test_identity_check_calls_the_module_function_of_the_moment(monkeypatch, check, module,
-                                                                name, make):
-    # a tracer replaces the module attribute after import; the check must see it
-    calls = []
-    original = getattr(module, name)
-
-    def counting(*args):
-        calls.append(args[1])
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counting)
+def test_identity_check_matches_the_module_function(check, module, name, make):
+    # the check reads its chunk's shared sums; the module function is the
+    # reference route, and both must give the same residuals bit for bit
     frame = make()
     vectors = sample_vectors(3, Field.COMPLEX, 0, 4)
-    result = run_check(check, frame, [0, 2], vectors)
-    assert result.passed
-    # with the subset as validated once per check
-    assert calls == [(0, 2)] * len(vectors)
+    result = run_check(check, frame, [2, 0, 2], vectors, Tolerances(0.0, 0.0))
+    want = []
+    for f in vectors:
+        terms = getattr(module, name)(frame, [0, 2], f)
+        scale = max(1.0, float(np.vdot(f, f).real))
+        want += [terms.residual / scale, abs((terms.lhs - terms.rhs).imag) / scale]
+    assert result.residuals == want

@@ -8,6 +8,7 @@ from framekit import (
     CheckId,
     ComponentSpec,
     Field,
+    GFusionFrame,
     GenSpec,
     SuitePlan,
     Tolerances,
@@ -19,7 +20,7 @@ from framekit import (
     run_suite,
     sample_vectors,
 )
-from framekit.verify import build_instances, subsets_for
+from framekit.verify import CheckSummary, build_instances, inapplicable, subsets_for
 
 
 def gfusion_spec(seed=0, dim=4, field=Field.COMPLEX):
@@ -271,21 +272,38 @@ class TestRunSuite:
         assert report.overall_pass
         assert all(s.instances == 1 for s in report.checks)
 
-    def test_every_check_goes_through_run_check(self, monkeypatch):
-        # per-check traces attribute time by run_check's first argument
-        import framekit.verify as verify
-
-        seen = set()
-        original = verify.run_check
-
-        def recording(check, *args, **kwargs):
-            seen.add(CheckId(check))
-            return original(check, *args, **kwargs)
-
-        monkeypatch.setattr(verify, "run_check", recording)
-        report = run_suite(SuitePlan(seeds=(0,)))
-        assert seen == set(CheckId) == {s.check for s in report.checks}
-        assert len(CheckId) == 20
+    def test_summaries_equal_a_fold_of_run_check(self):
+        # run_suite shares one context per chunk across checks; each check
+        # on its own, chunk by chunk through run_check, must fold into the
+        # same summary.  Zero tolerances record witnesses and cut them.
+        plan = SuitePlan(dims=(8,), seeds=(0,), components=7, tol=Tolerances(0.0, 0.0),
+                         witness_limit=3)
+        report = run_suite(plan)
+        subsets = subsets_for(7, plan, 0)
+        assert len(subsets) == 128  # two chunks at d = 8
+        instances = build_instances(plan)
+        assert {(i.kind, i.field) for i in instances} == {
+            (kind, fld) for kind in ("gframe", "gfusion") for fld in (Field.REAL, Field.COMPLEX)}
+        for check in CheckId:
+            info = CATALOG[check]
+            want = CheckSummary(check)
+            for instance in instances:
+                if inapplicable(info, instance.frame) is not None:
+                    continue
+                want.instances += 1
+                vectors = sample_vectors(8, instance.field, 0, plan.vectors_per_instance)
+                if info.subsets:
+                    results = [result for chunk in (subsets[:64], subsets[64:])
+                               for result in run_check(check, instance.frame, vectors=vectors,
+                                                       tol=plan.tol, subsets=chunk)]
+                else:
+                    results = [run_check(check, instance.frame, None, vectors, plan.tol)]
+                for result in results:
+                    want.add(result, instance, plan.witness_limit)
+            assert report.summary(check).to_dict() == want.to_dict()
+        cut = [s for s in report.checks if s.witness_count > plan.witness_limit]
+        assert any(s.witnesses[0]["vector"] is not None for s in cut)
+        assert any(s.witnesses[0]["subset"] is not None for s in cut)
 
     def test_zero_residual_tolerance_fails_suite(self):
         plan = SuitePlan(
@@ -293,3 +311,150 @@ class TestRunSuite:
             checks=(CheckId.THM_TG1,), tol=Tolerances(residual=0.0, margin=0.0),
         )
         assert not run_suite(plan).overall_pass
+
+
+def _recording(monkeypatch, module, name):
+    """The argument tuples of every call of ``module.<name>``."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+# per-vector checks, the ones that read no subset masks
+VECTOR_CHECKS = (
+    CheckId.THM_T1, CheckId.FAMOUS_PARSEVAL, CheckId.THM_TG1, CheckId.COR1_IDENTITY,
+    CheckId.COR1_34BOUND, CheckId.THM_T33, CheckId.COR_34_SINV, CheckId.THM_FINAL_MI,
+    CheckId.EQ4_RECON, CheckId.EQ5_DUAL_RECON, CheckId.EQ6_QUADFORM,
+)
+
+
+@pytest.fixture(scope="module")
+def two_chunk_instances():
+    # n = 7 gives 128 subsets, two chunks at d = 8
+    return build_instances(SuitePlan(dims=(8,), fields=(Field.COMPLEX,), seeds=(0,),
+                                     components=7))
+
+
+class TestSharedChunk:
+    """Each chunk computes once what several checks read."""
+
+    CHUNKS = 2
+
+    def test_one_subset_sums_per_subset_vector_and_stack_pair(self, monkeypatch,
+                                                              two_chunk_instances):
+        import framekit.gframe as gframe
+
+        calls = _recording(monkeypatch, gframe, "subset_sums")
+        for instance in two_chunk_instances:
+            calls.clear()
+            run_suite(SuitePlan(), frame=instance.frame)
+            keys = [(id(a), id(b), js, f.tobytes()) for a, b, js, f in calls]
+            assert len(set(keys)) == len(keys)
+            # the dual pair, and the frame's own stack twice for all but a
+            # general g-frame, which has no check through its own stack
+            pairs = {(a is b) for a, b, *_ in calls}
+            assert pairs == ({False} if instance.kind == "gframe" and not instance.parseval
+                             else {True, False})
+            assert len(calls) == len(pairs) * 128 * SuitePlan().vectors_per_instance
+
+    def test_at_most_two_masked_sums_per_term_stack_and_chunk(self, monkeypatch,
+                                                              two_chunk_instances):
+        import framekit.gframe as gframe
+
+        calls = _recording(monkeypatch, gframe, "masked_sums")
+        masks = _recording(monkeypatch, gframe, "subset_masks")
+        for instance in two_chunk_instances:
+            calls.clear()
+            masks.clear()
+            run_suite(SuitePlan(), frame=instance.frame)
+            assert len(masks) == self.CHUNKS
+            per_stack = {}
+            for stack, _ in calls:
+                per_stack[id(stack)] = per_stack.get(id(stack), 0) + 1
+            assert max(per_stack.values()) <= 2 * self.CHUNKS
+            if instance.kind == "gfusion" and instance.parseval:
+                # P and Q from the dual terms, M and M' from the frame terms
+                assert sorted(per_stack.values()) == [2 * self.CHUNKS] * 2
+
+    def test_one_loewner_check_per_chunk_for_both_sandwiches(self, monkeypatch,
+                                                            two_chunk_instances):
+        import framekit.verify as verify
+
+        frame = next(i.frame for i in two_chunk_instances
+                     if i.kind == "gfusion" and i.parseval)
+        calls = _recording(monkeypatch, verify, "loewner_check")
+        report = run_suite(SuitePlan(checks=(CheckId.COR2_SANDWICH, CheckId.THM38_I)),
+                           frame=frame)
+        assert len(calls) == self.CHUNKS
+        cor2, thm38 = (report.summary(c).to_dict() for c in (CheckId.COR2_SANDWICH,
+                                                               CheckId.THM38_I))
+        assert {**cor2, "id": None} == {**thm38, "id": None}
+
+    def test_no_masks_for_per_vector_checks(self, monkeypatch):
+        import framekit.gframe as gframe
+
+        masks = _recording(monkeypatch, gframe, "subset_masks")
+        plan = SuitePlan(dims=(2, 8), seeds=(0,), checks=VECTOR_CHECKS)
+        assert run_suite(plan).overall_pass
+        assert masks == []
+        run_suite(SuitePlan(dims=(2,), seeds=(0,), checks=VECTOR_CHECKS + (CheckId.LEMMA_L2,)))
+        # one chunk on each of the eight instances
+        assert len(masks) == 8
+
+
+@pytest.fixture(scope="module")
+def doubled_basis():
+    """Parseval weighted frame of two copies of the coordinate lines of R^4:
+    identity blocks and weights 1/sqrt(2)."""
+    eye = np.eye(4)
+    lines = [eye[:, [i]] for i in range(4)]
+    return GFusionFrame([(line, eye, 1.0 / np.sqrt(2.0)) for line in lines * 2])
+
+
+ONE_COPY = (0, 1, 2, 3)
+# check -> the side (0 lower, 1 upper) of its bound met with equality on ONE_COPY
+SHARP_SIDES = {
+    CheckId.COR2_SANDWICH: 1,
+    CheckId.THM38_I: 1,
+    CheckId.THM38_II: 0,
+    CheckId.COR3_SANDWICH: 1,
+    CheckId.COR39_PLUS: 0,
+}
+POINTWISE_BOUNDS = (CheckId.COR1_34BOUND, CheckId.COR_34_SINV)
+
+
+class TestSharpness:
+    """On the subset holding one copy, P = M = I/2 and Q = M' = I/2 with S = I,
+    which meets each bound with equality: P - P^2 = I/4, P^2 + Q^2 = I/2,
+    M S^-1 M + M' S^-1 M' = S/2, and e_I(f) + ||M_K f||^2 = 3/4 ||f||^2."""
+
+    def test_frame_is_parseval(self, doubled_basis):
+        assert doubled_basis.is_parseval
+        assert np.array_equal(doubled_basis.partial_sum(ONE_COPY), 0.5 * np.eye(4))
+
+    @pytest.mark.parametrize("check, side", list(SHARP_SIDES.items()),
+                             ids=[c.value for c in SHARP_SIDES])
+    def test_operator_bounds_are_met(self, doubled_basis, check, side):
+        result = run_check(check, doubled_basis, ONE_COPY)
+        assert result.passed
+        assert abs(result.margins[side]) <= 1e-12
+
+    @pytest.mark.parametrize("check", POINTWISE_BOUNDS, ids=[c.value for c in POINTWISE_BOUNDS])
+    def test_pointwise_bounds_are_met(self, doubled_basis, check):
+        vectors = sample_vectors(4, Field.REAL, 0, 8)
+        result = run_check(check, doubled_basis, ONE_COPY, vectors)
+        assert result.passed
+        assert max(abs(m) for m in result.margins) <= 1e-12
+
+    def test_suite_meets_the_bounds(self, doubled_basis):
+        # through the shared chunk, over all 256 subsets
+        report = run_suite(SuitePlan(), frame=doubled_basis)
+        assert report.overall_pass
+        for check in (*SHARP_SIDES, *POINTWISE_BOUNDS):
+            assert abs(report.summary(check).min_margin) <= 1e-12

@@ -2,6 +2,8 @@
 machine-check their identities and inequalities as tolerance-controlled
 properties over seeded random instances."""
 
+import importlib
+
 from .linops import (
     Field,
     HTOL,
@@ -58,9 +60,18 @@ from .verify import (
     run_check,
     run_suite,
 )
-from .cli import load_frame, save_frame
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so that ``python -m framekit.cli`` runs it
+    # as ``__main__`` without finding it imported already by the package
+    if name not in ("cli", "load_frame", "save_frame"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    cli = importlib.import_module(".cli", __name__)
+    return cli if name == "cli" else getattr(cli, name)
+
 
 __all__ = [
     "Field",

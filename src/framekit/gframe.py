@@ -20,7 +20,8 @@ and the canonical dual stack Gamma, the per-block inner products
 and the truncated images sum_{j in I} Lambda_j* Gamma_j f over a subset and
 its complement from one product of Lambda* with Gamma f masked to the rows
 of each side.  The number of numpy calls per (subset, vector) therefore does
-not grow with n.  ``stacked_partition_identity`` turns these sums into the
+not grow with n.  ``identity_terms`` turns a (k, V) stack of these sums
+(k subsets, V vectors; 1 x 1 for ``stacked_partition_identity``) into the
 two sides of the identity for any pair of stacks; with the frame's own
 stack as the dual it is the Parseval case.  Weighted subspace frames
 (``gfusion``) use the same helpers with the blocks w_j B_j P_j.
@@ -82,7 +83,8 @@ class IndexOutOfRange(ValueError):
 
 
 class IdentityTerms(NamedTuple):
-    """Two sides of a checked scalar identity and their absolute gap."""
+    """Two sides of a checked scalar identity and their absolute gap: scalars
+    for one (subset, vector), arrays of shape (k, V) for a stack of them."""
 
     lhs: complex
     rhs: complex
@@ -149,15 +151,27 @@ def stacked_partition_identity(frame_stack, dual_stack, subset, f) -> IdentityTe
     squared norm of the truncated reconstruction of f; rhs mirrors it over
     the complement with the conjugated sum.
     """
-    return identity_terms(*subset_sums(frame_stack, dual_stack, subset, f))
+    return _one_pair(identity_terms, *subset_sums(frame_stack, dual_stack, subset, f))
+
+
+def _one_pair(terms_of, sums, images) -> IdentityTerms:
+    """``terms_of`` on one ``subset_sums`` result, as a 1 x 1 stack: the
+    scalars the checks' array expression gives that (subset, vector)."""
+    t = terms_of(sums[None, None], images[None, None])
+    return IdentityTerms(complex(t.lhs[0, 0]), complex(t.rhs[0, 0]), float(t.residual[0, 0]))
+
+
+def _norms_sq(columns: np.ndarray) -> np.ndarray:
+    return (columns.conj() * columns).real.sum(axis=-2)
 
 
 def identity_terms(sums, images) -> IdentityTerms:
-    """The partition identity's two sides from one ``subset_sums`` result."""
-    norms = (images.conj() * images).real.sum(axis=0)
-    lhs = sums[0] - norms[0]
-    rhs = np.conjugate(sums[1]) - norms[1]
-    return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
+    """The partition identity's two sides from a (k, V) stack of
+    ``subset_sums`` results: sums (k, V, 2) and images (k, V, dim, 2)."""
+    norms = _norms_sq(images)
+    lhs = sums[..., 0] - norms[..., 0]
+    rhs = np.conjugate(sums[..., 1]) - norms[..., 1]
+    return IdentityTerms(lhs, rhs, np.abs(lhs - rhs))
 
 
 def term_stack(terms) -> np.ndarray:

@@ -19,7 +19,8 @@ one product with the stack and one segmented sum over the block row ranges;
 ``truncated_images`` takes the subset and complement energies and the
 truncated frame-operator images M_I f = sum_{j in I} Lambda_j* Lambda_j f
 from ``subset_sums``, with no truncated frame operator built.  Both raise the
-same errors as ``analysis``.
+same errors as ``analysis``.  The identities take (k, V) stacks of these
+sums over k subsets and V vectors; the per-(subset, f) functions, 1 x 1 ones.
 
 The frame keeps the terms behind ``partial_sum`` and
 ``partial_frame_operator`` only as read-only (n, d*d) stacks
@@ -38,6 +39,8 @@ import numpy as np
 from .gframe import (
     IdentityTerms,
     _Frame,
+    _norms_sq,
+    _one_pair,
     _partition_identity,
     stacked_image,
     subset_sums,
@@ -48,7 +51,6 @@ from .linops import (
     adjoint,
     as_operator,
     as_vector,
-    inner,
     orthonormal_basis,
     projection,
     psd_power,
@@ -215,10 +217,6 @@ def truncated_images(frame: GFusionFrame, subset, f) -> tuple[np.ndarray, np.nda
     return energies.real, images
 
 
-def _norms_sq(columns: np.ndarray) -> np.ndarray:
-    return (columns.conj() * columns).real.sum(axis=0)
-
-
 def partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     """Subset/complement energy identity through the canonical dual triple.
 
@@ -243,16 +241,17 @@ def whitened_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms
     square root of the frame operator.
     """
     e, m = truncated_images(frame, subset, f)
-    return whitened_terms(frame.inverse_sqrt, e, m)
+    return _one_pair(functools.partial(whitened_terms, frame.inverse_sqrt), e, m)
 
 
 def whitened_terms(r: np.ndarray, energies, images) -> IdentityTerms:
-    """The whitened identity's two sides from the energies and images of
-    ``truncated_images``, with ``r`` the inverse square root of S."""
+    """The whitened identity's two sides from a (k, V) stack of the energies
+    and images of ``truncated_images`` (or of ``subset_sums``, whose real
+    parts are the energies), with ``r`` the inverse square root of S."""
     w = _norms_sq(r @ images)
-    lhs = energies[0] + w[1]
-    rhs = energies[1] + w[0]
-    return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
+    lhs = energies[..., 0].real + w[..., 1]
+    rhs = energies[..., 1].real + w[..., 0]
+    return IdentityTerms(lhs, rhs, np.abs(lhs - rhs))
 
 
 def frame_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
@@ -263,23 +262,28 @@ def frame_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     energy of the truncated frame-operator image of f.
     """
     e, m = truncated_images(frame, subset, f)
-    return dual_energy_terms(frame.canonical_dual._stacked_analysis, e, m)
+    dual = frame.canonical_dual._stacked_analysis
+    return _one_pair(functools.partial(dual_energy_terms, dual), e, m)
 
 
 def dual_energy_terms(dual_stack, energies, images) -> IdentityTerms:
-    """The truncated-operator identity's two sides from the energies and
-    images of ``truncated_images``, with ``dual_stack`` the canonical dual's
-    stacked analysis operator."""
+    """The truncated-operator identity's two sides from a (k, V) stack of
+    energies and images as ``whitened_terms`` takes them, with
+    ``dual_stack`` the canonical dual's stacked analysis operator."""
     d = _norms_sq(stacked_image(dual_stack, images))
-    lhs = energies[0] - d[0]
-    rhs = energies[1] - d[1]
-    return IdentityTerms(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
+    lhs = energies[..., 0].real - d[..., 0]
+    rhs = energies[..., 1].real - d[..., 1]
+    return IdentityTerms(lhs, rhs, np.abs(lhs - rhs))
 
 
-def inverse_quadratic_residual(frame: GFusionFrame, f) -> float:
+def inverse_quadratic_residual(frame: GFusionFrame, f):
     """Gap between the quadratic form of the inverse frame operator at f and
-    the dual frame's analysis energy of f."""
-    f = as_vector(f, frame.dim_h)
-    lhs = inner(frame.inverse @ f, f)
-    rhs = block_energies(frame.canonical_dual, f).sum()
-    return float(abs(lhs - rhs))
+    the dual frame's analysis energy of f.
+
+    ``f`` is one vector, or validated vectors along the last axis of a
+    (..., dim) array, whose gaps come back over its leading axes.
+    """
+    x = (as_vector(f, frame.dim_h) if np.ndim(f) == 1 else f)[..., None]
+    lhs = (x.conj() * (frame.inverse @ x)).sum(axis=(-2, -1))
+    rhs = _norms_sq(stacked_image(frame.canonical_dual._stacked_analysis, x))[..., 0]
+    return np.abs(lhs - rhs)

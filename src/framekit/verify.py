@@ -13,19 +13,20 @@ sample vectors) and returns the chunk's residual and margin rows.
 ``run_suite`` walks instance -> chunk -> check: it validates an
 instance's subsets once, cuts them into chunks, and hands each chunk's one
 context to every check in turn.  What several checks read (the
-``subset_sums`` of each (subset, vector), the subset masks, the partial
-sums and their products, COR2_SANDWICH's margins for THM38_I) is computed
-once per chunk, on first read, by the expression a single check would use,
-so sharing changes no bit of a report.  A check that takes no subsets
+``subset_sums`` of each (subset, vector), as (k, V, ...) arrays over the
+chunk's k subsets and V vectors, the subset masks, the partial sums and
+their products, COR2_SANDWICH's margins for THM38_I) is computed once per
+chunk, on first read, by the expression a single check would use, so
+sharing changes no bit of a report.  A check that takes no subsets
 (EQ4_RECON, EQ5_DUAL_RECON, EQ6_QUADFORM, LEMMA_L0) gets the one chunk
 [None].  ``run_check`` builds one context per chunk for its one check, and
 a single subset is a chunk of one.  The eight operator checks evaluate a
 chunk at once: partial sums from the masks over the frame's term stacks,
 then one stacked ``linops`` call for the margins, spectra or complement
-residuals.  The other twelve loop over the chunk's (subset, vector) pairs;
-the identity functions of ``gframe`` and ``gfusion`` stay their reference
-routes.  LEMMA_L0 loops over the components.  ``inapplicable`` is the one
-rule for which checks apply to which frame.
+residuals.  The eleven per-vector checks are each one array expression over
+the chunk; the identity functions of ``gframe`` and ``gfusion`` use the
+same expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
+``inapplicable`` is the one rule for which checks apply to which frame.
 
 Normalization conventions (so a single pair of tolerances applies):
 
@@ -236,11 +237,12 @@ class _Chunk:
     ``subsets`` are validated index tuples ([None] for the checks that take
     none) and ``vectors`` the sample vectors as given.  Every other member
     is computed on first read, by the expression a single check would use,
-    and then read by every check of the chunk: the validated vectors, the
-    ``subset_sums`` of each (subset, vector) over the frame's own stack and
-    over the stack and its canonical dual, the 0/1 subset masks, the partial
-    sums P, Q = P_{I^c}, M and M' = M_{I^c} with the products P P, M S^-1 M
-    and M' S^-1 M', and COR2_SANDWICH's margins, which THM38_I reads too.
+    and then read by every check of the chunk: the validated vectors, their
+    squared norms, the ``subset_sums`` of each (subset, vector) over the
+    frame's own stack and over the stack and its canonical dual, the 0/1
+    subset masks, the partial sums P, Q = P_{I^c}, M and M' = M_{I^c} with
+    the products P P, M S^-1 M and M' S^-1 M', and COR2_SANDWICH's margins,
+    which THM38_I reads too.
     """
 
     def __init__(self, frame, subsets, vectors):
@@ -252,20 +254,29 @@ class _Chunk:
     def valid_vectors(self) -> list[np.ndarray]:
         return [as_vector(f, self.frame.dim_h) for f in self.vectors]
 
-    def _sums(self, vectors, dual) -> list[list[tuple]]:
+    @functools.cached_property
+    def norms_sq(self) -> np.ndarray:
+        """||f||^2 of each validated vector, shape (V,)."""
+        return np.array([_norm_sq(f) for f in self.valid_vectors])
+
+    def _sums(self, dual) -> tuple[np.ndarray, np.ndarray]:
         stack, dual_stack = self.frame._stacked_analysis, dual._stacked_analysis
-        return [[gf.subset_sums(stack, dual_stack, js, f) for f in vectors] for js in self.subsets]
+        pairs = [gf.subset_sums(stack, dual_stack, js, f)
+                 for js in self.subsets for f in self.valid_vectors]
+        k, v = len(self.subsets), len(self.valid_vectors)
+        return tuple(np.array(side).reshape(k, v, *side[0].shape) for side in zip(*pairs))
 
     @functools.cached_property
-    def own_sums(self) -> list[list[tuple]]:
-        """Per subset I and vector f, the subset and complement energies and
-        M_I f, M_K f: ``subset_sums`` of the frame's stack with itself."""
-        return self._sums(self.valid_vectors, self.frame)
+    def own_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per subset I and vector f, the subset and complement energies
+        (k, V, 2) and M_I f, M_K f (k, V, d, 2): ``subset_sums`` of the
+        frame's stack with itself."""
+        return self._sums(self.frame)
 
     @functools.cached_property
-    def dual_sums(self) -> list[list[tuple]]:
+    def dual_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """``subset_sums`` of the frame's stack with its canonical dual's."""
-        return self._sums(self.valid_vectors, self.frame.canonical_dual)
+        return self._sums(self.frame.canonical_dual)
 
     @functools.cached_property
     def masks(self) -> np.ndarray:
@@ -305,46 +316,34 @@ class _Chunk:
         return _margins_of(loewner_check(self.p - self.p_sq, 0.0, 0.25, tol=0.0))
 
 
+def _per_norm(values, norms):
+    """``values`` over ``norms`` (broadcast against them), 0 where a norm is
+    0, so a zero vector divides nothing."""
+    return np.divide(values, norms, out=np.zeros(np.shape(values)), where=norms != 0.0)
+
+
 def _identity_residuals(terms, chunk):
     """Normalized |lhs - rhs| and |Im(lhs - rhs)| per (subset, vector), from
-    the ``IdentityTerms`` rows ``terms(chunk)``."""
-    t = np.array(terms(chunk), dtype=complex)
-    scales = np.array([max(1.0, _norm_sq(f)) for f in chunk.vectors])
-    r = t[..., 2].real / scales
-    imag = np.abs((t[..., 0] - t[..., 1]).imag) / scales
+    the (k, V) ``IdentityTerms`` stack ``terms(chunk)``."""
+    t = terms(chunk)
+    scales = np.maximum(1.0, chunk.norms_sq)
+    r = t.residual / scales
+    imag = np.abs(np.imag(t.lhs - t.rhs)) / scales
     rows = np.stack([r, imag], axis=-1).reshape(len(chunk.subsets), -1)
     return rows, None, None, r.argmax(axis=1)
 
 
-def _partition_terms(through_dual, chunk):
-    """The partition identity through the canonical dual, or through the
-    frame itself (the Parseval case)."""
-    rows = chunk.dual_sums if through_dual else chunk.own_sums
-    return [[gf.identity_terms(s, m) for s, m in row] for row in rows]
-
-
-def _whitened_terms(chunk):
-    rows = chunk.own_sums
-    r = chunk.frame.inverse_sqrt
-    return [[gfu.whitened_terms(r, s.real, m) for s, m in row] for row in rows]
-
-
-def _dual_energy_terms(chunk):
-    rows = chunk.own_sums
-    dual = chunk.frame.canonical_dual._stacked_analysis
-    return [[gfu.dual_energy_terms(dual, s.real, m) for s, m in row] for row in rows]
-
-
-# The identity checks: check id -> its IdentityTerms rows from the chunk's
-# shared sums.  The module functions they match (``gframe.partition_identity``
-# and the like) stay the reference routes.
+# The identity checks: check id -> the (k, V) ``IdentityTerms`` stack of a
+# chunk, from its shared sums by the expression its module function
+# (``gframe.partition_identity`` and the like) uses on one pair.
 _IDENTITIES = {
-    CheckId.THM_T1: functools.partial(_partition_terms, True),
-    CheckId.FAMOUS_PARSEVAL: functools.partial(_partition_terms, False),
-    CheckId.THM_TG1: functools.partial(_partition_terms, True),
-    CheckId.COR1_IDENTITY: functools.partial(_partition_terms, False),
-    CheckId.THM_T33: _whitened_terms,
-    CheckId.THM_FINAL_MI: _dual_energy_terms,
+    CheckId.THM_T1: lambda c: gf.identity_terms(*c.dual_sums),
+    CheckId.FAMOUS_PARSEVAL: lambda c: gf.identity_terms(*c.own_sums),
+    CheckId.THM_TG1: lambda c: gf.identity_terms(*c.dual_sums),
+    CheckId.COR1_IDENTITY: lambda c: gf.identity_terms(*c.own_sums),
+    CheckId.THM_T33: lambda c: gfu.whitened_terms(c.frame.inverse_sqrt, *c.own_sums),
+    CheckId.THM_FINAL_MI: lambda c: gfu.dual_energy_terms(
+        c.frame.canonical_dual._stacked_analysis, *c.own_sums),
 }
 
 
@@ -361,15 +360,12 @@ def _pointwise_bound(whitened, chunk):
     complement: R = I and c = 3/4 (COR1_34BOUND), or R = S^(-1/2) and
     c = (3/4) A when ``whitened`` (COR_34_SINV).  A zero vector's margin is 0."""
     frame = chunk.frame
-    r = frame.inverse_sqrt if whitened else None
+    sums, images = chunk.own_sums
     floor = 0.75 * frame.lower_bound if whitened else 0.75
-    norms = [_norm_sq(f) for f in chunk.vectors]
-    margins = np.zeros((len(chunk.subsets), len(norms)))
-    for i, row in enumerate(chunk.own_sums):
-        for v, ((s, m), n2) in enumerate(zip(row, norms)):
-            if n2 != 0.0:
-                tail = m[:, 1] if r is None else r @ m[:, 1]
-                margins[i, v] = (float(s.real[0]) + _norm_sq(tail) - floor * n2) / n2
+    m_k = images[..., 1:]
+    tails = gf._norms_sq(frame.inverse_sqrt @ m_k if whitened else m_k)[..., 0]
+    n2 = chunk.norms_sq
+    margins = _per_norm(sums[..., 0].real + tails - floor * n2, n2)
     return None, margins, None, margins.argmin(axis=1)
 
 
@@ -387,22 +383,15 @@ def _dual_maps(frame):
 def _reconstruction(maps, chunk):
     """Relative errors ||g(f) - f|| / ||f|| of the two maps g in ``maps(frame)``,
     0 for a zero vector."""
-    first, second = maps(chunk.frame)
-    errors = np.zeros((len(chunk.vectors), 2))
-    for v, f in enumerate(chunk.vectors):
-        nf = float(np.sqrt(_norm_sq(f)))
-        if nf != 0.0:
-            errors[v] = (float(np.linalg.norm(first(f) - f)) / nf,
-                         float(np.linalg.norm(second(f) - f)) / nf)
+    x = np.array(chunk.valid_vectors).T
+    errors = np.stack([np.linalg.norm(g(x) - x, axis=0) for g in maps(chunk.frame)], axis=-1)
+    errors = _per_norm(errors, np.sqrt(chunk.norms_sq)[:, None])
     return errors.reshape(1, -1), None, None, errors.max(axis=1).argmax(keepdims=True)
 
 
 def _eq6_quadform(chunk):
-    residuals = np.zeros((1, len(chunk.vectors)))
-    for v, f in enumerate(chunk.vectors):
-        n2 = _norm_sq(f)
-        if n2 != 0.0:
-            residuals[0, v] = gfu.inverse_quadratic_residual(chunk.frame, f) / n2
+    gaps = gfu.inverse_quadratic_residual(chunk.frame, np.array(chunk.valid_vectors))
+    residuals = _per_norm(gaps, chunk.norms_sq)[None]
     return residuals, None, None, residuals.argmax(axis=1)
 
 

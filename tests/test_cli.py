@@ -456,11 +456,13 @@ class TestDemoReconstruct:
 
 @pytest.mark.parametrize("extra, code", [([], 0), (["--tol-residual", "nan"], 2)])
 def test_python_m_framekit_runs_the_cli(extra, code):
+    # both routes; the package does not load ``cli`` before runpy runs it
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "framekit", "verify",
-         "--dims", "2", "--seeds", "1", "--checks", "LEMMA_L2", *extra],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == code, done.stderr
-    assert ("overall: PASS" in done.stdout) == (code == 0)
+    for module in ("framekit", "framekit.cli"):
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "verify",
+             "--dims", "2", "--seeds", "1", "--checks", "LEMMA_L2", *extra],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == code, (module, done.stderr)
+        assert ("overall: PASS" in done.stdout) == (code == 0), module

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from framekit import (
     Field,
     GFusionFrame,
     GenSpec,
+    ShapeMismatch,
     SuitePlan,
     Tolerances,
     WrongFrameKind,
@@ -406,6 +408,75 @@ class TestSharedChunk:
         run_suite(SuitePlan(dims=(2,), seeds=(0,), checks=VECTOR_CHECKS + (CheckId.LEMMA_L2,)))
         # one chunk on each of the eight instances
         assert len(masks) == 8
+
+
+    def test_one_identity_expression_per_chunk_and_check(self, monkeypatch,
+                                                         two_chunk_instances):
+        # the identities take the chunk's (subset, vector) stack at once
+        import framekit.gframe as gframe
+        import framekit.gfusion as gfusion
+
+        users = {
+            (gframe, "identity_terms"): {CheckId.THM_T1, CheckId.FAMOUS_PARSEVAL,
+                                         CheckId.THM_TG1, CheckId.COR1_IDENTITY},
+            (gfusion, "whitened_terms"): {CheckId.THM_T33},
+            (gfusion, "dual_energy_terms"): {CheckId.THM_FINAL_MI},
+        }
+        calls = {key: _recording(monkeypatch, *key) for key in users}
+        for instance in two_chunk_instances:
+            for recorded in calls.values():
+                recorded.clear()
+            run_suite(SuitePlan(), frame=instance.frame)
+            for key, checks in users.items():
+                applicable = [c for c in checks
+                              if inapplicable(CATALOG[c], instance.frame) is None]
+                assert len(calls[key]) == self.CHUNKS * len(applicable), (instance.label, key)
+
+
+@pytest.fixture(scope="module")
+def small_instances():
+    return build_instances(SuitePlan(dims=(3,), fields=(Field.COMPLEX,), seeds=(0,),
+                                     components=3))
+
+
+def _vector_check_runs(instances):
+    """(check, frame, subset) for every per-vector check on every frame it
+    applies to."""
+    return [(check, i.frame, [0, 2] if CATALOG[check].subsets else None)
+            for check in VECTOR_CHECKS for i in instances
+            if inapplicable(CATALOG[check], i.frame) is None]
+
+
+class TestSampleVectors:
+    """Every per-vector check reads the validated vectors and gives a zero
+    vector the value 0."""
+
+    def test_every_check_runs_on_some_frame(self, small_instances):
+        assert {check for check, *_ in _vector_check_runs(small_instances)} == set(VECTOR_CHECKS)
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([np.nan, 0.0, 0.0]), ValueError),
+        (np.array([np.inf, 1.0, 0.0]), ValueError),
+        (np.ones(2), ShapeMismatch),
+        (np.ones(4), ShapeMismatch),
+    ], ids=["nan", "inf", "short", "long"])
+    def test_invalid_vector_is_refused(self, small_instances, bad, error):
+        good = sample_vectors(3, Field.COMPLEX, 0, 2)
+        for check, frame, subset in _vector_check_runs(small_instances):
+            with pytest.raises(error):
+                run_check(check, frame, subset, [good[0], bad, good[1]])
+
+    def test_zero_vector_gets_zero(self, small_instances):
+        vectors = [np.zeros(3), *sample_vectors(3, Field.COMPLEX, 1, 3)]
+        for check, frame, subset in _vector_check_runs(small_instances):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                result = run_check(check, frame, subset, vectors)
+            assert result.passed, check
+            values = result.residuals or result.margins
+            per_vector = len(values) // len(vectors)
+            # the zero vector's entries come first
+            assert values[:per_vector] == [0.0] * per_vector, check
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
@@ -84,7 +83,7 @@ def _decode_matrix(rows: list, field: Field) -> np.ndarray:
 
 def frame_to_dict(frame) -> dict:
     kind = frame_kind(frame)
-    fld = Field.COMPLEX if np.iscomplexobj(frame.frame_operator) else Field.REAL
+    fld = frame.field
     if kind == "gframe":
         components = [{"lambda": _encode_matrix(b, fld)} for b in frame.blocks]
     else:
@@ -205,6 +204,16 @@ class _ConfigError(Exception):
     pass
 
 
+def _tolerance(value: float, message: str) -> float:
+    """``value`` when ``Tolerances`` takes it (finite and nonnegative, the one
+    rule for every tolerance), else a ``_ConfigError`` saying ``message``."""
+    try:
+        Tolerances(value, value)
+    except ValueError:
+        raise _ConfigError(message) from None
+    return value
+
+
 def _env_tolerance() -> float | None:
     raw = os.environ.get(_TOL_ENV)
     if raw is None:
@@ -213,9 +222,7 @@ def _env_tolerance() -> float | None:
         value = float(raw)
     except ValueError:
         raise _ConfigError(f"{_TOL_ENV} must be a number, got {raw!r}")
-    if not 0 <= value < math.inf:
-        raise _ConfigError(f"{_TOL_ENV} must be finite and nonnegative, got {value}")
-    return value
+    return _tolerance(value, f"{_TOL_ENV} must be finite and nonnegative, got {value}")
 
 
 def _resolve_tolerances(args) -> Tolerances:
@@ -298,22 +305,25 @@ def _parse_vector(text: str, fld: Field) -> np.ndarray:
 # subcommands
 
 
+def _generated_frame(args, command: str):
+    """The weighted subspace frame ``gen`` and ``demo-reconstruct --random``
+    draw from ``--dim``, ``--components``, ``--field``, ``--seed`` and
+    ``--parseval``; a bad flag raises ``_ConfigError`` or ``ValueError``."""
+    components = _parse_component_triples(args.components)
+    fields = _parse_field(args.field)
+    if len(fields) != 1:
+        raise _ConfigError(f"{command} needs a single field, not 'both'")
+    spec = GenSpec(args.dim, components, fields[0], args.seed)
+    return random_parseval_gfusion(spec) if args.parseval else random_gfusion(spec)
+
+
 def cmd_gen(args) -> int:
     try:
-        components = _parse_component_triples(args.components)
-        fields = _parse_field(args.field)
-        if len(fields) != 1:
-            raise _ConfigError("gen needs a single field, not 'both'")
-        spec = GenSpec(args.dim, components, fields[0], args.seed)
-    except (_ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        frame = random_parseval_gfusion(spec) if args.parseval else random_gfusion(spec)
+        frame = _generated_frame(args, "gen")
     except GenerationFailed as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (_ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -387,12 +397,7 @@ def _demo_frame(args):
         return load_frame(args.frame)
     if not args.random:
         raise _ConfigError("need --frame PATH or --random")
-    components = _parse_component_triples(args.components)
-    fields = _parse_field(args.field)
-    if len(fields) != 1:
-        raise _ConfigError("demo needs a single field, not 'both'")
-    spec = GenSpec(args.dim, components, fields[0], args.seed)
-    return random_parseval_gfusion(spec) if args.parseval else random_gfusion(spec)
+    return _generated_frame(args, "demo")
 
 
 def cmd_demo_reconstruct(args) -> int:
@@ -400,15 +405,14 @@ def cmd_demo_reconstruct(args) -> int:
         if args.tol is None:
             env = _env_tolerance()
             args.tol = 1e-9 if env is None else env
-        if not 0 <= args.tol < math.inf:
-            raise _ConfigError(f"tolerance must be finite and nonnegative, got {args.tol}")
+        _tolerance(args.tol, f"tolerance must be finite and nonnegative, got {args.tol}")
         try:
             frame = _demo_frame(args)
         except (OSError, ValueError, GenerationFailed) as exc:
             raise _ConfigError(f"could not obtain a frame: {exc}")
         if not frame.is_frame:
             raise _ConfigError("frame has no positive lower bound; cannot reconstruct")
-        fld = Field.COMPLEX if np.iscomplexobj(frame.frame_operator) else Field.REAL
+        fld = frame.field
         if args.vector is not None:
             f = _parse_vector(args.vector, fld)
             if f.shape[0] != frame.dim_h:

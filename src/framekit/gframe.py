@@ -7,30 +7,27 @@ the canonical dual and per-index partial-sum terms lazily and cached.
 
 ``GFrame`` and the weighted subspace frame ``gfusion.GFusionFrame`` derive
 from one core, ``_Frame``: it sums the per-index terms into the frame
-operator and its bounds, builds ``analysis`` (a tuple of block images),
-``synthesis`` and the stacked analysis operator from ``blocks``, counts and
+operator and its bounds, builds the stacked analysis operator
+Lambda = [Lambda_1; ...; Lambda_n] once from ``blocks`` (``stack_blocks``,
+read-only), takes ``analysis`` and ``synthesis`` from that stack, counts and
 validates indices, and takes complements and partial sums.  Each class
 keeps its own dual term stack, inverse, canonical dual and ``partial_sum``.
 
-The partition identities are evaluated from stacked analysis operators
-Lambda = [Lambda_1; ...; Lambda_n], built once per frame by
-``stack_blocks`` and kept read-only.  ``subset_sums`` takes, for a vector f
-and the canonical dual stack Gamma, the per-block inner products
-<Gamma_j f, Lambda_j f> from one segmented sum over the block row starts,
-and the truncated images sum_{j in I} Lambda_j* Gamma_j f over a subset and
-its complement from one product of Lambda* with Gamma f masked to the rows
-of each side.  The number of numpy calls per (subset, vector) therefore does
-not grow with n.  ``identity_terms`` turns a (k, V) stack of these sums
-(k subsets, V vectors; 1 x 1 for ``stacked_partition_identity``) into the
-two sides of the identity for any pair of stacks; with the frame's own
-stack as the dual it is the Parseval case.  Weighted subspace frames
-(``gfusion``) use the same helpers with the blocks w_j B_j P_j.
+A subset becomes 0/1 rows over the blocks in one place, ``subset_masks``;
+its complement is one minus them.  ``subset_sums`` takes such a row pair,
+a vector f and the canonical dual stack Gamma, and gives the per-block inner
+products <Gamma_j f, Lambda_j f> summed over each row, from one segmented
+sum over the block row starts, and the truncated images
+sum_{j in I} Lambda_j* Gamma_j f, from one product of Lambda* with Gamma f
+masked to each row.  ``identity_terms`` turns a (k, V) stack of these sums
+(k subsets, V vectors) into the two sides of the identity; with the frame's
+own stack as the dual it is the Parseval case.  Each public per-(subset, f)
+identity evaluates its pair through ``_pair_identity`` as a 1 x 1 stack.
 
 The operator checks take many partial sums at once: each frame keeps the
 per-index terms behind ``partial_sum`` only as a read-only (n, d*d)
-``term_stack``, and ``masked_sums`` turns the 0/1 rows of ``subset_masks``
-into a (k, d, d) stack of partial sums, each equal bit for bit to the
-``partial_sum`` of its subset.
+``term_stack``, and ``masked_sums`` turns 0/1 rows into a (k, d, d) stack
+of partial sums, each equal bit for bit to the ``partial_sum`` of its subset.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ import numpy as np
 from .linops import (
     PARSEVAL_TOL,
     PDTOL,
+    Field,
     ShapeMismatch,
     adjoint,
     as_operator,
@@ -64,7 +62,6 @@ __all__ = [
     "stack_blocks",
     "stacked_image",
     "subset_sums",
-    "stacked_partition_identity",
     "identity_terms",
     "term_stack",
     "subset_masks",
@@ -121,44 +118,22 @@ def stacked_image(stacked: StackedAnalysis, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def subset_sums(frame_stack: StackedAnalysis, dual_stack: StackedAnalysis, subset, f):
+def subset_sums(frame_stack: StackedAnalysis, dual_stack: StackedAnalysis, sides, f):
     """Subset and complement sums of the per-block terms of a vector.
 
-    ``subset`` is a validated tuple of block indices and ``f`` a validated
-    vector.  Returns the sums of <Gamma_j f, Lambda_j f> over the subset and
-    over its complement (shape (2,)), and the truncated images
-    sum_j Lambda_j* Gamma_j f over the same two index sets as the columns of
-    a (dim, 2) array, where Lambda is ``frame_stack`` and Gamma
-    ``dual_stack``.  Raises ``ValueError`` when a stacked image of ``f`` is
-    not finite.
+    ``sides`` is a (2, n) pair of 0/1 rows over the blocks, a subset's row of
+    ``subset_masks`` and its complement, and ``f`` a validated vector.
+    Returns the sums of <Gamma_j f, Lambda_j f> over each row (shape (2,)),
+    and the truncated images sum_j Lambda_j* Gamma_j f over the same two
+    rows as the columns of a (dim, 2) array, where Lambda is ``frame_stack``
+    and Gamma ``dual_stack``.  Raises ``ValueError`` when a stacked image of
+    ``f`` is not finite.
     """
     y = stacked_image(frame_stack, f)
     z = y if dual_stack is frame_stack else stacked_image(dual_stack, f)
     inner_products = np.add.reduceat(y.conj() * z, frame_stack.starts)
-    inside = [0.0] * len(frame_stack.starts)
-    for j in subset:
-        inside[j] = 1.0
-    # 0/1 rows over the blocks: the subset, then its complement
-    sides = np.array((inside, [1.0 - v for v in inside]))
     images = frame_stack.adjoint @ (sides.take(frame_stack.owners, axis=1) * z).T
     return sides @ inner_products, images
-
-
-def stacked_partition_identity(frame_stack, dual_stack, subset, f) -> IdentityTerms:
-    """Subset/complement energy identity from a frame stack and a dual stack.
-
-    lhs sums <Gamma_j f, Lambda_j f> over the subset and subtracts the
-    squared norm of the truncated reconstruction of f; rhs mirrors it over
-    the complement with the conjugated sum.
-    """
-    return _one_pair(identity_terms, *subset_sums(frame_stack, dual_stack, subset, f))
-
-
-def _one_pair(terms_of, sums, images) -> IdentityTerms:
-    """``terms_of`` on one ``subset_sums`` result, as a 1 x 1 stack: the
-    scalars the checks' array expression gives that (subset, vector)."""
-    t = terms_of(sums[None, None], images[None, None])
-    return IdentityTerms(complex(t.lhs[0, 0]), complex(t.rhs[0, 0]), float(t.residual[0, 0]))
 
 
 def _norms_sq(columns: np.ndarray) -> np.ndarray:
@@ -264,6 +239,11 @@ class _Frame:
         return (self.lower_bound, self.upper_bound)
 
     @property
+    def field(self) -> Field:
+        """The scalar field of the frame operator, and so of the frame."""
+        return Field.COMPLEX if np.iscomplexobj(self.frame_operator) else Field.REAL
+
+    @property
     def is_frame(self) -> bool:
         return self.lower_bound > PDTOL
 
@@ -278,20 +258,21 @@ class _Frame:
             )
 
     def analysis(self, f) -> tuple[np.ndarray, ...]:
-        """Block images blocks[j] @ f; ``ValueError`` when one is not finite."""
+        """Block images Lambda_j f, each from its rows of the stacked analysis
+        operator; ``ValueError`` when one is not finite."""
         f = as_vector(f, self.dim_h)
-        return tuple(as_vector(b @ f) for b in self.blocks)
+        stacked = self._stacked_analysis
+        return tuple(as_vector(b @ f) for b in np.split(stacked.matrix, stacked.starts[1:]))
 
     def synthesis(self, g) -> np.ndarray:
-        """Adjoint of analysis: sum of blocks[j]* applied to the j-th block."""
-        blocks = self.blocks
+        """Adjoint of analysis: the sum of Lambda_j* g_j, one product with the
+        adjoint of the stacked analysis operator."""
+        stacked = self._stacked_analysis
         parts = list(g)
-        if len(parts) != len(blocks):
+        if len(parts) != len(self):
             raise ShapeMismatch("block count does not match the frame")
-        out = np.zeros(self.dim_h, dtype=self.dtype)
-        for b, gj in zip(blocks, parts):
-            out = out + adjoint(b) @ as_vector(gj, b.shape[0])
-        return out
+        rows = np.diff(stacked.starts, append=stacked.matrix.shape[0]).tolist()
+        return stacked.adjoint @ np.concatenate([as_vector(gj, r) for gj, r in zip(parts, rows)])
 
     @functools.cached_property
     def _stacked_analysis(self) -> StackedAnalysis:
@@ -388,13 +369,18 @@ class GFrame(_Frame):
         return self._sum_terms(self._dual_term_stack, subset)
 
 
-def _partition_identity(frame: _Frame, subset, f, through_dual: bool) -> IdentityTerms:
-    """The partition identity of either frame kind, through its canonical
-    dual or, for a Parseval frame, through the frame itself."""
+def _pair_identity(frame: _Frame, subset, f, through_dual: bool, terms_of) -> IdentityTerms:
+    """One (subset, vector) pair of an identity: ``terms_of`` on the
+    ``subset_sums`` of the frame's stack with its canonical dual's (or with
+    its own), as a 1 x 1 stack, so it gives the scalars a check's array
+    expression gives that pair.  ``f`` is validated first, then the subset."""
     f = as_vector(f, frame.dim_h)
+    inside = subset_masks(len(frame), [frame._validate_subset(subset)])
     dual = frame.canonical_dual if through_dual else frame
-    js = frame._validate_subset(subset)
-    return stacked_partition_identity(frame._stacked_analysis, dual._stacked_analysis, js, f)
+    sums, images = subset_sums(frame._stacked_analysis, dual._stacked_analysis,
+                               np.concatenate((inside, 1.0 - inside)), f)
+    t = terms_of(sums[None, None], images[None, None])
+    return IdentityTerms(complex(t.lhs[0, 0]), complex(t.rhs[0, 0]), float(t.residual[0, 0]))
 
 
 def partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
@@ -404,7 +390,7 @@ def partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
     norm of the truncated reconstruction of f; rhs mirrors it over the
     complement with conjugated inner products.
     """
-    return _partition_identity(frame, subset, f, True)
+    return _pair_identity(frame, subset, f, True, identity_terms)
 
 
 def parseval_partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
@@ -414,4 +400,4 @@ def parseval_partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
     Parseval frame is the frame itself): block energies minus the squared
     norm of the truncated frame-operator image.
     """
-    return _partition_identity(frame, subset, f, False)
+    return _pair_identity(frame, subset, f, False, identity_terms)

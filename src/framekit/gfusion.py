@@ -7,26 +7,23 @@ orthonormal column bases, never as projection matrices; projections are derived.
 
 A weighted subspace frame is the g-frame with blocks Lambda_j = w_j B_j P_j:
 ``GFusionFrame.blocks`` computes them on access, and the core of
-``gframe.GFrame`` gives ``analysis``, ``synthesis`` and the stack
-[w_1 B_1 P_1; ...; w_n B_n P_n], built once per frame and kept read-only,
-the only copy of the blocks a frame keeps.  The triples stay in frame files,
-LEMMA_L0, and the canonical dual and whitened (Parseval) frames, which are
-the triples composed with S^-1 and S^(-1/2) (``_composed``).  The
+``gframe.GFrame`` keeps the stack [w_1 B_1 P_1; ...; w_n B_n P_n], built
+once per frame and kept read-only, as the only copy of the blocks, and
+gives ``analysis`` and ``synthesis`` from it.  The triples stay in frame
+files, LEMMA_L0, and the canonical dual and whitened (Parseval) frames,
+which are the triples composed with S^-1 and S^(-1/2) (``_composed``).  The
 frame-operator and dual terms stay in triple form, w_j^2 P_j (B_j* B_j) P_j,
 which rounds differently from Lambda_j* Lambda_j.
-``block_energies`` takes all energies weight_j^2 ||block_j P_j f||^2 from
-one product with the stack and one segmented sum over the block row ranges;
-``truncated_images`` takes the subset and complement energies and the
-truncated frame-operator images M_I f = sum_{j in I} Lambda_j* Lambda_j f
-from ``subset_sums``, with no truncated frame operator built.  Both raise the
-same errors as ``analysis``.  The identities take (k, V) stacks of these
-sums over k subsets and V vectors; the per-(subset, f) functions, 1 x 1 ones.
 
-The frame keeps the terms behind ``partial_sum`` and
-``partial_frame_operator`` only as read-only (n, d*d) stacks
-(``_dual_term_stack``, cached, and ``_component_term_stack``, built with
-the frame operator), from which ``gframe.masked_sums`` takes a whole chunk
-of partial sums at once.
+``block_energies`` takes all energies weight_j^2 ||block_j P_j f||^2 from
+one product with the stack and one segmented sum over the block row ranges.
+The identities take (k, V) stacks of ``gframe.subset_sums`` over k subsets
+and V vectors: energies and truncated frame-operator images
+M_I f = sum_{j in I} Lambda_j* Lambda_j f, with no truncated frame operator
+built; the per-(subset, f) functions take 1 x 1 ones.  The frame keeps the
+terms behind ``partial_sum`` and ``partial_frame_operator`` only as
+read-only (n, d*d) stacks, from which ``gframe.masked_sums`` takes a whole
+chunk of partial sums at once.
 """
 
 from __future__ import annotations
@@ -40,10 +37,9 @@ from .gframe import (
     IdentityTerms,
     _Frame,
     _norms_sq,
-    _one_pair,
-    _partition_identity,
+    _pair_identity,
+    identity_terms,
     stacked_image,
-    subset_sums,
     term_stack,
 )
 from .linops import (
@@ -60,7 +56,6 @@ __all__ = [
     "GFusionComponent",
     "GFusionFrame",
     "block_energies",
-    "truncated_images",
     "partition_identity",
     "parseval_partition_identity",
     "whitened_partition_identity",
@@ -201,22 +196,6 @@ def block_energies(frame: GFusionFrame, f) -> np.ndarray:
     return np.add.reduceat((y.conj() * y).real, stacked.starts)
 
 
-def truncated_images(frame: GFusionFrame, subset, f) -> tuple[np.ndarray, np.ndarray]:
-    """Block energies and truncated frame-operator images, subset side first.
-
-    Returns the summed energies weight_j^2 ||block_j P_j f||^2 over the
-    subset and over its complement (shape (2,)), and M_I f and M_K f, the
-    truncated frame operators of the subset and of its complement applied
-    to f, as the columns of a (dim_h, 2) array.  Both come from the stacked
-    analysis operator; ``partial_frame_operator`` is the reference route.
-    """
-    f = as_vector(f, frame.dim_h)
-    js = frame._validate_subset(subset)
-    stacked = frame._stacked_analysis
-    energies, images = subset_sums(stacked, stacked, js, f)
-    return energies.real, images
-
-
 def partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     """Subset/complement energy identity through the canonical dual triple.
 
@@ -224,13 +203,13 @@ def partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     the subset and subtracts the squared norm of the truncated reconstruction
     of f; rhs mirrors it over the complement with conjugated inner products.
     """
-    return _partition_identity(frame, subset, f, True)
+    return _pair_identity(frame, subset, f, True, identity_terms)
 
 
 def parseval_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     """Parseval special case: block energies minus the squared norms of the
     truncated frame-operator images, subset side versus complement side."""
-    return _partition_identity(frame, subset, f, False)
+    return _pair_identity(frame, subset, f, False, identity_terms)
 
 
 def whitened_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
@@ -240,14 +219,15 @@ def whitened_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms
     complement's truncated frame-operator image mapped through the inverse
     square root of the frame operator.
     """
-    e, m = truncated_images(frame, subset, f)
-    return _one_pair(functools.partial(whitened_terms, frame.inverse_sqrt), e, m)
+    return _pair_identity(frame, subset, f, False,
+                          lambda e, m: whitened_terms(frame.inverse_sqrt, e, m))
 
 
 def whitened_terms(r: np.ndarray, energies, images) -> IdentityTerms:
-    """The whitened identity's two sides from a (k, V) stack of the energies
-    and images of ``truncated_images`` (or of ``subset_sums``, whose real
-    parts are the energies), with ``r`` the inverse square root of S."""
+    """The whitened identity's two sides from a (k, V) stack of
+    ``subset_sums`` of the frame's stack with itself: the energies (their
+    real parts) and the images M_I f, M_K f, with ``r`` the inverse square
+    root of S."""
     w = _norms_sq(r @ images)
     lhs = energies[..., 0].real + w[..., 1]
     rhs = energies[..., 1].real + w[..., 0]
@@ -261,9 +241,8 @@ def frame_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     Each side subtracts from the subset's block energy the full dual analysis
     energy of the truncated frame-operator image of f.
     """
-    e, m = truncated_images(frame, subset, f)
-    dual = frame.canonical_dual._stacked_analysis
-    return _one_pair(functools.partial(dual_energy_terms, dual), e, m)
+    return _pair_identity(frame, subset, f, False, lambda e, m: dual_energy_terms(
+        frame.canonical_dual._stacked_analysis, e, m))
 
 
 def dual_energy_terms(dual_stack, energies, images) -> IdentityTerms:

@@ -7,25 +7,26 @@ an overall verdict.  Probe checks record counterexample witnesses without
 affecting the verdict.
 
 Every check takes its subsets in chunks of at most ``_CHUNK_ENTRIES``
-matrix entries, through one contract: its entry in ``_EVALUATORS`` takes a
-chunk context (``_Chunk``: the frame, the chunk's validated subsets and the
-sample vectors) and returns the chunk's residual and margin rows.
-``run_suite`` walks instance -> chunk -> check: it validates an
-instance's subsets once, cuts them into chunks, and hands each chunk's one
-context to every check in turn.  What several checks read (the
-``subset_sums`` of each (subset, vector), as (k, V, ...) arrays over the
-chunk's k subsets and V vectors, the subset masks, the partial sums and
-their products, COR2_SANDWICH's margins for THM38_I) is computed once per
-chunk, on first read, by the expression a single check would use, so
-sharing changes no bit of a report.  A check that takes no subsets
-(EQ4_RECON, EQ5_DUAL_RECON, EQ6_QUADFORM, LEMMA_L0) gets the one chunk
-[None].  ``run_check`` builds one context per chunk for its one check, and
-a single subset is a chunk of one.  The eight operator checks evaluate a
-chunk at once: partial sums from the masks over the frame's term stacks,
-then one stacked ``linops`` call for the margins, spectra or complement
-residuals.  The eleven per-vector checks are each one array expression over
-the chunk; the identity functions of ``gframe`` and ``gfusion`` use the
-same expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
+matrix entries, through one contract: its entry in ``_EVALUATORS``, the one
+table from check id to evaluator, takes a chunk context (``_Chunk``: the
+frame, the chunk's validated subsets and the sample vectors) and returns
+the chunk's residual and margin rows.  ``run_suite`` walks instance ->
+chunk -> check: it validates an instance's subsets once, cuts them into
+chunks, and hands each chunk's one context to every check in turn.  What
+several checks read is computed once per chunk, on first read, by the
+expression a single check would use, so sharing changes no bit of a
+report: the 0/1 rows [K, 1 - K] of the chunk's subsets and their
+complements, the ``subset_sums`` of each (subset, vector) as (k, V, ...)
+arrays over the chunk's k subsets and V vectors, the partial sums and their
+products, and COR2_SANDWICH's margins for THM38_I.  A check that takes no
+subsets (EQ4_RECON, EQ5_DUAL_RECON, EQ6_QUADFORM, LEMMA_L0) gets the one
+chunk [None].  ``run_check`` builds one context per chunk for its one
+check, and a single subset is a chunk of one.  The eight operator checks
+take partial sums from the rows over the frame's term stacks, then one
+stacked ``linops`` call for the margins, spectra or complement residuals.
+The eleven per-vector checks are each one array expression over the chunk;
+the identity functions of ``gframe`` and ``gfusion`` use the same
+expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
 ``inapplicable`` is the one rule for which checks apply to which frame.
 
 Normalization conventions (so a single pair of tolerances applies):
@@ -212,10 +213,6 @@ class CheckResult:
     stats: dict | None = None
 
 
-def _norm_sq(f) -> float:
-    return float(np.vdot(f, f).real)
-
-
 def _json_vector(f: np.ndarray) -> list:
     if np.iscomplexobj(f):
         return [[float(z.real), float(z.imag)] for z in f]
@@ -238,11 +235,11 @@ class _Chunk:
     none) and ``vectors`` the sample vectors as given.  Every other member
     is computed on first read, by the expression a single check would use,
     and then read by every check of the chunk: the validated vectors, their
-    squared norms, the ``subset_sums`` of each (subset, vector) over the
-    frame's own stack and over the stack and its canonical dual, the 0/1
-    subset masks, the partial sums P, Q = P_{I^c}, M and M' = M_{I^c} with
-    the products P P, M S^-1 M and M' S^-1 M', and COR2_SANDWICH's margins,
-    which THM38_I reads too.
+    squared norms, the 0/1 rows of the subsets and of their complements, the
+    ``subset_sums`` of each (subset, vector) over the frame's own stack and
+    over the stack and its canonical dual, the partial sums P, Q = P_{I^c},
+    M and M' = M_{I^c} with the products P P, M S^-1 M and M' S^-1 M', and
+    COR2_SANDWICH's margins, which THM38_I reads too.
     """
 
     def __init__(self, frame, subsets, vectors):
@@ -257,12 +254,19 @@ class _Chunk:
     @functools.cached_property
     def norms_sq(self) -> np.ndarray:
         """||f||^2 of each validated vector, shape (V,)."""
-        return np.array([_norm_sq(f) for f in self.valid_vectors])
+        return np.array([np.vdot(f, f).real for f in self.valid_vectors])
+
+    @functools.cached_property
+    def sides(self) -> np.ndarray:
+        """[K, 1 - K], shape (2, k, n): the chunk's 0/1 subset rows of
+        ``subset_masks`` and their complements."""
+        masks = gf.subset_masks(len(self.frame), self.subsets)
+        return np.stack((masks, 1.0 - masks))
 
     def _sums(self, dual) -> tuple[np.ndarray, np.ndarray]:
         stack, dual_stack = self.frame._stacked_analysis, dual._stacked_analysis
-        pairs = [gf.subset_sums(stack, dual_stack, js, f)
-                 for js in self.subsets for f in self.valid_vectors]
+        pairs = [gf.subset_sums(stack, dual_stack, self.sides[:, i], f)
+                 for i in range(len(self.subsets)) for f in self.valid_vectors]
         k, v = len(self.subsets), len(self.valid_vectors)
         return tuple(np.array(side).reshape(k, v, *side[0].shape) for side in zip(*pairs))
 
@@ -279,16 +283,12 @@ class _Chunk:
         return self._sums(self.frame.canonical_dual)
 
     @functools.cached_property
-    def masks(self) -> np.ndarray:
-        return gf.subset_masks(len(self.frame), self.subsets)
-
-    @functools.cached_property
     def p(self) -> np.ndarray:
-        return gf.masked_sums(self.frame._dual_term_stack, self.masks)
+        return gf.masked_sums(self.frame._dual_term_stack, self.sides[0])
 
     @functools.cached_property
     def q(self) -> np.ndarray:
-        return gf.masked_sums(self.frame._dual_term_stack, 1.0 - self.masks)
+        return gf.masked_sums(self.frame._dual_term_stack, self.sides[1])
 
     @functools.cached_property
     def p_sq(self) -> np.ndarray:
@@ -296,11 +296,11 @@ class _Chunk:
 
     @functools.cached_property
     def m(self) -> np.ndarray:
-        return gf.masked_sums(self.frame._component_term_stack, self.masks)
+        return gf.masked_sums(self.frame._component_term_stack, self.sides[0])
 
     @functools.cached_property
     def m_c(self) -> np.ndarray:
-        return gf.masked_sums(self.frame._component_term_stack, 1.0 - self.masks)
+        return gf.masked_sums(self.frame._component_term_stack, self.sides[1])
 
     @functools.cached_property
     def m_si_m(self) -> np.ndarray:
@@ -322,29 +322,14 @@ def _per_norm(values, norms):
     return np.divide(values, norms, out=np.zeros(np.shape(values)), where=norms != 0.0)
 
 
-def _identity_residuals(terms, chunk):
+def _identity_residuals(t, chunk):
     """Normalized |lhs - rhs| and |Im(lhs - rhs)| per (subset, vector), from
-    the (k, V) ``IdentityTerms`` stack ``terms(chunk)``."""
-    t = terms(chunk)
+    the chunk's (k, V) ``IdentityTerms`` stack ``t``."""
     scales = np.maximum(1.0, chunk.norms_sq)
     r = t.residual / scales
     imag = np.abs(np.imag(t.lhs - t.rhs)) / scales
     rows = np.stack([r, imag], axis=-1).reshape(len(chunk.subsets), -1)
     return rows, None, None, r.argmax(axis=1)
-
-
-# The identity checks: check id -> the (k, V) ``IdentityTerms`` stack of a
-# chunk, from its shared sums by the expression its module function
-# (``gframe.partition_identity`` and the like) uses on one pair.
-_IDENTITIES = {
-    CheckId.THM_T1: lambda c: gf.identity_terms(*c.dual_sums),
-    CheckId.FAMOUS_PARSEVAL: lambda c: gf.identity_terms(*c.own_sums),
-    CheckId.THM_TG1: lambda c: gf.identity_terms(*c.dual_sums),
-    CheckId.COR1_IDENTITY: lambda c: gf.identity_terms(*c.own_sums),
-    CheckId.THM_T33: lambda c: gfu.whitened_terms(c.frame.inverse_sqrt, *c.own_sums),
-    CheckId.THM_FINAL_MI: lambda c: gfu.dual_energy_terms(
-        c.frame.canonical_dual._stacked_analysis, *c.own_sums),
-}
 
 
 def _margins_of(lm, scale=1.0):
@@ -440,9 +425,18 @@ def _lemma_l2(chunk):
     return complement_identity_residual(chunk.p)[:, None], None, None, None
 
 
+# The identity checks take their (k, V) ``IdentityTerms`` stack from the
+# chunk's shared sums, by the expression their module function
+# (``gframe.partition_identity`` and the like) uses on one pair.
 _EVALUATORS = {
-    **{check: functools.partial(_identity_residuals, terms)
-       for check, terms in _IDENTITIES.items()},
+    CheckId.THM_T1: lambda c: _identity_residuals(gf.identity_terms(*c.dual_sums), c),
+    CheckId.FAMOUS_PARSEVAL: lambda c: _identity_residuals(gf.identity_terms(*c.own_sums), c),
+    CheckId.THM_TG1: lambda c: _identity_residuals(gf.identity_terms(*c.dual_sums), c),
+    CheckId.COR1_IDENTITY: lambda c: _identity_residuals(gf.identity_terms(*c.own_sums), c),
+    CheckId.THM_T33: lambda c: _identity_residuals(
+        gfu.whitened_terms(c.frame.inverse_sqrt, *c.own_sums), c),
+    CheckId.THM_FINAL_MI: lambda c: _identity_residuals(
+        gfu.dual_energy_terms(c.frame.canonical_dual._stacked_analysis, *c.own_sums), c),
     CheckId.COR1_34BOUND: functools.partial(_pointwise_bound, False),
     CheckId.COR_34_SINV: functools.partial(_pointwise_bound, True),
     CheckId.EQ4_RECON: functools.partial(_reconstruction, _operator_maps),
@@ -565,10 +559,6 @@ class FrameInstance:
     frame: object
 
 
-def _default_checks() -> tuple[CheckId, ...]:
-    return tuple(CheckId)
-
-
 @dataclass(frozen=True)
 class SuitePlan:
     """Sweep description: instance grid, sampling policy, and tolerances."""
@@ -579,7 +569,7 @@ class SuitePlan:
     components: int = 4
     vectors_per_instance: int = 8
     weight_range: tuple[float, float] = (0.5, 2.0)
-    checks: tuple[CheckId, ...] = field(default_factory=_default_checks)
+    checks: tuple[CheckId, ...] = tuple(CheckId)
     tol: Tolerances = field(default_factory=Tolerances)
     exhaustive_subset_limit: int = 12
     subset_samples: int = 256
@@ -781,17 +771,8 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
     """
     start = time.perf_counter()
     if frame is not None:
-        instances = [
-            FrameInstance(
-                frame_kind(frame),
-                frame.is_parseval,
-                frame.dim_h,
-                Field.COMPLEX if np.iscomplexobj(frame.frame_operator) else Field.REAL,
-                None,
-                plan.frame_path or "loaded-frame",
-                frame,
-            )
-        ]
+        instances = [FrameInstance(frame_kind(frame), frame.is_parseval, frame.dim_h, frame.field,
+                                   None, plan.frame_path or "loaded-frame", frame)]
     else:
         instances = build_instances(plan)
     summaries: dict[CheckId, CheckSummary] = {}

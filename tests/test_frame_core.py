@@ -182,6 +182,26 @@ class TestSharedCore:
             _make(kind, [1e154 * np.eye(2)] * 2)
 
 
+def test_analysis_and_synthesis_read_the_cached_stack(monkeypatch):
+    # GFusionFrame.blocks computes w_j B_j P_j on each access; once the stack
+    # is cached, analysis and synthesis read only the stack
+    frame = _random_gfusion(3, _SHAPES, Field.COMPLEX, 1)
+    stacked = frame.analysis_matrix()
+    reads = []
+    blocks = GFusionFrame.blocks
+
+    def counting(self):
+        reads.append(self)
+        return blocks.fget(self)
+
+    monkeypatch.setattr(GFusionFrame, "blocks", property(counting))
+    x = np.arange(1.0, 4.0)
+    images = frame.analysis(x)
+    assert np.allclose(np.concatenate(images), stacked @ x, atol=1e-12)
+    assert np.allclose(frame.synthesis(images), frame.frame_operator @ x, atol=1e-12)
+    assert reads == []
+
+
 def _gfusion_spec(seed):
     comps = tuple(ComponentSpec(1 + (i % 3), 1 + ((i + 1) % 3), 0.5, 2.0) for i in range(3))
     return GenSpec(3, comps, Field.COMPLEX, seed)

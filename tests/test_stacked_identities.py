@@ -211,8 +211,12 @@ class TestStackedMatchesReference:
         f = 3.0 * random_vector(dim, vector_field, substream(seed, 45))
         subset = _subset(bits, len(shapes))
         _assert_routes_agree(GFUSION_ROUTES, frame, subset, f)
-        energies, images = gfusion.truncated_images(frame, subset, f)
+        # the sums behind the three identities on M_I f, with no truncated
+        # frame operator built
         js, ks = _split(frame, subset, f)
+        stack = frame._stacked_analysis
+        inside = gframe.subset_masks(len(frame), [js])
+        energies, images = gframe.subset_sums(stack, stack, np.concatenate((inside, 1.0 - inside)), f)
         scale = max(1.0, np.vdot(f, f).real)
         for side, ids in enumerate((js, ks)):
             assert abs(energies[side] - _energy(frame, ids, f)) <= TOL * scale
@@ -258,8 +262,9 @@ class TestErrorParity:
         huge = GFusionFrame([(np.eye(2), np.ones((2, 2)), 1e150)])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             gfusion.parseval_partition_identity(huge, [0], np.full(2, 1e300))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            gfusion.truncated_images(huge, [], np.full(2, 1e300))
+        for identity in (gfusion.whitened_partition_identity, gfusion.frame_partition_identity):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+                identity(huge, [], np.full(2, 1e300))
 
 
 class TestNoTruncatedFrameOperators:
@@ -280,7 +285,6 @@ class TestNoTruncatedFrameOperators:
             for f in vectors:
                 for stacked, _ in GFUSION_ROUTES:
                     stacked(frame, subset, f)
-                gfusion.truncated_images(frame, subset, f)
             for check in ("COR1_34BOUND", "COR_34_SINV"):
                 assert run_check(check, frame, subset, vectors).passed
         assert calls == []

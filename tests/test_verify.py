@@ -356,7 +356,7 @@ class TestSharedChunk:
         for instance in two_chunk_instances:
             calls.clear()
             run_suite(SuitePlan(), frame=instance.frame)
-            keys = [(id(a), id(b), js, f.tobytes()) for a, b, js, f in calls]
+            keys = [(id(a), id(b), sides.tobytes(), f.tobytes()) for a, b, sides, f in calls]
             assert len(set(keys)) == len(keys)
             # the dual pair, and the frame's own stack twice for all but a
             # general g-frame, which has no check through its own stack
@@ -398,17 +398,30 @@ class TestSharedChunk:
                                                                CheckId.THM38_I))
         assert {**cor2, "id": None} == {**thm38, "id": None}
 
-    def test_no_masks_for_per_vector_checks(self, monkeypatch):
+    @pytest.mark.parametrize("checks", [
+        VECTOR_CHECKS,
+        (CheckId.THM_T1, CheckId.LEMMA_L2),
+        tuple(CheckId),
+        (CheckId.EQ4_RECON, CheckId.LEMMA_L0),
+    ], ids=["per-vector", "mixed", "all", "no-subsets"])
+    def test_one_subset_masks_per_chunk_that_takes_subsets(self, monkeypatch,
+                                                          two_chunk_instances, checks):
+        # the chunk's [K, 1 - K] rows feed its subset sums and partial sums alike
         import framekit.gframe as gframe
 
         masks = _recording(monkeypatch, gframe, "subset_masks")
-        plan = SuitePlan(dims=(2, 8), seeds=(0,), checks=VECTOR_CHECKS)
-        assert run_suite(plan).overall_pass
-        assert masks == []
-        run_suite(SuitePlan(dims=(2,), seeds=(0,), checks=VECTOR_CHECKS + (CheckId.LEMMA_L2,)))
-        # one chunk on each of the eight instances
-        assert len(masks) == 8
-
+        for instance in two_chunk_instances:
+            masks.clear()
+            applicable = [c for c in checks if inapplicable(CATALOG[c], instance.frame) is None]
+            if not applicable:
+                continue
+            run_suite(SuitePlan(checks=tuple(applicable)), frame=instance.frame)
+            chunks = self.CHUNKS if any(CATALOG[c].subsets for c in applicable) else 0
+            assert len(masks) == chunks, instance.label
+        masks.clear()
+        assert run_suite(SuitePlan(dims=(2, 8), seeds=(0,), checks=VECTOR_CHECKS)).overall_pass
+        # one chunk on each of the sixteen instances
+        assert len(masks) == 16
 
     def test_one_identity_expression_per_chunk_and_check(self, monkeypatch,
                                                          two_chunk_instances):

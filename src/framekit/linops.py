@@ -17,9 +17,11 @@ inconclusive, so every verdict is the one the spectral test gives.
 ``loewner_check``, ``operator_norm`` and ``complement_identity_residual``
 also take a (k, d, d) stack of operators and return one value per matrix.
 The Hermitian gate then runs per matrix, certificate first, with the
-spectral fallback on just the matrices it leaves open, and the margins come
-from one batched ``eigvalsh`` per bound side.  Each matrix of a stack gets
-the same arithmetic, and so the same result, as it would on its own.
+spectral fallback on just the matrices it leaves open.  The margins come
+from one batched ``eigvalsh`` per bound side, or from one in all when both
+bounds are multiples of the identity: then the smallest and the largest
+eigenvalue of T give both.  Each matrix of a stack gets the same
+arithmetic, and so the same result, as it would on its own.
 """
 
 from __future__ import annotations
@@ -335,14 +337,14 @@ def _as_operators(a) -> np.ndarray:
 
 
 def _as_bound(x, like: np.ndarray) -> tuple[np.ndarray, float | None]:
-    """The bound as an operator, and its norm |c| when it is a scalar c."""
+    """The bound as an operator, and the real scalar c when it is c*I."""
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
         z = complex(x)
         if z.imag != 0.0:
             raise NotHermitian(f"scalar bound {z!r} is not real")
         if not math.isfinite(z.real):
             raise ValueError(f"scalar bound {z.real!r} is not finite")
-        return z.real * identity_like(like), abs(z.real)
+        return z.real * identity_like(like), z.real
     return _as_operators(x), None
 
 
@@ -351,29 +353,37 @@ def loewner_check(t, lower, upper, tol: float) -> LoewnerMargin:
 
     ``lower``/``upper`` may be operators or scalars (taken as multiples of
     the identity).  Margins are the smallest eigenvalues of T - L and U - T;
-    the verdict passes iff both are >= -tol.  Hermitian symmetry of the
-    inputs is gated relative to the largest operand norm so that nearly-zero
-    operands do not trip a relative test against their own size.
+    the verdict passes iff both are >= -tol.  When both bounds are scalars
+    a and b, one spectrum of T gives them as lambda_min(T) - a and
+    b - lambda_max(T).  Hermitian symmetry of the inputs is gated relative
+    to the largest operand norm so that nearly-zero operands do not trip a
+    relative test against their own size.
 
     ``t`` may also be a (k, d, d) stack, each bound then a scalar, one
     operator or a stack of the same shape.  The margins and verdicts come
-    back as length-k arrays, from one ``eigvalsh`` call per side, and
-    ``NotHermitian`` is raised when any matrix fails the gate.
+    back as length-k arrays, from one ``eigvalsh`` call per side (one in
+    all for two scalar bounds), and ``NotHermitian`` is raised when any
+    matrix fails the gate.
     """
     t = _as_operators(t)
     if t.shape[-2] != t.shape[-1]:
         raise ShapeMismatch(f"expected a square operator, got shape {t.shape}")
-    (lo, lo_norm), (up, up_norm) = _as_bound(lower, t), _as_bound(upper, t)
+    (lo, lo_c), (up, up_c) = _as_bound(lower, t), _as_bound(upper, t)
     if any(x.shape not in (t.shape, t.shape[-2:]) for x in (lo, up)):
         raise ShapeMismatch("interval operands must share the operator's shape")
     # a scalar bound c*I is exactly Hermitian with norm |c|, so it enters
     # the gate through the floor alone
-    floor = max([1.0] + [n for n in (lo_norm, up_norm) if n is not None])
-    operands = [t] + [x for x, n in ((lo, lo_norm), (up, up_norm)) if n is None]
+    floor = max([1.0] + [abs(c) for c in (lo_c, up_c) if c is not None])
+    operands = [t] + [x for x, c in ((lo, lo_c), (up, up_c)) if c is None]
     if not _norms_within([x - adjoint(x) for x in operands], HTOL, floor, operands).all():
         raise NotHermitian("interval operands must be Hermitian within tolerance")
-    lower_margin = np.linalg.eigvalsh(symmetrize(t - lo))[..., 0]
-    upper_margin = np.linalg.eigvalsh(symmetrize(up - t))[..., 0]
+    if lo_c is not None and up_c is not None:
+        # bounds a*I and b*I: one spectrum gives lambda_min(T) - a and b - lambda_max(T)
+        w = np.linalg.eigvalsh(symmetrize(t))
+        lower_margin, upper_margin = w[..., 0] - lo_c, up_c - w[..., -1]
+    else:
+        lower_margin = np.linalg.eigvalsh(symmetrize(t - lo))[..., 0]
+        upper_margin = np.linalg.eigvalsh(symmetrize(up - t))[..., 0]
     passed = (lower_margin >= -tol) & (upper_margin >= -tol)
     if t.ndim == 2:
         return LoewnerMargin(float(lower_margin), float(upper_margin), bool(passed))

@@ -7,26 +7,27 @@ an overall verdict.  Probe checks record counterexample witnesses without
 affecting the verdict.
 
 Every check takes its subsets in chunks of at most ``_CHUNK_ENTRIES``
-matrix entries, through one contract: its entry in ``_EVALUATORS``, the one
-table from check id to evaluator, takes a chunk context (``_Chunk``: the
-frame, the chunk's validated subsets and the sample vectors) and returns
-the chunk's residual and margin rows.  ``run_suite`` walks instance ->
-chunk -> check: it validates an instance's subsets once, cuts them into
-chunks, and hands each chunk's one context to every check in turn.  What
-several checks read is computed once per chunk, on first read, by the
-expression a single check would use, so sharing changes no bit of a
-report: the 0/1 rows [K, 1 - K] of the chunk's subsets and their
-complements, the ``subset_sums`` of each (subset, vector) as (k, V, ...)
-arrays over the chunk's k subsets and V vectors, the partial sums and their
-products, and COR2_SANDWICH's margins for THM38_I.  A check that takes no
-subsets (EQ4_RECON, EQ5_DUAL_RECON, EQ6_QUADFORM, LEMMA_L0) gets the one
-chunk [None].  ``run_check`` builds one context per chunk for its one
-check, and a single subset is a chunk of one.  The eight operator checks
-take partial sums from the rows over the frame's term stacks, then one
-stacked ``linops`` call for the margins, spectra or complement residuals.
-The eleven per-vector checks are each one array expression over the chunk;
-the identity functions of ``gframe`` and ``gfusion`` use the same
-expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
+matrix entries (64 subsets at d = 8), but of no fewer than
+``_CHUNK_SUBSETS`` subsets (4 at d = 32 and d = 64), through one contract:
+its entry in ``_EVALUATORS``, the one table from check id to evaluator,
+takes a chunk context (``_Chunk``: the frame, the chunk's validated subsets
+and the sample vectors) and returns the chunk's residual and margin rows.
+``run_suite`` walks instance -> chunk -> check: it validates an instance's
+subsets once, cuts them into chunks, and hands each chunk's one context to
+every check in turn.  What several checks read is computed once per chunk,
+on first read, by the expression a single check would use, so sharing
+changes no bit of a report: the 0/1 rows [K, 1 - K] of the chunk's subsets
+and their complements, the ``subset_sums`` of each (subset, vector) as
+(k, V, ...) arrays over the chunk's k subsets and V vectors, the partial
+sums and their products, and COR2_SANDWICH's margins for THM38_I.  A check
+that takes no subsets (EQ4_RECON, EQ5_DUAL_RECON, EQ6_QUADFORM, LEMMA_L0)
+gets the one chunk [None].  ``run_check`` builds one context per chunk for
+its one check, and a single subset is a chunk of one.  The eight operator
+checks take partial sums from the rows over the frame's term stacks, then
+one stacked ``linops`` call for the margins, spectra or complement
+residuals.  The eleven per-vector checks are each one array expression over
+the chunk; the identity functions of ``gframe`` and ``gfusion`` use the
+same expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
 ``inapplicable`` is the one rule for which checks apply to which frame.
 
 Normalization conventions (so a single pair of tolerances applies):
@@ -223,9 +224,14 @@ def _json_vector(f: np.ndarray) -> list:
 # (residuals, margins, stats, worst): (k, r) and (k, m) arrays, a dict of
 # length-k arrays and each row's index into the chunk's vectors of its worst
 # vector (the first, where tied), each None where the check has none.  A
-# chunk holds at most this many matrix entries: 64 subsets at d = 8, one at
-# d = 64.  Larger chunks gain no speed and raise peak memory.
+# chunk holds at most this many matrix entries, 64 subsets at d = 8, but
+# never fewer than _CHUNK_SUBSETS subsets: 4 at d = 32 and at d = 64.  Up to
+# d = 32 larger chunks gain no speed and raise peak memory; at d = 64 a
+# chunk of one pays the chunk's fixed cost per subset, and chunks of 16 were
+# no faster than chunks of 4 but raised the peak allocation of one pass over
+# a complex dim-64 frame from about 5 to 14 MiB.
 _CHUNK_ENTRIES = 4096
+_CHUNK_SUBSETS = 4
 
 
 class _Chunk:
@@ -455,8 +461,9 @@ _EVALUATORS = {
 
 
 def _chunks(subsets, dim: int) -> list:
-    """Consecutive runs of at most ``_CHUNK_ENTRIES // dim**2`` subsets (at least one)."""
-    size = max(1, _CHUNK_ENTRIES // dim**2)
+    """Consecutive runs of ``max(_CHUNK_SUBSETS, _CHUNK_ENTRIES // dim**2)``
+    subsets (the last may be shorter)."""
+    size = max(_CHUNK_SUBSETS, _CHUNK_ENTRIES // dim**2)
     return [subsets[start:start + size] for start in range(0, len(subsets), size)]
 
 

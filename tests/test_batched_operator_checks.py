@@ -16,6 +16,7 @@ witnesses and their worst vectors included.
 """
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from hypothesis import strategies as st
 from framekit import (
     CATALOG,
     CheckId,
+    ComponentSpec,
     Field,
     GFrame,
     GFusionFrame,
+    GenSpec,
     HTOL,
     NotHermitian,
     SuitePlan,
@@ -35,7 +38,9 @@ from framekit import (
     complement_identity_residual,
     loewner_check,
     operator_norm,
+    random_gfusion,
     random_parseval_gframe,
+    random_parseval_gfusion,
     run_check,
     run_suite,
     sample_vectors,
@@ -245,9 +250,26 @@ def wide_parseval():
     return frame.parsevalize()
 
 
+# the components of the dim-64 frames the large-frames benchmark generates
+LARGE_COMPONENTS = (ComponentSpec(64, 64, 1.0, 1.0), ComponentSpec(48, 40, 1.5, 1.5),
+                    ComponentSpec(32, 64, 0.75, 0.75), ComponentSpec(16, 8, 2.0, 2.0))
+
+
+def _large_frame(field, parseval):
+    spec = GenSpec(64, LARGE_COMPONENTS, field, 3)
+    return random_parseval_gfusion(spec) if parseval else random_gfusion(spec)
+
+
 class TestChunks:
     def test_chunk_budget(self):
-        assert verify._CHUNK_ENTRIES == 4096
+        assert (verify._CHUNK_ENTRIES, verify._CHUNK_SUBSETS) == (4096, 4)
+        # 4096 matrix entries a chunk up to d = 32, and never fewer than 4 subsets
+        subsets = list(range(5000))
+        sizes = {d: [len(c) for c in verify._chunks(subsets, d)] for d in (1, 2, 8, 32, 33, 64)}
+        assert {d: s[0] for d, s in sizes.items()} == {1: 4096, 2: 1024, 8: 64, 32: 4, 33: 4,
+                                                       64: 4}
+        assert all(sum(s) == 5000 for s in sizes.values())
+        assert sizes[64][-1] == 4 and sizes[1][-1] == 5000 - 4096
 
     @pytest.mark.parametrize("count", [1, 63, 64, 65])
     def test_chunk_boundaries(self, wide_parseval, count):
@@ -264,14 +286,66 @@ class TestChunks:
         # THM38_II: 64 chunks of 64 subsets at d = 8
         assert shapes == [(64, 8, 8)] * 64
 
-    def test_dim_64_runs_chunks_of_one(self, monkeypatch):
+    def test_dim_64_runs_chunks_of_four(self, monkeypatch):
         frame = _random_gfusion(64, [(64, 64), (48, 40), (32, 64), (16, 8)], Field.REAL, 2)
         assert _well_conditioned(frame)
         subsets = _all_subsets(4)
         shapes = _record_stack_shapes(monkeypatch)
-        _run_and_compare(GENERAL_CHECKS, frame, subsets[:4] + subsets[-2:])
-        # COR3_SANDWICH and the two COR39 checks: one matrix per chunk
-        assert shapes == [(1, 64, 64)] * (3 * 6 + 3 * 6)
+        _run_and_compare(GENERAL_CHECKS, frame, subsets[:4] + subsets[-3:])
+        # COR3_SANDWICH and the two COR39 checks: chunks of 4 and 3 subsets,
+        # then one chunk per subset
+        assert shapes == ([(4, 64, 64), (3, 64, 64)] + [(1, 64, 64)] * 7) * 3
+
+    @pytest.mark.parametrize("parseval", [False, True], ids=["general", "parseval"])
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+    def test_dim_64_summaries_equal_a_fold_of_single_subsets(self, monkeypatch, field, parseval):
+        # 16 subsets in 4 chunks of 4; each check subset by subset through
+        # run_check must fold into the same summary, field for field, and
+        # zero tolerances make every margin and residual a witness
+        frame = _large_frame(field, parseval)
+        assert frame.is_parseval == parseval
+        plan = SuitePlan(tol=Tolerances(0.0, 0.0), witness_limit=3)
+        shapes = _record_stack_shapes(monkeypatch)
+        report = run_suite(plan, frame=frame)
+        loewner = [c for c in LOEWNER_CHECKS if c in plan.checks and c != CheckId.THM38_I
+                   and inapplicable(CATALOG[c], frame) is None]
+        assert len(loewner) == (5 if parseval else 3)
+        assert shapes == [(4, 64, 64)] * (4 * len(loewner))
+        instance = verify.FrameInstance("gfusion", parseval, 64, field, None, "loaded-frame", frame)
+        vectors = sample_vectors(64, field, 0, plan.vectors_per_instance)
+        subsets = subsets_for(4, plan, 0)
+        assert len(subsets) == 16
+        checked = 0
+        for check in plan.checks:
+            info = CATALOG[check]
+            if inapplicable(info, frame) is not None:
+                continue
+            want = verify.CheckSummary(check)
+            want.instances = 1
+            if info.subsets:
+                results = [run_check(check, frame, s, vectors, plan.tol) for s in subsets]
+            else:
+                results = [run_check(check, frame, None, vectors, plan.tol)]
+            for result in results:
+                want.add(result, instance, plan.witness_limit)
+            assert report.summary(check).to_dict() == want.to_dict(), check
+            checked += 1
+        assert checked == len(report.checks)
+        assert any(s.witness_count > plan.witness_limit for s in report.checks)
+
+    def test_dim_64_peak_allocation(self):
+        # one pass over the complex Parseval large frame allocates about
+        # 3 MiB with chunks of one subset, 5 MiB with chunks of 4 and 14 MiB
+        # with chunks of 16 (tracemalloc): a larger chunk floor at d = 64
+        # shows here before it shows in the benchmark's peak memory
+        frame = _large_frame(Field.COMPLEX, True)
+        tracemalloc.start()
+        try:
+            assert run_suite(SuitePlan(), frame=frame).overall_pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 def _record_stack_shapes(monkeypatch):
@@ -500,9 +574,11 @@ class TestCallCounts:
         # n = 7 gives 128 subsets: one chunk at d = 2, two at d = 8
         plan = SuitePlan(dims=(dim,), seeds=(0,), components=7, checks=OPERATOR_CHECKS)
         report = run_suite(plan)
-        # THM38_I reads the margins COR2_SANDWICH takes of the same operand
-        want = sum(2 * chunks * report.summary(c).instances for c in LOEWNER_CHECKS
-                   if c != CheckId.THM38_I)
+        # THM38_I reads the margins COR2_SANDWICH takes of the same operand;
+        # its scalar bounds and THM38_II's take one spectrum for both sides
+        sides = {CheckId.COR2_SANDWICH: 1, CheckId.THM38_I: 0, CheckId.THM38_II: 1}
+        want = sum(sides.get(c, 2) * chunks * report.summary(c).instances
+                   for c in LOEWNER_CHECKS)
         assert report.summary(CheckId.COR2_SANDWICH).evaluations == 2 * 128 * report.summary(
             CheckId.COR2_SANDWICH).instances
         assert eigvalsh_calls[0] == want

@@ -234,6 +234,90 @@ class TestLoewnerCheck:
         assert lm.upper_margin == pytest.approx(0.25, abs=1e-14)
 
 
+def _hermitian_stack(k, dim, field, rng, scale=1.0):
+    g = np.stack([random_operator(dim, dim, field, rng) for _ in range(k)])
+    return scale * (g + adjoint(g)) / 2
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Record the shape of every ``np.linalg.eigvalsh`` operand."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return calls
+
+
+class TestScalarBounds:
+    """Bounds a*I and b*I take both margins from one spectrum of T."""
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("lower, upper, calls", [
+        ("scalar", "scalar", 1), ("operator", "scalar", 2), ("scalar", "operator", 2),
+        ("operator", "operator", 2)])
+    def test_one_eigvalsh_per_stack_for_two_scalar_bounds(self, eigvalsh_calls, k, lower,
+                                                          upper, calls):
+        t = _hermitian_stack(k or 1, 6, Field.COMPLEX, substream(7, 36), 0.1)
+        if k is None:
+            t = t[0]
+        bounds = {"lower": -2.0, "upper": 2.0}
+        for side, kind in (("lower", lower), ("upper", upper)):
+            if kind == "operator":
+                bounds[side] = bounds[side] * np.eye(6)
+        lm = loewner_check(t, bounds["lower"], bounds["upper"], tol=0.0)
+        assert np.all(lm.passed)
+        assert eigvalsh_calls == [t.shape] * calls
+
+    @example(dim=64, k=3, field=Field.COMPLEX, seed=0, log_scale=2.0, a=-1.5, b=1.5)
+    @example(dim=1, k=1, field=Field.REAL, seed=1, log_scale=-3.0, a=0.0, b=0.25)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 64), k=st.integers(1, 3), field=st.sampled_from(list(Field)),
+           seed=st.integers(0, 10_000), log_scale=st.floats(-3.0, 3.0),
+           a=st.floats(-1.5, 1.5), b=st.floats(-1.5, 1.5))
+    def test_matches_the_two_call_route(self, dim, k, field, seed, log_scale, a, b):
+        t = _hermitian_stack(k, dim, field, substream(seed, 37), 10.0**log_scale)
+        scalar = loewner_check(t, a, b, tol=0.0)
+        eye = np.eye(dim)
+        operator = loewner_check(t, a * eye, b * eye, tol=0.0)
+        bound = 8 * dim * np.finfo(np.float64).eps * np.maximum(1.0, operator_norm(t))
+        assert np.all(np.abs(scalar.lower_margin - operator.lower_margin) <= bound)
+        assert np.all(np.abs(scalar.upper_margin - operator.upper_margin) <= bound)
+        one = loewner_check(t[0], a, b, tol=0.0)
+        assert (one.lower_margin, one.upper_margin) == (scalar.lower_margin[0],
+                                                        scalar.upper_margin[0])
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_bound_broken_by_one_millionth_fails(self, field):
+        # P - P^2 with largest eigenvalue 1/4 + 1e-6 against I/4, and
+        # P^2 + Q^2 with smallest eigenvalue 1/2 - 1e-6 against I/2
+        u = random_subspace_basis(5, 5, field, substream(8, 38))
+        for spectrum, lower, upper, side in (
+            ([0.0, 0.1, 0.2, 0.25, 0.25 + 1e-6], 0.0, 0.25, "upper_margin"),
+            ([0.5 - 1e-6, 0.6, 1.0, 1.2, 1.5], 0.5, 1.5, "lower_margin"),
+        ):
+            t = (u * np.array(spectrum)) @ adjoint(u)
+            for x in (t, np.stack([t, t])):
+                lm = loewner_check(x, lower, upper, tol=0.0)
+                assert np.all(np.abs(getattr(lm, side) + 1e-6) <= 1e-14)
+                assert not np.any(lm.passed)
+                assert np.all(lm.lower_margin >= -1e-6 - 1e-14)
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_non_hermitian_operand_raises(self, field):
+        t = _hermitian_stack(3, 4, field, substream(9, 39))
+        t[1, 0, 1] += 1e-3
+        with pytest.raises(NotHermitian):
+            loewner_check(t, 0.0, 10.0, tol=0.0)
+        with pytest.raises(NotHermitian):
+            loewner_check(t[1], -10.0, 10.0, tol=0.0)
+        assert np.all(loewner_check(t[[0, 2]], -10.0, 10.0, tol=0.0).passed)
+
+
 class TestQuadBound:
     @pytest.mark.parametrize(
         "coeffs,expected",

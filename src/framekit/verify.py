@@ -10,24 +10,33 @@ Every check takes its subsets in chunks of at most ``_CHUNK_ENTRIES``
 matrix entries (64 subsets at d = 8), but of no fewer than
 ``_CHUNK_SUBSETS`` subsets (4 at d = 32 and d = 64), through one contract:
 its entry in ``_EVALUATORS``, the one table from check id to evaluator,
-takes a chunk context (``_Chunk``: the frame, the chunk's validated subsets
-and the sample vectors) and returns the chunk's residual and margin rows.
-``run_suite`` walks instance -> chunk -> check: it validates an instance's
-subsets once, cuts them into chunks, and hands each chunk's one context to
-every check in turn.  What several checks read is computed once per chunk,
-on first read, by the expression a single check would use, so sharing
-changes no bit of a report: the 0/1 rows [K, 1 - K] of the chunk's subsets
-and their complements, the ``subset_sums`` of each (subset, vector) as
+takes a chunk context (``_Chunk``: the frame, the chunk's subsets and the
+sample vectors) and returns the chunk's residual and margin rows.
+``_evaluate`` decides which rows fail by one rule, for both routes: a row
+fails when a residual is not <= the residual tolerance or a margin is not
+>= minus the margin tolerance, so a NaN fails.  ``run_suite`` walks
+instance -> chunk -> check: it cuts an instance's generated subsets into
+chunks, hands each chunk's one context to every check in turn, and folds
+each check's arrays straight into its ``CheckSummary``; no per-subset
+result is built.  What several checks read is computed once per chunk, on
+first read, by the expression a single check would use, so sharing changes
+no bit of a report: the 0/1 rows [K, 1 - K] of the chunk's subsets and
+their complements, the ``subset_sums`` of each (subset, vector) as
 (k, V, ...) arrays over the chunk's k subsets and V vectors, the partial
 sums and their products, and COR2_SANDWICH's margins for THM38_I.  A check
 that takes no subsets (EQ4_RECON, EQ5_DUAL_RECON, EQ6_QUADFORM, LEMMA_L0)
 gets the one chunk [None].  ``run_check`` builds one context per chunk for
-its one check, and a single subset is a chunk of one.  The eight operator
-checks take partial sums from the rows over the frame's term stacks, then
-one stacked ``linops`` call for the margins, spectra or complement
-residuals.  The eleven per-vector checks are each one array expression over
-the chunk; the identity functions of ``gframe`` and ``gfusion`` use the
-same expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
+its one check and cuts the same rows into one ``CheckResult`` per subset; a
+single subset is a chunk of one.  Inputs are validated at the API
+boundary: ``run_check`` validates the subsets and vectors its caller
+passes, and ``run_suite`` the sample vectors once per instance, while the
+subsets of ``subsets_for`` are sorted, distinct and in range by
+construction.  The eight operator checks take partial sums from the rows
+over the frame's term stacks, then one stacked ``linops`` call for the
+margins, spectra or complement residuals.  The eleven per-vector checks are
+each one array expression over the chunk; the identity functions of
+``gframe`` and ``gfusion`` use the same expressions on a 1 x 1 stack.
+LEMMA_L0 loops over the components.
 ``inapplicable`` is the one rule for which checks apply to which frame.
 
 Normalization conventions (so a single pair of tolerances applies):
@@ -48,7 +57,9 @@ import functools
 import itertools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,25 +248,24 @@ _CHUNK_SUBSETS = 4
 class _Chunk:
     """One chunk of subsets on one frame, and what its checks share.
 
-    ``subsets`` are validated index tuples ([None] for the checks that take
-    none) and ``vectors`` the sample vectors as given.  Every other member
-    is computed on first read, by the expression a single check would use,
-    and then read by every check of the chunk: the validated vectors, their
-    squared norms, the 0/1 rows of the subsets and of their complements, the
-    ``subset_sums`` of each (subset, vector) over the frame's own stack and
-    over the stack and its canonical dual, the partial sums P, Q = P_{I^c},
-    M and M' = M_{I^c} with the products P P, M S^-1 M and M' S^-1 M', and
-    COR2_SANDWICH's margins, which THM38_I reads too.
+    ``subsets`` are sorted tuples of distinct indices in range ([None] for
+    the checks that take none), ``vectors`` the sample vectors as given (a
+    witness records them so) and ``valid_vectors`` the same vectors
+    validated; the caller validates both.  Every other member is computed on
+    first read, by the expression a single check would use, and then read by
+    every check of the chunk: the vectors' squared norms, the 0/1 rows of
+    the subsets and of their complements, the ``subset_sums`` of each
+    (subset, vector) over the frame's own stack and over the stack and its
+    canonical dual, the partial sums P, Q = P_{I^c}, M and M' = M_{I^c} with
+    the products P P, M S^-1 M and M' S^-1 M', and COR2_SANDWICH's margins,
+    which THM38_I reads too.
     """
 
-    def __init__(self, frame, subsets, vectors):
+    def __init__(self, frame, subsets, vectors, valid_vectors):
         self.frame = frame
         self.subsets = subsets
         self.vectors = vectors
-
-    @functools.cached_property
-    def valid_vectors(self) -> list[np.ndarray]:
-        return [as_vector(f, self.frame.dim_h) for f in self.vectors]
+        self.valid_vectors = valid_vectors
 
     @functools.cached_property
     def norms_sq(self) -> np.ndarray:
@@ -467,38 +477,64 @@ def _chunks(subsets, dim: int) -> list:
     return [subsets[start:start + size] for start in range(0, len(subsets), size)]
 
 
-def _contexts(frame, subsets, vectors):
-    """One ``_Chunk`` per chunk of ``subsets``, each subset validated once,
-    made as the caller reaches it; ``subsets`` None gives the one chunk [None]."""
-    if subsets is None:
-        yield _Chunk(frame, [None], vectors)
-        return
-    js = [frame._validate_subset(s) for s in subsets]
-    for chunk in _chunks(js, frame.dim_h):
-        yield _Chunk(frame, chunk, vectors)
+def _contexts(frame, subsets, vectors, valid_vectors):
+    """One ``_Chunk`` per chunk of the validated ``subsets``, made as the
+    caller reaches it; ``subsets`` None gives the one chunk [None]."""
+    for chunk in [[None]] if subsets is None else _chunks(subsets, frame.dim_h):
+        yield _Chunk(frame, chunk, vectors, valid_vectors)
+
+
+class _Rows(NamedTuple):
+    """One check's values on the k rows of one chunk, as both routes read
+    them: ``run_suite`` folds them into a ``CheckSummary`` and ``run_check``
+    cuts them into one ``CheckResult`` per row."""
+
+    residuals: np.ndarray  # (k, r); r is 0 for a check without residuals
+    margins: np.ndarray  # (k, m); m is 0 for a check without margins
+    stats: dict | None  # stat name -> (k,) values
+    failing: np.ndarray  # the indices of the failing rows, in order
+    passed: bool
+    witness: Callable[[int], dict]  # a failing row's witness, made on request
+
+
+def _evaluate(check: CheckId, chunk: _Chunk, tol: Tolerances) -> _Rows:
+    """One check on one chunk, and its failing rows by the one rule both
+    routes share: a row fails when a residual is not <= ``tol.residual`` or
+    a margin is not >= ``-tol.margin``, so a NaN fails.  A probe passes even
+    when its printed inequality is violated."""
+    residuals, margins, stats, worst = _EVALUATORS[check](chunk)
+    k = len(chunk.subsets)
+    residuals = np.empty((k, 0)) if residuals is None else residuals
+    margins = np.empty((k, 0)) if margins is None else margins
+    failing = np.flatnonzero(~(residuals <= tol.residual).all(axis=1)
+                             | ~(margins >= -tol.margin).all(axis=1))
+
+    def witness(i: int) -> dict:
+        subset = chunk.subsets[i]
+        return {
+            "subset": None if subset is None else list(subset),
+            "vector": None if worst is None else _json_vector(chunk.vectors[worst[i]]),
+            # np.max and np.min keep a NaN where max and min may drop it
+            "max_residual": float(residuals[i].max()) if residuals.size else None,
+            "min_margin": float(margins[i].min()) if margins.size else None,
+        }
+
+    return _Rows(residuals, margins, stats, failing,
+                 CATALOG[check].probe or not failing.size, witness)
 
 
 def _run_chunk(check: CheckId, chunk: _Chunk, tol: Tolerances) -> list[CheckResult]:
     """One check on one chunk: one result per subset, in order."""
-    info = CATALOG[check]
-    residuals, margins, stats, worst = _EVALUATORS[check](chunk)
-    results = []
-    for i, subset in enumerate(chunk.subsets):
-        res = [] if residuals is None else residuals[i].tolist()
-        mar = [] if margins is None else margins[i].tolist()
-        witness = None
-        if any(r > tol.residual for r in res) or any(m < -tol.margin for m in mar):
-            witness = {
-                "subset": None if subset is None else list(subset),
-                "vector": None if worst is None else _json_vector(chunk.vectors[worst[i]]),
-                "max_residual": max(res, default=None),
-                "min_margin": min(mar, default=None),
-            }
-        row_stats = None if stats is None else {key: float(v[i]) for key, v in stats.items()}
-        # a probe passes even when its printed inequality is violated
-        results.append(CheckResult(check, res, mar, info.probe or witness is None,
-                                   witness, row_stats))
-    return results
+    rows = _evaluate(check, chunk, tol)
+    failing = set(rows.failing.tolist())
+    probe = CATALOG[check].probe
+    return [
+        CheckResult(check, rows.residuals[i].tolist(), rows.margins[i].tolist(),
+                    probe or i not in failing, rows.witness(i) if i in failing else None,
+                    None if rows.stats is None
+                    else {key: float(v[i]) for key, v in rows.stats.items()})
+        for i in range(len(chunk.subsets))
+    ]
 
 
 def frame_kind(frame) -> str:
@@ -530,7 +566,8 @@ def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = No
     With ``subsets`` (a sequence of index subsets, for a check that uses
     them) it returns one ``CheckResult`` per subset, in the given order.
     Every check evaluates its subsets in chunks; a single ``subset`` is a
-    chunk of one, so both calls give the same results.
+    chunk of one, so both calls give the same results.  The subsets and
+    vectors are validated here, once, before any chunk is evaluated.
     """
     check = CheckId(check)
     info = CATALOG[check]
@@ -548,7 +585,9 @@ def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = No
         raise ValueError(f"{check.value} needs an index subset")
     if info.vectors and not vectors:
         raise ValueError(f"{check.value} needs sample vectors")
-    chunks = _contexts(frame, group if info.subsets else None, vectors)
+    js = [frame._validate_subset(s) for s in group] if info.subsets else None
+    valid_vectors = [as_vector(f, frame.dim_h) for f in vectors]
+    chunks = _contexts(frame, js, vectors, valid_vectors)
     results = [result for chunk in chunks for result in _run_chunk(check, chunk, tol)]
     return results if subsets is not None else results[0]
 
@@ -602,6 +641,10 @@ class SuitePlan:
             raise ValueError("weight range must satisfy 0 < lo <= hi")
         if not self.checks:
             raise ValueError("need at least one check")
+        if self.subset_samples < 2:
+            raise ValueError("subset_samples must be at least 2: the empty and the full subset")
+        if self.witness_limit < 0:
+            raise ValueError("witness_limit must be nonnegative")
 
     def to_dict(self) -> dict:
         return {
@@ -621,9 +664,23 @@ class SuitePlan:
         }
 
 
+def _fold(old: float | None, new: float, pick) -> float:
+    """``new`` folded into the running extreme ``old`` by ``pick``
+    (np.maximum or np.minimum, which keep a NaN)."""
+    return float(new) if old is None else float(pick(old, new))
+
+
 @dataclass
 class CheckSummary:
-    """Aggregate of one check across all instances and subsets."""
+    """Aggregate of one check across all instances and subsets.
+
+    ``run_suite`` folds each chunk's residual and margin arrays straight in
+    (``fold``): the evaluations grow by the array sizes, the extremes come
+    from one max or min per array, and a witness is built only for the
+    first ``witness_limit`` failing rows, in plan order.  ``add`` folds one
+    ``CheckResult`` by the same code, as a chunk of one row.  A NaN residual
+    or margin fails its row and reaches ``max_residual`` or ``min_margin``.
+    """
 
     check: CheckId
     instances: int = 0
@@ -636,34 +693,38 @@ class CheckSummary:
     stats: dict | None = None
 
     def add(self, result: CheckResult, instance: FrameInstance, witness_limit: int):
-        """Fold one result in: extremes, verdict, witnesses (the first
+        """Fold one result in, as a chunk of one row."""
+        stats = result.stats and {key: np.array([v]) for key, v in result.stats.items()}
+        rows = _Rows(np.array([result.residuals], dtype=float),
+                     np.array([result.margins], dtype=float), stats,
+                     np.flatnonzero([result.witness is not None]), result.passed,
+                     lambda i: result.witness)
+        self.fold(rows, instance, witness_limit)
+
+    def fold(self, rows: _Rows, instance: FrameInstance, witness_limit: int):
+        """Fold one chunk's rows in: extremes, verdict, witnesses (the first
         ``witness_limit``, tagged with the instance) and the largest stats."""
-        self.evaluations += len(result.residuals) + len(result.margins)
-        if result.residuals:
-            top = max(result.residuals)
-            self.max_residual = top if self.max_residual is None else max(self.max_residual, top)
-        if result.margins:
-            low = min(result.margins)
-            self.min_margin = low if self.min_margin is None else min(self.min_margin, low)
-        self.passed = self.passed and result.passed
-        if result.witness is not None:
-            self.witness_count += 1
-            if len(self.witnesses) < witness_limit:
-                self.witnesses.append({
-                    "kind": instance.kind,
-                    "parseval": instance.parseval,
-                    "dim": instance.dim,
-                    "field": instance.field.value,
-                    "seed": instance.seed,
-                    "label": instance.label,
-                    **result.witness,
-                })
-        if result.stats:
-            if self.stats is None:
-                self.stats = dict(result.stats)
-            else:
-                for key, value in result.stats.items():
-                    self.stats[key] = max(self.stats.get(key, value), value)
+        self.evaluations += rows.residuals.size + rows.margins.size
+        if rows.residuals.size:
+            self.max_residual = _fold(self.max_residual, rows.residuals.max(), np.maximum)
+        if rows.margins.size:
+            self.min_margin = _fold(self.min_margin, rows.margins.min(), np.minimum)
+        self.passed = self.passed and rows.passed
+        for i in rows.failing[:witness_limit - len(self.witnesses)].tolist():
+            self.witnesses.append({
+                "kind": instance.kind,
+                "parseval": instance.parseval,
+                "dim": instance.dim,
+                "field": instance.field.value,
+                "seed": instance.seed,
+                "label": instance.label,
+                **rows.witness(i),
+            })
+        self.witness_count += rows.failing.size
+        if rows.stats:
+            self.stats = self.stats or {}
+            for key, values in rows.stats.items():
+                self.stats[key] = _fold(self.stats.get(key), values.max(), np.maximum)
 
     def to_dict(self) -> dict:
         out = {
@@ -754,7 +815,8 @@ def build_instances(plan: SuitePlan) -> list[FrameInstance]:
 def subsets_for(count: int, plan: SuitePlan, seed: int) -> list[tuple[int, ...]]:
     """Every subset when feasible or when the sample would be as large,
     otherwise a seeded sample always containing the empty and the full
-    subset."""
+    subset.  Each subset is a sorted tuple of distinct indices in range, so
+    ``run_suite`` hands them to the checks without validating them again."""
     if count <= plan.exhaustive_subset_limit or 2**count <= plan.subset_samples:
         return [
             tuple(c)
@@ -787,6 +849,7 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
         frame = instance.frame
         seed = instance.seed if instance.seed is not None else 0
         vectors = sample_vectors(frame.dim_h, instance.field, seed, plan.vectors_per_instance)
+        valid_vectors = [as_vector(f, frame.dim_h) for f in vectors]
         subsets = subsets_for(len(frame), plan, seed)
         checks = [check for check in plan.checks if inapplicable(CATALOG[check], frame) is None]
         for check in checks:
@@ -797,10 +860,11 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
             group = [check for check in checks if CATALOG[check].subsets == takes_subsets]
             if not group:
                 continue
-            for chunk in _contexts(frame, subsets if takes_subsets else None, vectors):
+            chunks = _contexts(frame, subsets if takes_subsets else None, vectors, valid_vectors)
+            for chunk in chunks:
                 for check in group:
-                    for result in _run_chunk(check, chunk, plan.tol):
-                        summaries[check].add(result, instance, plan.witness_limit)
+                    summaries[check].fold(_evaluate(check, chunk, plan.tol), instance,
+                                          plan.witness_limit)
     ordered = [summaries[check] for check in sorted(summaries, key=lambda c: c.value)]
     overall = all(s.passed for s in ordered)
     return RunReport(plan, ordered, overall, time.perf_counter() - start)

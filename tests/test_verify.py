@@ -191,6 +191,19 @@ class TestSuitePlan:
         with pytest.raises(ValueError):
             SuitePlan(dims=())
 
+    def test_rejects_negative_witness_limit(self):
+        # a slice of the failing rows would read -1 as "all but the last"
+        with pytest.raises(ValueError, match="witness_limit"):
+            SuitePlan(witness_limit=-1)
+        assert SuitePlan(witness_limit=0).witness_limit == 0
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_rejects_fewer_than_two_subset_samples(self, samples):
+        # a sample always holds the empty and the full subset
+        with pytest.raises(ValueError, match="subset_samples"):
+            SuitePlan(subset_samples=samples)
+        assert len(subsets_for(20, SuitePlan(exhaustive_subset_limit=4, subset_samples=2), 0)) == 2
+
     def test_plan_round_trips_through_dict(self):
         d = SuitePlan().to_dict()
         assert d == json.loads(json.dumps(d))
@@ -274,12 +287,14 @@ class TestRunSuite:
         assert report.overall_pass
         assert all(s.instances == 1 for s in report.checks)
 
-    def test_summaries_equal_a_fold_of_run_check(self):
-        # run_suite shares one context per chunk across checks; each check
-        # on its own, chunk by chunk through run_check, must fold into the
-        # same summary.  Zero tolerances record witnesses and cut them.
+    @pytest.mark.parametrize("witness_limit", [3, 0, 70])
+    def test_summaries_equal_a_fold_of_run_check(self, witness_limit):
+        # run_suite shares one context per chunk across checks and folds its
+        # arrays; each check on its own, chunk by chunk through run_check,
+        # must fold into the same summary.  Zero tolerances record witnesses
+        # and cut them: 70 inside the second chunk of 64 subsets.
         plan = SuitePlan(dims=(8,), seeds=(0,), components=7, tol=Tolerances(0.0, 0.0),
-                         witness_limit=3)
+                         witness_limit=witness_limit)
         report = run_suite(plan)
         subsets = subsets_for(7, plan, 0)
         assert len(subsets) == 128  # two chunks at d = 8
@@ -303,9 +318,13 @@ class TestRunSuite:
                 for result in results:
                     want.add(result, instance, plan.witness_limit)
             assert report.summary(check).to_dict() == want.to_dict()
+        assert all(len(s.witnesses) == min(s.witness_count, plan.witness_limit)
+                   for s in report.checks)
         cut = [s for s in report.checks if s.witness_count > plan.witness_limit]
-        assert any(s.witnesses[0]["vector"] is not None for s in cut)
-        assert any(s.witnesses[0]["subset"] is not None for s in cut)
+        assert cut
+        if plan.witness_limit:
+            assert any(s.witnesses[0]["vector"] is not None for s in cut)
+            assert any(s.witnesses[0]["subset"] is not None for s in cut)
 
     def test_zero_residual_tolerance_fails_suite(self):
         plan = SuitePlan(
@@ -444,6 +463,91 @@ class TestSharedChunk:
                 applicable = [c for c in checks
                               if inapplicable(CATALOG[c], instance.frame) is None]
                 assert len(calls[key]) == self.CHUNKS * len(applicable), (instance.label, key)
+
+
+class TestArrayFold:
+    """``run_suite`` folds each chunk's arrays into the summaries: it builds
+    no per-subset result, validates no generated subset and makes a witness
+    vector only for a witness it keeps."""
+
+    def test_no_check_result_and_no_subset_validation(self, monkeypatch,
+                                                      two_chunk_instances):
+        import framekit.gframe as gframe
+        import framekit.verify as verify
+
+        results = _recording(monkeypatch, verify, "CheckResult")
+        validated = _recording(monkeypatch, gframe._Frame, "_validate_subset")
+        for instance in two_chunk_instances:
+            frame = instance.frame
+            validated.clear()
+            assert run_suite(SuitePlan(), frame=frame).overall_pass
+            assert results == []
+            # the one subset validated is EQ5_DUAL_RECON's full index range,
+            # once per weighted frame, through partial_sum
+            assert [subset for _, subset in validated] == (
+                [] if instance.kind == "gframe" else [range(len(frame))])
+        # run_check still validates what its caller passes and cuts rows
+        subsets = subsets_for(7, SuitePlan(), 0)
+        validated.clear()
+        frame = two_chunk_instances[0].frame
+        assert len(run_check(CheckId.LEMMA_L2, frame, subsets=subsets)) == 128
+        assert len(validated) == len(results) == 128
+
+    def test_witness_vectors_only_for_kept_witnesses(self, monkeypatch, two_chunk_instances):
+        import framekit.verify as verify
+
+        frame = next(i.frame for i in two_chunk_instances
+                     if i.kind == "gfusion" and not i.parseval)
+        calls = _recording(monkeypatch, verify, "_json_vector")
+        cut = []
+        for check in [c for c in VECTOR_CHECKS if inapplicable(CATALOG[c], frame) is None]:
+            plan = SuitePlan(checks=(check,), tol=Tolerances(0.0, 0.0), witness_limit=3)
+            calls.clear()
+            summary = run_suite(plan, frame=frame).summary(check)
+            assert len(calls) <= plan.witness_limit, check
+            assert len(calls) == sum(w["vector"] is not None for w in summary.witnesses)
+            if summary.witness_count > plan.witness_limit:
+                cut.append(check)
+        assert len(cut) > 1
+
+
+class TestNaNFails:
+    """A NaN residual or margin fails its row through both routes and reaches
+    the extreme it would set, wherever it sits in the row and the plan."""
+
+    @pytest.mark.parametrize("row", [0, 100], ids=["first-row", "second-chunk"])
+    @pytest.mark.parametrize("check, side", [(CheckId.LEMMA_L2, 0), (CheckId.THM38_II, 1)],
+                             ids=["residual", "margin"])
+    def test_run_check_and_run_suite(self, monkeypatch, two_chunk_instances, check, side, row):
+        import framekit.verify as verify
+
+        frame = next(i.frame for i in two_chunk_instances if i.kind == "gfusion" and i.parseval)
+        subsets = subsets_for(len(frame), SuitePlan(), 0)
+        target = subsets[row]
+        original = verify._EVALUATORS[check]
+
+        def with_nan(chunk):
+            # the last entry of the row, so it is not the first value the
+            # row's extreme reads (THM38_II's upper margin)
+            out = list(original(chunk))
+            out[side] = out[side].copy()
+            for i, subset in enumerate(chunk.subsets):
+                if subset == target:
+                    out[side][i, -1] = np.nan
+            return tuple(out)
+
+        monkeypatch.setitem(verify._EVALUATORS, check, with_nan)
+        key = ("max_residual", "min_margin")[side]
+        results = run_check(check, frame, subsets=subsets)
+        assert [i for i, r in enumerate(results) if not r.passed] == [row]
+        assert np.isnan(results[row].witness[key])
+        report = run_suite(SuitePlan(checks=(check,)), frame=frame)
+        summary = report.summary(check)
+        assert not summary.passed and not report.overall_pass
+        assert np.isnan(getattr(summary, key))
+        assert summary.witness_count == 1
+        assert summary.witnesses[0]["subset"] == list(target)
+        assert np.isnan(summary.witnesses[0][key])
 
 
 @pytest.fixture(scope="module")

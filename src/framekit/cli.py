@@ -380,6 +380,10 @@ def cmd_verify(args) -> int:
     except GenerationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # for example a Loewner gate that an ill-conditioned frame misses
+        print(f"error: could not evaluate the checks: {exc}", file=sys.stderr)
+        return 2
     _print_report(report, sys.stdout)
     if args.report is not None:
         text = report_to_csv(report) if args.format == "csv" else report_to_json(report)

@@ -19,10 +19,13 @@ a vector f and the canonical dual stack Gamma, and gives the per-block inner
 products <Gamma_j f, Lambda_j f> summed over each row, from one segmented
 sum over the block row starts, and the truncated images
 sum_{j in I} Lambda_j* Gamma_j f, from one product of Lambda* with Gamma f
-masked to each row.  ``identity_terms`` turns a (k, V) stack of these sums
-(k subsets, V vectors) into the two sides of the identity; with the frame's
-own stack as the dual it is the Parseval case.  Each public per-(subset, f)
-identity evaluates its pair through ``_pair_identity`` as a 1 x 1 stack.
+masked to each row.  It takes Lambda f and Gamma f as plain products and
+checks nothing; ``finite_sums`` refuses a (k, V) stack of its results (k
+subsets, V vectors) with an entry that is not finite, once per stack, by the
+``ValueError`` that ``stacked_image`` raises.  ``identity_terms`` turns such
+a stack into the two sides of the identity; with the frame's own stack as
+the dual it is the Parseval case.  Each public per-(subset, f) identity
+evaluates its pair through ``_pair_identity`` as a 1 x 1 stack.
 
 The operator checks take many partial sums at once: each frame keeps the
 per-index terms behind ``partial_sum`` only as a read-only (n, d*d)
@@ -62,6 +65,7 @@ __all__ = [
     "stack_blocks",
     "stacked_image",
     "subset_sums",
+    "finite_sums",
     "identity_terms",
     "term_stack",
     "subset_masks",
@@ -126,14 +130,29 @@ def subset_sums(frame_stack: StackedAnalysis, dual_stack: StackedAnalysis, sides
     Returns the sums of <Gamma_j f, Lambda_j f> over each row (shape (2,)),
     and the truncated images sum_j Lambda_j* Gamma_j f over the same two
     rows as the columns of a (dim, 2) array, where Lambda is ``frame_stack``
-    and Gamma ``dual_stack``.  Raises ``ValueError`` when a stacked image of
-    ``f`` is not finite.
+    and Gamma ``dual_stack``.  Nothing is checked here: an overflow gives
+    entries that are not finite, which ``finite_sums`` refuses once for a
+    whole stack of results, so callers run this under ``np.errstate``.
     """
-    y = stacked_image(frame_stack, f)
-    z = y if dual_stack is frame_stack else stacked_image(dual_stack, f)
+    y = frame_stack.matrix @ f
+    z = y if dual_stack is frame_stack else dual_stack.matrix @ f
     inner_products = np.add.reduceat(y.conj() * z, frame_stack.starts)
     images = frame_stack.adjoint @ (sides.take(frame_stack.owners, axis=1) * z).T
     return sides @ inner_products, images
+
+
+def finite_sums(sums, images):
+    """A stack of ``subset_sums`` results, sums (k, V, 2) and images
+    (k, V, dim, 2), returned as given when every entry is finite.
+
+    Raises the ``ValueError`` of ``stacked_image`` otherwise: a stacked image
+    of a vector that overflows, or an inner product of two finite images
+    that does, leaves an entry here that is not finite.  One check covers a
+    whole chunk of (subset, vector) pairs.
+    """
+    if not (np.isfinite(sums).all() and np.isfinite(images).all()):
+        raise ValueError("vector entries must be finite")
+    return sums, images
 
 
 def _norms_sq(columns: np.ndarray) -> np.ndarray:
@@ -372,14 +391,16 @@ class GFrame(_Frame):
 def _pair_identity(frame: _Frame, subset, f, through_dual: bool, terms_of) -> IdentityTerms:
     """One (subset, vector) pair of an identity: ``terms_of`` on the
     ``subset_sums`` of the frame's stack with its canonical dual's (or with
-    its own), as a 1 x 1 stack, so it gives the scalars a check's array
-    expression gives that pair.  ``f`` is validated first, then the subset."""
+    its own), as a 1 x 1 stack checked by ``finite_sums``, so it gives the
+    scalars, and raises the errors, a check's chunk gives that pair.  ``f``
+    is validated first, then the subset."""
     f = as_vector(f, frame.dim_h)
     inside = subset_masks(len(frame), [frame._validate_subset(subset)])
     dual = frame.canonical_dual if through_dual else frame
-    sums, images = subset_sums(frame._stacked_analysis, dual._stacked_analysis,
-                               np.concatenate((inside, 1.0 - inside)), f)
-    t = terms_of(sums[None, None], images[None, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, images = subset_sums(frame._stacked_analysis, dual._stacked_analysis,
+                                   np.concatenate((inside, 1.0 - inside)), f)
+    t = terms_of(*finite_sums(sums[None, None], images[None, None]))
     return IdentityTerms(complex(t.lhs[0, 0]), complex(t.rhs[0, 0]), float(t.residual[0, 0]))
 
 

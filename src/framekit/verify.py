@@ -31,9 +31,13 @@ single subset is a chunk of one.  Inputs are validated at the API
 boundary: ``run_check`` validates the subsets and vectors its caller
 passes, and ``run_suite`` the sample vectors once per instance, while the
 subsets of ``subsets_for`` are sorted, distinct and in range by
-construction.  The eight operator checks take partial sums from the rows
-over the frame's term stacks, then one stacked ``linops`` call for the
-margins, spectra or complement residuals.  The eleven per-vector checks are
+construction.  A finite vector can still overflow in its stacked images
+or their inner products: each chunk checks its (k, V) subset sums once
+(``gframe.finite_sums``), after a pair loop that runs under
+``np.errstate``, so such a vector raises ``ValueError`` and no warning.
+The eight operator checks take partial sums from the rows over the frame's
+term stacks, then one stacked ``linops`` call for the margins, spectra or
+complement residuals.  The eleven per-vector checks are
 each one array expression over the chunk; the identity functions of
 ``gframe`` and ``gfusion`` use the same expressions on a 1 x 1 stack.
 LEMMA_L0 loops over the components.
@@ -256,9 +260,9 @@ class _Chunk:
     every check of the chunk: the vectors' squared norms, the 0/1 rows of
     the subsets and of their complements, the ``subset_sums`` of each
     (subset, vector) over the frame's own stack and over the stack and its
-    canonical dual, the partial sums P, Q = P_{I^c}, M and M' = M_{I^c} with
-    the products P P, M S^-1 M and M' S^-1 M', and COR2_SANDWICH's margins,
-    which THM38_I reads too.
+    canonical dual (checked finite once per chunk), the partial sums P,
+    Q = P_{I^c}, M and M' = M_{I^c} with the products P P, M S^-1 M and
+    M' S^-1 M', and COR2_SANDWICH's margins, which THM38_I reads too.
     """
 
     def __init__(self, frame, subsets, vectors, valid_vectors):
@@ -281,10 +285,13 @@ class _Chunk:
 
     def _sums(self, dual) -> tuple[np.ndarray, np.ndarray]:
         stack, dual_stack = self.frame._stacked_analysis, dual._stacked_analysis
-        pairs = [gf.subset_sums(stack, dual_stack, self.sides[:, i], f)
-                 for i in range(len(self.subsets)) for f in self.valid_vectors]
+        # an overflow is refused once for the chunk, by finite_sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = [gf.subset_sums(stack, dual_stack, self.sides[:, i], f)
+                     for i in range(len(self.subsets)) for f in self.valid_vectors]
         k, v = len(self.subsets), len(self.valid_vectors)
-        return tuple(np.array(side).reshape(k, v, *side[0].shape) for side in zip(*pairs))
+        return gf.finite_sums(*(np.array(side).reshape(k, v, *side[0].shape)
+                                for side in zip(*pairs)))
 
     @functools.cached_property
     def own_sums(self) -> tuple[np.ndarray, np.ndarray]:

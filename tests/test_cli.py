@@ -357,6 +357,21 @@ class TestVerify:
         ret = run_cli(["verify", "--frame", str(path), "--checks", "SPECTRUM_REMARK"])
         assert ret == 2
 
+    def test_frame_whose_checks_raise_exits_2(self, tmp_path, capsys):
+        # weights 1e-3..1e3 (condition number about 2e6): COR3_SANDWICH's
+        # M - M S^-1 M misses the Hermitian gate of its Loewner check
+        path = tmp_path / "w3.frame"
+        assert run_cli([
+            "gen", "--dim", "8", "--field", "real", "--seed", "0", "--components",
+            "4:4:1e-3", "4:4:1", "4:4:1e3", "8:8:1", "--out", str(path),
+        ]) == 0
+        capsys.readouterr()
+        assert run_cli(["verify", "--frame", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not evaluate the checks:")
+        assert "Hermitian" in err and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_missing_frame_file_exits_2(self, tmp_path):
         assert run_cli(["verify", "--frame", str(tmp_path / "nope.frame")]) == 2
 

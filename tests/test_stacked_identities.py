@@ -8,6 +8,7 @@ operators ``partial_frame_operator`` for the identities built on M_I f.
 """
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -265,6 +266,20 @@ class TestErrorParity:
         for identity in (gfusion.whitened_partition_identity, gfusion.frame_partition_identity):
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
                 identity(huge, [], np.full(2, 1e300))
+
+    @pytest.mark.parametrize("check,weight,entry", [
+        ("THM_T33", 1e150, 1e300),
+        ("THM_TG1", 1e150, 1e300),
+        # finite images whose inner products overflow
+        ("THM_T33", 1e100, 1e60),
+    ], ids=["own-stack", "dual-stack", "own-stack-inner-products"])
+    def test_non_finite_chunk_sums_raise_through_run_check(self, check, weight, entry):
+        huge = GFusionFrame([(np.eye(2), np.eye(2), weight)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="finite"):
+                run_check(check, huge, [0], [np.full(2, entry)])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestNoTruncatedFrameOperators:

@@ -353,6 +353,11 @@ VECTOR_CHECKS = (
     CheckId.COR1_34BOUND, CheckId.THM_T33, CheckId.COR_34_SINV, CheckId.THM_FINAL_MI,
     CheckId.EQ4_RECON, CheckId.EQ5_DUAL_RECON, CheckId.EQ6_QUADFORM,
 )
+# the checks of a scalar identity, read from the chunk's subset sums
+IDENTITY_CHECKS = (
+    CheckId.THM_T1, CheckId.FAMOUS_PARSEVAL, CheckId.THM_TG1, CheckId.COR1_IDENTITY,
+    CheckId.THM_T33, CheckId.THM_FINAL_MI,
+)
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +388,21 @@ class TestSharedChunk:
             assert pairs == ({False} if instance.kind == "gframe" and not instance.parseval
                              else {True, False})
             assert len(calls) == len(pairs) * 128 * SuitePlan().vectors_per_instance
+
+    def test_stacked_images_do_not_grow_with_the_vectors(self, monkeypatch):
+        import framekit.gframe as gframe
+        import framekit.gfusion as gfusion
+
+        calls = _recording(monkeypatch, gframe, "stacked_image")
+        # gfusion's own binding, behind THM_FINAL_MI's dual energies
+        monkeypatch.setattr(gfusion, "stacked_image", gframe.stacked_image)
+        counts = []
+        for vectors in (2, 4):
+            calls.clear()
+            run_suite(SuitePlan(dims=(8,), fields=(Field.COMPLEX,), seeds=(0,), components=7,
+                                checks=IDENTITY_CHECKS, vectors_per_instance=vectors))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_at_most_two_masked_sums_per_term_stack_and_chunk(self, monkeypatch,
                                                               two_chunk_instances):

@@ -226,13 +226,16 @@ def _env_tolerance() -> float | None:
 
 
 def _resolve_tolerances(args) -> Tolerances:
+    """Each tolerance from its flag, else from the environment, else the
+    ``Tolerances`` default."""
     base = _env_tolerance()
+    default = Tolerances()
     residual = args.tol_residual if args.tol_residual is not None else base
     margin = args.tol_margin if args.tol_margin is not None else base
     try:
         return Tolerances(
-            residual=1e-8 if residual is None else residual,
-            margin=1e-8 if margin is None else margin,
+            residual=default.residual if residual is None else residual,
+            margin=default.margin if margin is None else margin,
         )
     except ValueError as exc:
         raise _ConfigError(str(exc))
@@ -463,15 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # verify's defaults give the default SuitePlan; its seeds are range(--seeds)
+    plan = SuitePlan()
+    dims = " ".join(map(str, plan.dims))
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--dims", type=int, nargs="+", default=[2, 3, 5, 8],
-                          help="space dimensions to sweep (default: 2 3 5 8)")
+    p_verify.add_argument("--dims", type=int, nargs="+", default=list(plan.dims),
+                          help=f"space dimensions to sweep (default: {dims})")
     p_verify.add_argument("--field", default="both",
                           help="scalar field: real, complex, or both (default: both)")
-    p_verify.add_argument("--seeds", type=int, default=10,
-                          help="number of seeds per configuration (default: 10)")
-    p_verify.add_argument("--components", type=int, default=4,
-                          help="components per generated frame (default: 4)")
+    p_verify.add_argument("--seeds", type=int, default=len(plan.seeds),
+                          help=f"number of seeds per configuration (default: {len(plan.seeds)})")
+    p_verify.add_argument("--components", type=int, default=plan.components,
+                          help=f"components per generated frame (default: {plan.components})")
     p_verify.add_argument("--checks", nargs="+", default=["all"],
                           help="check ids to run, or 'all' (default: all)")
     p_verify.add_argument("--tol-residual", type=float, default=None,

@@ -13,19 +13,20 @@ read-only), takes ``analysis`` and ``synthesis`` from that stack, counts and
 validates indices, and takes complements and partial sums.  Each class
 keeps its own dual term stack, inverse, canonical dual and ``partial_sum``.
 
-A subset becomes 0/1 rows over the blocks in one place, ``subset_masks``;
-its complement is one minus them.  ``subset_sums`` takes such a row pair,
-a vector f and the canonical dual stack Gamma, and gives the per-block inner
-products <Gamma_j f, Lambda_j f> summed over each row, from one segmented
-sum over the block row starts, and the truncated images
-sum_{j in I} Lambda_j* Gamma_j f, from one product of Lambda* with Gamma f
-masked to each row.  It takes Lambda f and Gamma f as plain products and
-checks nothing; ``finite_sums`` refuses a (k, V) stack of its results (k
-subsets, V vectors) with an entry that is not finite, once per stack, by the
-``ValueError`` that ``stacked_image`` raises.  ``identity_terms`` turns such
-a stack into the two sides of the identity; with the frame's own stack as
-the dual it is the Parseval case.  Each public per-(subset, f) identity
-evaluates its pair through ``_pair_identity`` as a 1 x 1 stack.
+A subset becomes 0/1 rows over the blocks in one place, ``subset_masks``,
+which gives a chunk of subsets its rows K and their complements 1 - K.
+``subset_sums`` is the one home of the subset sums: it takes those rows, a
+sequence of validated vectors f and the canonical dual stack Gamma, and
+gives for every (subset, f) of the chunk the per-block inner products
+<Gamma_j f, Lambda_j f> summed over each row, from one segmented sum over
+the block row starts, and the truncated images sum_{j in I} Lambda_j*
+Gamma_j f, from one product of Lambda* with Gamma f masked to each row.  It
+runs its pairs under ``np.errstate`` and refuses the whole chunk, once, by
+the ``ValueError`` that ``stacked_image`` raises when an entry is not
+finite.  ``identity_terms`` turns its (k, V) stacks (k subsets, V vectors)
+into the two sides of the identity; with the frame's own stack as the dual
+it is the Parseval case.  Each public per-(subset, f) identity evaluates its
+pair through ``_pair_identity`` as a 1 x 1 chunk.
 
 The operator checks take many partial sums at once: each frame keeps the
 per-index terms behind ``partial_sum`` only as a read-only (n, d*d)
@@ -65,7 +66,6 @@ __all__ = [
     "stack_blocks",
     "stacked_image",
     "subset_sums",
-    "finite_sums",
     "identity_terms",
     "term_stack",
     "subset_masks",
@@ -122,34 +122,32 @@ def stacked_image(stacked: StackedAnalysis, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def subset_sums(frame_stack: StackedAnalysis, dual_stack: StackedAnalysis, sides, f):
-    """Subset and complement sums of the per-block terms of a vector.
+def subset_sums(frame_stack: StackedAnalysis, dual_stack: StackedAnalysis, sides, vectors):
+    """Subset and complement sums of the per-block terms of each vector, for
+    one chunk of subsets.
 
-    ``sides`` is a (2, n) pair of 0/1 rows over the blocks, a subset's row of
-    ``subset_masks`` and its complement, and ``f`` a validated vector.
-    Returns the sums of <Gamma_j f, Lambda_j f> over each row (shape (2,)),
-    and the truncated images sum_j Lambda_j* Gamma_j f over the same two
-    rows as the columns of a (dim, 2) array, where Lambda is ``frame_stack``
-    and Gamma ``dual_stack``.  Nothing is checked here: an overflow gives
-    entries that are not finite, which ``finite_sums`` refuses once for a
-    whole stack of results, so callers run this under ``np.errstate``.
+    ``sides`` is the chunk's (2, k, n) rows [K, 1 - K] of ``subset_masks``
+    and ``vectors`` a sequence of V validated vectors, where Lambda is
+    ``frame_stack`` and Gamma ``dual_stack``.  Returns the sums of
+    <Gamma_j f, Lambda_j f> over each row, shape (k, V, 2), and the
+    truncated images sum_j Lambda_j* Gamma_j f over the same rows, shape
+    (k, V, dim, 2).  Each (subset, f) pair takes its own products, so an entry
+    does not depend on the chunk around it.  An overflow raises the
+    ``ValueError`` of ``stacked_image``, once for the chunk, and no warning.
     """
-    y = frame_stack.matrix @ f
-    z = y if dual_stack is frame_stack else dual_stack.matrix @ f
-    inner_products = np.add.reduceat(y.conj() * z, frame_stack.starts)
-    images = frame_stack.adjoint @ (sides.take(frame_stack.owners, axis=1) * z).T
-    return sides @ inner_products, images
-
-
-def finite_sums(sums, images):
-    """A stack of ``subset_sums`` results, sums (k, V, 2) and images
-    (k, V, dim, 2), returned as given when every entry is finite.
-
-    Raises the ``ValueError`` of ``stacked_image`` otherwise: a stacked image
-    of a vector that overflows, or an inner product of two finite images
-    that does, leaves an entry here that is not finite.  One check covers a
-    whole chunk of (subset, vector) pairs.
-    """
+    k, dim = sides.shape[1], frame_stack.matrix.shape[1]
+    sums, images = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k):
+            rows = sides[:, i]
+            for f in vectors:
+                y = frame_stack.matrix @ f
+                z = y if dual_stack is frame_stack else dual_stack.matrix @ f
+                inner_products = np.add.reduceat(y.conj() * z, frame_stack.starts)
+                sums.append(rows @ inner_products)
+                images.append(frame_stack.adjoint @ (rows.take(frame_stack.owners, axis=1) * z).T)
+    sums = np.array(sums).reshape(k, len(vectors), 2)
+    images = np.array(images).reshape(k, len(vectors), dim, 2)
     if not (np.isfinite(sums).all() and np.isfinite(images).all()):
         raise ValueError("vector entries must be finite")
     return sums, images
@@ -176,11 +174,12 @@ def term_stack(terms) -> np.ndarray:
 
 
 def subset_masks(count: int, subsets) -> np.ndarray:
-    """0/1 rows over ``count`` indices, one row per validated subset."""
+    """[K, 1 - K], shape (2, k, count): the 0/1 rows K over ``count``
+    indices, one row per validated subset, and their complements."""
     masks = np.zeros((len(subsets), count))
     rows = [i for i, js in enumerate(subsets) for _ in js]
     masks[rows, [j for js in subsets for j in js]] = 1.0
-    return masks
+    return np.stack((masks, 1.0 - masks))
 
 
 def masked_sums(stack: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -391,16 +390,13 @@ class GFrame(_Frame):
 def _pair_identity(frame: _Frame, subset, f, through_dual: bool, terms_of) -> IdentityTerms:
     """One (subset, vector) pair of an identity: ``terms_of`` on the
     ``subset_sums`` of the frame's stack with its canonical dual's (or with
-    its own), as a 1 x 1 stack checked by ``finite_sums``, so it gives the
-    scalars, and raises the errors, a check's chunk gives that pair.  ``f``
-    is validated first, then the subset."""
+    its own) over a 1 x 1 chunk, so it gives the scalars, and raises the
+    errors, a check's chunk gives that pair.  ``f`` is validated first, then
+    the subset."""
     f = as_vector(f, frame.dim_h)
-    inside = subset_masks(len(frame), [frame._validate_subset(subset)])
+    sides = subset_masks(len(frame), [frame._validate_subset(subset)])
     dual = frame.canonical_dual if through_dual else frame
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums, images = subset_sums(frame._stacked_analysis, dual._stacked_analysis,
-                                   np.concatenate((inside, 1.0 - inside)), f)
-    t = terms_of(*finite_sums(sums[None, None], images[None, None]))
+    t = terms_of(*subset_sums(frame._stacked_analysis, dual._stacked_analysis, sides, [f]))
     return IdentityTerms(complex(t.lhs[0, 0]), complex(t.rhs[0, 0]), float(t.residual[0, 0]))
 
 

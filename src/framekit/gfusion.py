@@ -20,7 +20,7 @@ one product with the stack and one segmented sum over the block row ranges.
 The identities take (k, V) stacks of ``gframe.subset_sums`` over k subsets
 and V vectors: energies and truncated frame-operator images
 M_I f = sum_{j in I} Lambda_j* Lambda_j f, with no truncated frame operator
-built; the per-(subset, f) functions take 1 x 1 ones.  The frame keeps the
+built; the per-(subset, f) functions take 1 x 1 chunks.  The frame keeps the
 terms behind ``partial_sum`` and ``partial_frame_operator`` only as
 read-only (n, d*d) stacks, from which ``gframe.masked_sums`` takes a whole
 chunk of partial sums at once.

@@ -21,8 +21,8 @@ each check's arrays straight into its ``CheckSummary``; no per-subset
 result is built.  What several checks read is computed once per chunk, on
 first read, by the expression a single check would use, so sharing changes
 no bit of a report: the 0/1 rows [K, 1 - K] of the chunk's subsets and
-their complements, the ``subset_sums`` of each (subset, vector) as
-(k, V, ...) arrays over the chunk's k subsets and V vectors, the partial
+their complements, one ``subset_sums`` call per stack pair, whose
+(k, V, ...) arrays cover the chunk's k subsets and V vectors, the partial
 sums and their products, and COR2_SANDWICH's margins for THM38_I.  A check
 that takes no subsets (EQ4_RECON, EQ5_DUAL_RECON, EQ6_QUADFORM, LEMMA_L0)
 gets the one chunk [None].  ``run_check`` builds one context per chunk for
@@ -32,9 +32,8 @@ boundary: ``run_check`` validates the subsets and vectors its caller
 passes, and ``run_suite`` the sample vectors once per instance, while the
 subsets of ``subsets_for`` are sorted, distinct and in range by
 construction.  A finite vector can still overflow in its stacked images
-or their inner products: each chunk checks its (k, V) subset sums once
-(``gframe.finite_sums``), after a pair loop that runs under
-``np.errstate``, so such a vector raises ``ValueError`` and no warning.
+or their inner products: ``subset_sums`` then raises ``ValueError`` for
+the chunk, and no warning.
 The eight operator checks take partial sums from the rows over the frame's
 term stacks, then one stacked ``linops`` call for the margins, spectra or
 complement residuals.  The eleven per-vector checks are
@@ -253,57 +252,45 @@ class _Chunk:
     """One chunk of subsets on one frame, and what its checks share.
 
     ``subsets`` are sorted tuples of distinct indices in range ([None] for
-    the checks that take none), ``vectors`` the sample vectors as given (a
-    witness records them so) and ``valid_vectors`` the same vectors
-    validated; the caller validates both.  Every other member is computed on
-    first read, by the expression a single check would use, and then read by
-    every check of the chunk: the vectors' squared norms, the 0/1 rows of
-    the subsets and of their complements, the ``subset_sums`` of each
-    (subset, vector) over the frame's own stack and over the stack and its
-    canonical dual (checked finite once per chunk), the partial sums P,
+    the checks that take none) and ``vectors`` the validated sample vectors,
+    which a witness records; the caller validates both.  Every other member
+    is computed on first read, by the expression a single check would use,
+    and then read by every check of the chunk: the vectors' squared norms,
+    the 0/1 rows of the subsets and of their complements, the chunk's
+    ``subset_sums`` over the frame's own stack and over the stack and its
+    canonical dual, one call each, the partial sums P,
     Q = P_{I^c}, M and M' = M_{I^c} with the products P P, M S^-1 M and
     M' S^-1 M', and COR2_SANDWICH's margins, which THM38_I reads too.
     """
 
-    def __init__(self, frame, subsets, vectors, valid_vectors):
+    def __init__(self, frame, subsets, vectors):
         self.frame = frame
         self.subsets = subsets
         self.vectors = vectors
-        self.valid_vectors = valid_vectors
 
     @functools.cached_property
     def norms_sq(self) -> np.ndarray:
         """||f||^2 of each validated vector, shape (V,)."""
-        return np.array([np.vdot(f, f).real for f in self.valid_vectors])
+        return np.array([np.vdot(f, f).real for f in self.vectors])
 
     @functools.cached_property
     def sides(self) -> np.ndarray:
-        """[K, 1 - K], shape (2, k, n): the chunk's 0/1 subset rows of
-        ``subset_masks`` and their complements."""
-        masks = gf.subset_masks(len(self.frame), self.subsets)
-        return np.stack((masks, 1.0 - masks))
-
-    def _sums(self, dual) -> tuple[np.ndarray, np.ndarray]:
-        stack, dual_stack = self.frame._stacked_analysis, dual._stacked_analysis
-        # an overflow is refused once for the chunk, by finite_sums
-        with np.errstate(over="ignore", invalid="ignore"):
-            pairs = [gf.subset_sums(stack, dual_stack, self.sides[:, i], f)
-                     for i in range(len(self.subsets)) for f in self.valid_vectors]
-        k, v = len(self.subsets), len(self.valid_vectors)
-        return gf.finite_sums(*(np.array(side).reshape(k, v, *side[0].shape)
-                                for side in zip(*pairs)))
+        """[K, 1 - K], shape (2, k, n): ``subset_masks`` of the chunk."""
+        return gf.subset_masks(len(self.frame), self.subsets)
 
     @functools.cached_property
     def own_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Per subset I and vector f, the subset and complement energies
         (k, V, 2) and M_I f, M_K f (k, V, d, 2): ``subset_sums`` of the
         frame's stack with itself."""
-        return self._sums(self.frame)
+        stack = self.frame._stacked_analysis
+        return gf.subset_sums(stack, stack, self.sides, self.vectors)
 
     @functools.cached_property
     def dual_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """``subset_sums`` of the frame's stack with its canonical dual's."""
-        return self._sums(self.frame.canonical_dual)
+        return gf.subset_sums(self.frame._stacked_analysis,
+                              self.frame.canonical_dual._stacked_analysis, self.sides, self.vectors)
 
     @functools.cached_property
     def p(self) -> np.ndarray:
@@ -391,14 +378,14 @@ def _dual_maps(frame):
 def _reconstruction(maps, chunk):
     """Relative errors ||g(f) - f|| / ||f|| of the two maps g in ``maps(frame)``,
     0 for a zero vector."""
-    x = np.array(chunk.valid_vectors).T
+    x = np.array(chunk.vectors).T
     errors = np.stack([np.linalg.norm(g(x) - x, axis=0) for g in maps(chunk.frame)], axis=-1)
     errors = _per_norm(errors, np.sqrt(chunk.norms_sq)[:, None])
     return errors.reshape(1, -1), None, None, errors.max(axis=1).argmax(keepdims=True)
 
 
 def _eq6_quadform(chunk):
-    gaps = gfu.inverse_quadratic_residual(chunk.frame, np.array(chunk.valid_vectors))
+    gaps = gfu.inverse_quadratic_residual(chunk.frame, np.array(chunk.vectors))
     residuals = _per_norm(gaps, chunk.norms_sq)[None]
     return residuals, None, None, residuals.argmax(axis=1)
 
@@ -484,11 +471,11 @@ def _chunks(subsets, dim: int) -> list:
     return [subsets[start:start + size] for start in range(0, len(subsets), size)]
 
 
-def _contexts(frame, subsets, vectors, valid_vectors):
+def _contexts(frame, subsets, vectors):
     """One ``_Chunk`` per chunk of the validated ``subsets``, made as the
     caller reaches it; ``subsets`` None gives the one chunk [None]."""
     for chunk in [[None]] if subsets is None else _chunks(subsets, frame.dim_h):
-        yield _Chunk(frame, chunk, vectors, valid_vectors)
+        yield _Chunk(frame, chunk, vectors)
 
 
 class _Rows(NamedTuple):
@@ -593,8 +580,7 @@ def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = No
     if info.vectors and not vectors:
         raise ValueError(f"{check.value} needs sample vectors")
     js = [frame._validate_subset(s) for s in group] if info.subsets else None
-    valid_vectors = [as_vector(f, frame.dim_h) for f in vectors]
-    chunks = _contexts(frame, js, vectors, valid_vectors)
+    chunks = _contexts(frame, js, [as_vector(f, frame.dim_h) for f in vectors])
     results = [result for chunk in chunks for result in _run_chunk(check, chunk, tol)]
     return results if subsets is not None else results[0]
 
@@ -775,17 +761,18 @@ class RunReport:
         }
 
 
-def _component_specs(dim: int, count: int, weight_range) -> tuple[ComponentSpec, ...]:
-    # cycle subspace and codomain dimensions through 1..dim, offset by one,
-    # so small plans still mix square and rectangular blocks
-    return tuple(
-        ComponentSpec(1 + (i % dim), 1 + ((i + 1) % dim), weight_range[0], weight_range[1])
-        for i in range(count)
-    )
-
-
 def _block_dims(dim: int, count: int) -> list[int]:
     return [1 + ((i + 1) % dim) for i in range(count)]
+
+
+def _component_specs(dim: int, count: int, weight_range) -> tuple[ComponentSpec, ...]:
+    # cycle subspace dimensions through 1..dim and codomain dimensions one
+    # ahead (the g-frames' block dimensions), so small plans still mix
+    # square and rectangular blocks
+    return tuple(
+        ComponentSpec(1 + (i % dim), rows, weight_range[0], weight_range[1])
+        for i, rows in enumerate(_block_dims(dim, count))
+    )
 
 
 def build_instances(plan: SuitePlan) -> list[FrameInstance]:
@@ -855,8 +842,8 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
     for instance in instances:
         frame = instance.frame
         seed = instance.seed if instance.seed is not None else 0
-        vectors = sample_vectors(frame.dim_h, instance.field, seed, plan.vectors_per_instance)
-        valid_vectors = [as_vector(f, frame.dim_h) for f in vectors]
+        vectors = [as_vector(f, frame.dim_h) for f in
+                   sample_vectors(frame.dim_h, instance.field, seed, plan.vectors_per_instance)]
         subsets = subsets_for(len(frame), plan, seed)
         checks = [check for check in plan.checks if inapplicable(CATALOG[check], frame) is None]
         for check in checks:
@@ -867,7 +854,7 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
             group = [check for check in checks if CATALOG[check].subsets == takes_subsets]
             if not group:
                 continue
-            chunks = _contexts(frame, subsets if takes_subsets else None, vectors, valid_vectors)
+            chunks = _contexts(frame, subsets if takes_subsets else None, vectors)
             for chunk in chunks:
                 for check in group:
                     summaries[check].fold(_evaluate(check, chunk, plan.tol), instance,

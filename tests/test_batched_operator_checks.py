@@ -221,12 +221,12 @@ class TestBatchedMatchesReference:
         frame = _random_gfusion(dim, shapes, field, seed)
         assume(frame.is_frame)
         subsets = _all_subsets(len(shapes))
-        masks = gframe.subset_masks(len(shapes), subsets)
+        inside, outside = gframe.subset_masks(len(shapes), subsets)
         for stack, route in ((frame._dual_term_stack, frame.partial_sum),
                              (frame._component_term_stack, frame.partial_frame_operator)):
             assert not stack.flags.writeable
-            sums = gframe.masked_sums(stack, masks)
-            complements = gframe.masked_sums(stack, 1.0 - masks)
+            sums = gframe.masked_sums(stack, inside)
+            complements = gframe.masked_sums(stack, outside)
             for subset, p, q in zip(subsets, sums, complements):
                 assert np.array_equal(p, route(subset))
                 assert np.array_equal(q, route(frame.complement(subset)))

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from framekit import load_frame, save_frame
+from framekit import RunReport, SuitePlan, load_frame, save_frame
 from framekit.cli import frame_from_dict, frame_to_dict, main
 from framekit.gframe import GFrame
 from framekit.gfusion import GFusionFrame
@@ -374,6 +374,21 @@ class TestVerify:
 
     def test_missing_frame_file_exits_2(self, tmp_path):
         assert run_cli(["verify", "--frame", str(tmp_path / "nope.frame")]) == 2
+
+    def test_no_flags_give_the_default_plan(self, monkeypatch):
+        # the flag defaults are read from SuitePlan and Tolerances
+        import framekit.cli as cli
+
+        monkeypatch.delenv("FRAMEKIT_TOLERANCE", raising=False)
+        plans = []
+
+        def record(plan, frame=None):
+            plans.append(plan)
+            return RunReport(plan, [], True, 0.0)
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        assert run_cli(["verify"]) == 0
+        assert plans == [SuitePlan()]
 
     def test_env_tolerance_override(self, monkeypatch):
         monkeypatch.setenv("FRAMEKIT_TOLERANCE", "not-a-number")

@@ -216,13 +216,13 @@ class TestStackedMatchesReference:
         # frame operator built
         js, ks = _split(frame, subset, f)
         stack = frame._stacked_analysis
-        inside = gframe.subset_masks(len(frame), [js])
-        energies, images = gframe.subset_sums(stack, stack, np.concatenate((inside, 1.0 - inside)), f)
+        sides = gframe.subset_masks(len(frame), [js])
+        energies, images = gframe.subset_sums(stack, stack, sides, [f])
         scale = max(1.0, np.vdot(f, f).real)
         for side, ids in enumerate((js, ks)):
-            assert abs(energies[side] - _energy(frame, ids, f)) <= TOL * scale
+            assert abs(energies[0, 0, side] - _energy(frame, ids, f)) <= TOL * scale
             m_f = frame.partial_frame_operator(ids) @ f
-            assert np.abs(images[:, side] - m_f).max() <= TOL * scale
+            assert np.abs(images[0, 0, :, side] - m_f).max() <= TOL * scale
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +280,44 @@ class TestErrorParity:
             with pytest.raises(ValueError, match="finite"):
                 run_check(check, huge, [0], [np.full(2, entry)])
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestSubsetSumsChunk:
+    """``subset_sums`` on a chunk of k subsets and V vectors gives every
+    (subset, vector) pair what the 1 x 1 call on that pair gives."""
+
+    SHAPES = [(1, 2), (2, 3), (3, 1), (4, 2), (2, 2), (1, 4), (3, 3)]
+
+    @pytest.mark.parametrize("count", [1, 8])
+    @pytest.mark.parametrize("k", [1, 63, 64, 65])
+    @pytest.mark.parametrize("field", list(Field))
+    def test_each_entry_equals_its_one_by_one_call(self, field, k, count):
+        frame = _random_gfusion(4, self.SHAPES, field, 5)
+        subsets = [tuple(_subset(bits, len(frame))) for bits in range(k)]
+        vectors = sample_vectors(4, field, 5, count)
+        stack = frame._stacked_analysis
+        for dual in (stack, frame.canonical_dual._stacked_analysis):
+            sums, images = gframe.subset_sums(stack, dual, gframe.subset_masks(len(frame), subsets),
+                                              vectors)
+            assert sums.shape == (k, count, 2) and images.shape == (k, count, 4, 2)
+            for i, js in enumerate(subsets):
+                sides = gframe.subset_masks(len(frame), [js])
+                for v, f in enumerate(vectors):
+                    one_sums, one_images = gframe.subset_sums(stack, dual, sides, [f])
+                    assert np.array_equal(sums[i, v], one_sums[0, 0])
+                    assert np.array_equal(images[i, v], one_images[0, 0])
+
+    @pytest.mark.parametrize("weight,entry", [(1e150, 1e300), (1e100, 1e60)],
+                             ids=["stacked-image", "inner-products"])
+    def test_an_overflow_raises_and_warns_nothing(self, weight, entry):
+        # no np.errstate here: subset_sums sets its own
+        huge = GFusionFrame([(np.eye(2), np.eye(2), weight)])
+        stack = huge._stacked_analysis
+        sides = gframe.subset_masks(1, [(), (0,)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="vector entries must be finite"):
+                gframe.subset_sums(stack, stack, sides, [np.ones(2), np.full(2, entry)])
 
 
 class TestNoTruncatedFrameOperators:

@@ -220,9 +220,9 @@ class _Frame:
     def _set_frame_operator(self, terms, name) -> tuple[np.ndarray, ...]:
         """Sum the per-index ``terms`` into the frame operator and its bounds.
 
-        ``terms`` may be a generator: it is consumed under ``np.errstate``,
-        so an overflow raises this ``ValueError``, naming index j by
-        ``name(j)``, and no warning.  Returns the terms as a tuple.
+        ``terms`` may be a generator.  It is consumed and the spectrum taken
+        under ``np.errstate``: an overflow raises this ``ValueError`` (naming
+        index j by ``name(j)``) and no warning.  Returns the terms as a tuple.
         """
         out = []
         s = np.zeros((self.dim_h, self.dim_h), dtype=self.dtype)
@@ -232,11 +232,14 @@ class _Frame:
                     raise ValueError(f"{name(j)} has a frame-operator term that is not finite")
                 out.append(term)
                 s = s + term
-        if not np.isfinite(s).all():
-            raise ValueError(f"the frame operator (sum of the {self._noun} terms) is not finite")
+            if not np.isfinite(s).all():
+                raise ValueError(f"the frame operator (sum of the {self._noun} terms) is not finite")
+            # a finite S can still overflow in symmetrize
+            eigenvalues = hermitian_eig(s).eigenvalues
+        if not np.isfinite(eigenvalues).all():
+            raise ValueError("the frame operator has bounds that are not finite")
         self._count = len(out)
         self.frame_operator = s
-        eigenvalues = hermitian_eig(s).eigenvalues
         self.lower_bound = float(eigenvalues[0])
         self.upper_bound = float(eigenvalues[-1])
         return tuple(out)

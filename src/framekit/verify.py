@@ -23,7 +23,7 @@ first read, by the expression a single check would use, so sharing changes
 no bit of a report: the 0/1 rows [K, 1 - K] of the chunk's subsets and
 their complements, one ``subset_sums`` call per stack pair, whose
 (k, V, ...) arrays cover the chunk's k subsets and V vectors, the partial
-sums and their products, and COR2_SANDWICH's margins for THM38_I.  A check
+sums, their squares and the sandwich margins that THM38_I shares.  A check
 that takes no subsets (EQ4_RECON, EQ5_DUAL_RECON, EQ6_QUADFORM, LEMMA_L0)
 gets the one chunk [None].  ``run_check`` builds one context per chunk for
 its one check and cuts the same rows into one ``CheckResult`` per subset; a
@@ -36,10 +36,12 @@ or their inner products: ``subset_sums`` then raises ``ValueError`` for
 the chunk, and no warning.
 The eight operator checks take partial sums from the rows over the frame's
 term stacks, then one stacked ``linops`` call for the margins, spectra or
-complement residuals.  The eleven per-vector checks are
-each one array expression over the chunk; the identity functions of
-``gframe`` and ``gfusion`` use the same expressions on a 1 x 1 stack.
-LEMMA_L0 loops over the components.
+complement residuals.  The six interval checks among them share two
+evaluators, 0 <= A - A^2 <= U/4 and U/2 <= A^2 +- B^2 <= 3U/2, over the
+chunk's two operand families (``_Family``): P, Q in units of I, and M, M'
+in units of S.  The eleven per-vector checks are each one array expression
+over the chunk; the identity functions of ``gframe`` and ``gfusion`` use
+the same expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
 ``inapplicable`` is the one rule for which checks apply to which frame.
 
 Normalization conventions (so a single pair of tolerances applies):
@@ -258,9 +260,8 @@ class _Chunk:
     and then read by every check of the chunk: the vectors' squared norms,
     the 0/1 rows of the subsets and of their complements, the chunk's
     ``subset_sums`` over the frame's own stack and over the stack and its
-    canonical dual, one call each, the partial sums P,
-    Q = P_{I^c}, M and M' = M_{I^c} with the products P P, M S^-1 M and
-    M' S^-1 M', and COR2_SANDWICH's margins, which THM38_I reads too.
+    canonical dual, one call each, the partial sum P and the interval
+    checks' two operand families, P and Q = P_{I^c}, and M and M' = M_{I^c}.
     """
 
     def __init__(self, frame, subsets, vectors):
@@ -297,33 +298,55 @@ class _Chunk:
         return gf.masked_sums(self.frame._dual_term_stack, self.sides[0])
 
     @functools.cached_property
-    def q(self) -> np.ndarray:
-        return gf.masked_sums(self.frame._dual_term_stack, self.sides[1])
+    def parseval(self) -> _Family:
+        return _Family(self.p, gf.masked_sums(self.frame._dual_term_stack, self.sides[1]), 1.0, 1.0)
 
     @functools.cached_property
-    def p_sq(self) -> np.ndarray:
-        return self.p @ self.p
+    def relative(self) -> _Family:
+        frame, stack = self.frame, self.frame._component_term_stack
+        return _Family(gf.masked_sums(stack, self.sides[0]), gf.masked_sums(stack, self.sides[1]),
+                       frame.frame_operator, max(1.0, frame.upper_bound), frame.inverse_sqrt)
+
+
+class _Family:
+    """One operand family of the six interval checks, and their two
+    evaluators: the partial sums A and B = U - A of a chunk's subsets and of
+    their complements, the unit U of the bounds and the divisor of the
+    margins.  The Parseval family is P, Q with U = I and margins unscaled;
+    the S-relative one is M, M' with U = S and margins over max(1, ||S||).
+    A^2 and B^2 are computed on first read, as A A without ``root``.  With
+    ``root`` = S^(-1/2), M S^-1 M is taken as G G* with G = M S^(-1/2), which
+    is Hermitian to rounding at any condition number of S."""
+
+    def __init__(self, a, b, unit, scale, root=None):
+        self.a, self.b, self.unit, self.scale, self._root = a, b, unit, scale, root
+
+    def _square(self, x: np.ndarray) -> np.ndarray:
+        if self._root is None:
+            return x @ x
+        g = x @ self._root
+        return g @ adjoint(g)
 
     @functools.cached_property
-    def m(self) -> np.ndarray:
-        return gf.masked_sums(self.frame._component_term_stack, self.sides[0])
+    def a_sq(self) -> np.ndarray:
+        return self._square(self.a)
 
     @functools.cached_property
-    def m_c(self) -> np.ndarray:
-        return gf.masked_sums(self.frame._component_term_stack, self.sides[1])
+    def b_sq(self) -> np.ndarray:
+        return self._square(self.b)
+
+    def _interval(self, t, lower, upper):
+        lm = loewner_check(t, lower, upper, tol=0.0)
+        return None, np.column_stack([lm.lower_margin, lm.upper_margin]) / self.scale, None, None
 
     @functools.cached_property
-    def m_si_m(self) -> np.ndarray:
-        return self.m @ self.frame.inverse @ self.m
+    def sandwich(self):
+        """0 <= A - A^2 <= U/4, which COR2_SANDWICH and THM38_I share."""
+        return self._interval(self.a - self.a_sq, 0.0, 0.25 * self.unit)
 
-    @functools.cached_property
-    def mc_si_mc(self) -> np.ndarray:
-        return self.m_c @ self.frame.inverse @ self.m_c
-
-    @functools.cached_property
-    def sandwich(self) -> np.ndarray:
-        """Margins of 0 <= P - P^2 <= I/4 (COR2_SANDWICH and THM38_I)."""
-        return _margins_of(loewner_check(self.p - self.p_sq, 0.0, 0.25, tol=0.0))
+    def square_sum(self, sign: float):
+        """U/2 <= A^2 + sign B^2 <= 3U/2."""
+        return self._interval(self.a_sq + sign * self.b_sq, 0.5 * self.unit, 1.5 * self.unit)
 
 
 def _per_norm(values, norms):
@@ -340,14 +363,6 @@ def _identity_residuals(t, chunk):
     imag = np.abs(np.imag(t.lhs - t.rhs)) / scales
     rows = np.stack([r, imag], axis=-1).reshape(len(chunk.subsets), -1)
     return rows, None, None, r.argmax(axis=1)
-
-
-def _margins_of(lm, scale=1.0):
-    return np.column_stack([lm.lower_margin, lm.upper_margin]) / scale
-
-
-def _s_scale(frame) -> float:
-    return max(1.0, frame.upper_bound)
 
 
 def _pointwise_bound(whitened, chunk):
@@ -397,33 +412,6 @@ def _lemma_l0(chunk):
     return np.array([residuals]), None, None, None
 
 
-# The operator checks read the chunk's partial sums and their products, and
-# take their margins, spectra and complement residuals from one stacked
-# ``linops`` call each.
-def _sandwich(chunk):
-    return None, chunk.sandwich, None, None
-
-
-def _thm38_ii(chunk):
-    lm = loewner_check(chunk.p_sq + chunk.q @ chunk.q, 0.5, 1.5, tol=0.0)
-    return None, _margins_of(lm), None, None
-
-
-def _cor3_sandwich(chunk):
-    frame = chunk.frame
-    lm = loewner_check(chunk.m - chunk.m_si_m, 0.0, 0.25 * frame.frame_operator, tol=0.0)
-    return None, _margins_of(lm, _s_scale(frame)), None, None
-
-
-def _cor39(sign):
-    def evaluate(chunk):
-        s = chunk.frame.frame_operator
-        lm = loewner_check(chunk.m_si_m + sign * chunk.mc_si_mc, 0.5 * s, 1.5 * s, tol=0.0)
-        return None, _margins_of(lm, _s_scale(chunk.frame)), None, None
-
-    return evaluate
-
-
 def _spectrum_remark(chunk):
     vals = np.linalg.eigvals(chunk.p)
     margins = np.column_stack([vals.real.min(axis=-1), 1.0 - vals.real.max(axis=-1)])
@@ -453,12 +441,12 @@ _EVALUATORS = {
     CheckId.EQ5_DUAL_RECON: functools.partial(_reconstruction, _dual_maps),
     CheckId.EQ6_QUADFORM: _eq6_quadform,
     CheckId.LEMMA_L0: _lemma_l0,
-    CheckId.COR2_SANDWICH: _sandwich,
-    CheckId.THM38_I: _sandwich,
-    CheckId.THM38_II: _thm38_ii,
-    CheckId.COR3_SANDWICH: _cor3_sandwich,
-    CheckId.COR39_PLUS: _cor39(+1.0),
-    CheckId.COR39_MINUS_PROBE: _cor39(-1.0),
+    CheckId.COR2_SANDWICH: lambda c: c.parseval.sandwich,
+    CheckId.THM38_I: lambda c: c.parseval.sandwich,
+    CheckId.THM38_II: lambda c: c.parseval.square_sum(1.0),
+    CheckId.COR3_SANDWICH: lambda c: c.relative.sandwich,
+    CheckId.COR39_PLUS: lambda c: c.relative.square_sum(1.0),
+    CheckId.COR39_MINUS_PROBE: lambda c: c.relative.square_sum(-1.0),
     CheckId.SPECTRUM_REMARK: _spectrum_remark,
     CheckId.LEMMA_L2: _lemma_l2,
 }

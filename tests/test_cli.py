@@ -226,6 +226,16 @@ class TestExtremeWeights:
         assert "error:" in err and "1e+154" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_finite_frame_operator_whose_spectrum_overflows(self, tmp_path, capsys):
+        # S = 1e308 I is finite, but its bounds are not: a file that cannot
+        # be loaded, not a frame without a positive lower bound
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["verify", "--frame", _frame_file_with_weight(tmp_path, 1e154)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not load frame file")
+        assert "bounds that are not finite" in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_overflowing_gframe_block_names_its_index(self, tmp_path, capsys):
         path = tmp_path / "heavy-gframe.frame"
@@ -358,18 +368,15 @@ class TestVerify:
         assert ret == 2
 
     def test_frame_whose_checks_raise_exits_2(self, tmp_path, capsys):
-        # weights 1e-3..1e3 (condition number about 2e6): COR3_SANDWICH's
-        # M - M S^-1 M misses the Hermitian gate of its Loewner check
-        path = tmp_path / "w3.frame"
-        assert run_cli([
-            "gen", "--dim", "8", "--field", "real", "--seed", "0", "--components",
-            "4:4:1e-3", "4:4:1", "4:4:1e3", "8:8:1", "--out", str(path),
-        ]) == 0
-        capsys.readouterr()
+        # S = (2.5e307 + 1) I is finite, but the subset sums of the sample
+        # vectors overflow, so the checks raise on a frame that loads
+        path = tmp_path / "near-overflow.frame"
+        eye = np.eye(8)
+        save_frame(GFusionFrame([(eye, eye, 5e153), (eye, eye, 1.0)]), str(path))
         assert run_cli(["verify", "--frame", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: could not evaluate the checks:")
-        assert "Hermitian" in err and len(err.splitlines()) == 1
+        assert "finite" in err and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
     def test_missing_frame_file_exits_2(self, tmp_path):

@@ -181,6 +181,12 @@ class TestSharedCore:
         with pytest.raises(ValueError, match=rf"sum of the {noun} terms\) is not finite"):
             _make(kind, [1e154 * np.eye(2)] * 2)
 
+    def test_finite_sum_whose_spectrum_overflows(self, kind):
+        # S = (1e308 + 1) I is finite, but symmetrizing it for its spectrum
+        # overflows: refused, with no warning and no NaN bounds
+        with pytest.raises(ValueError, match="bounds that are not finite"):
+            _make(kind, [1e154 * np.eye(2), np.eye(2)])
+
 
 def test_analysis_and_synthesis_read_the_cached_stack(monkeypatch):
     # GFusionFrame.blocks computes w_j B_j P_j on each access; once the stack

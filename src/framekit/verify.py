@@ -260,8 +260,9 @@ class _Chunk:
     and then read by every check of the chunk: the vectors' squared norms,
     the 0/1 rows of the subsets and of their complements, the chunk's
     ``subset_sums`` over the frame's own stack and over the stack and its
-    canonical dual, one call each, the partial sum P and the interval
-    checks' two operand families, P and Q = P_{I^c}, and M and M' = M_{I^c}.
+    canonical dual, one call each, and the interval checks' two operand
+    families, P and Q = P_{I^c}, and M and M' = M_{I^c}; SPECTRUM_REMARK
+    and LEMMA_L2 read the Parseval family's P.
     """
 
     def __init__(self, frame, subsets, vectors):
@@ -294,32 +295,38 @@ class _Chunk:
                               self.frame.canonical_dual._stacked_analysis, self.sides, self.vectors)
 
     @functools.cached_property
-    def p(self) -> np.ndarray:
-        return gf.masked_sums(self.frame._dual_term_stack, self.sides[0])
-
-    @functools.cached_property
     def parseval(self) -> _Family:
-        return _Family(self.p, gf.masked_sums(self.frame._dual_term_stack, self.sides[1]), 1.0, 1.0)
+        return _Family(self.frame._dual_term_stack, self.sides, 1.0, 1.0)
 
     @functools.cached_property
     def relative(self) -> _Family:
-        frame, stack = self.frame, self.frame._component_term_stack
-        return _Family(gf.masked_sums(stack, self.sides[0]), gf.masked_sums(stack, self.sides[1]),
-                       frame.frame_operator, max(1.0, frame.upper_bound), frame.inverse_sqrt)
+        frame = self.frame
+        return _Family(frame._component_term_stack, self.sides, frame.frame_operator,
+                       max(1.0, frame.upper_bound), frame.inverse_sqrt)
 
 
 class _Family:
     """One operand family of the six interval checks, and their two
     evaluators: the partial sums A and B = U - A of a chunk's subsets and of
-    their complements, the unit U of the bounds and the divisor of the
-    margins.  The Parseval family is P, Q with U = I and margins unscaled;
-    the S-relative one is M, M' with U = S and margins over max(1, ||S||).
-    A^2 and B^2 are computed on first read, as A A without ``root``.  With
-    ``root`` = S^(-1/2), M S^-1 M is taken as G G* with G = M S^(-1/2), which
-    is Hermitian to rounding at any condition number of S."""
+    their complements (``masked_sums`` of ``stack`` over the two rows of
+    ``sides``), the unit U of the bounds and the divisor of the margins.  The
+    Parseval family is P, Q with U = I and margins unscaled; the S-relative
+    one is M, M' with U = S and margins over max(1, ||S||).  A, B, A^2 and
+    B^2 are each computed on first read, the squares as A A without
+    ``root``; with ``root`` = S^(-1/2), M S^-1 M is taken as G G* with
+    G = M S^(-1/2), which is Hermitian to rounding at any condition number."""
 
-    def __init__(self, a, b, unit, scale, root=None):
-        self.a, self.b, self.unit, self.scale, self._root = a, b, unit, scale, root
+    def __init__(self, stack, sides, unit, scale, root=None):
+        self._stack, self._sides = stack, sides
+        self.unit, self.scale, self._root = unit, scale, root
+
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        return gf.masked_sums(self._stack, self._sides[0])
+
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        return gf.masked_sums(self._stack, self._sides[1])
 
     def _square(self, x: np.ndarray) -> np.ndarray:
         if self._root is None:
@@ -413,14 +420,14 @@ def _lemma_l0(chunk):
 
 
 def _spectrum_remark(chunk):
-    vals = np.linalg.eigvals(chunk.p)
+    vals = np.linalg.eigvals(chunk.parseval.a)
     margins = np.column_stack([vals.real.min(axis=-1), 1.0 - vals.real.max(axis=-1)])
     residuals = np.abs(vals.imag).max(axis=-1)[:, None]
     return residuals, margins, {"spectral_radius": np.abs(vals).max(axis=-1)}, None
 
 
 def _lemma_l2(chunk):
-    return complement_identity_residual(chunk.p)[:, None], None, None, None
+    return complement_identity_residual(chunk.parseval.a)[:, None], None, None, None
 
 
 # The identity checks take their (k, V) ``IdentityTerms`` stack from the

@@ -398,7 +398,7 @@ class TestConditioningFaults:
             assert report.summary(check).passed, check
 
     @pytest.mark.parametrize("weight", [1e3, pytest.param(1e4, marks=pytest.mark.xfail(
-        strict=True, reason=(
+        strict=True, raises=AssertionError, reason=(
             "ROADMAP item 4: with S = 2e8 I, so kappa(S) = 1, THM_T33 and THM_FINAL_MI "
             "fail at 5.1e-8 and COR_34_SINV at margin -2.2e-8")))])
     def test_verdicts_do_not_depend_on_units(self, weight):
@@ -467,6 +467,23 @@ class TestSharedChunk:
             if instance.kind == "gfusion" and instance.parseval:
                 # P and Q from the dual terms, M and M' from the frame terms
                 assert sorted(per_stack.values()) == [2 * self.CHUNKS] * 2
+
+    @pytest.mark.parametrize("check, reads", [
+        (CheckId.COR2_SANDWICH, 1), (CheckId.THM38_I, 1), (CheckId.COR3_SANDWICH, 1),
+        (CheckId.SPECTRUM_REMARK, 1), (CheckId.LEMMA_L2, 1),
+        (CheckId.THM38_II, 2), (CheckId.COR39_PLUS, 2), (CheckId.COR39_MINUS_PROBE, 2),
+    ], ids=lambda v: v.value if isinstance(v, CheckId) else str(v))
+    def test_a_single_check_takes_only_the_partial_sums_it_reads(self, monkeypatch,
+                                                                two_chunk_instances,
+                                                                check, reads):
+        # a sandwich reads A alone; a square sum reads A and its complement B
+        import framekit.gframe as gframe
+
+        frame = next(i.frame for i in two_chunk_instances
+                     if i.kind == "gfusion" and i.parseval)
+        calls = _recording(monkeypatch, gframe, "masked_sums")
+        run_suite(SuitePlan(checks=(check,)), frame=frame)
+        assert len(calls) == reads * self.CHUNKS
 
     def test_one_loewner_check_per_chunk_for_both_sandwiches(self, monkeypatch,
                                                             two_chunk_instances):

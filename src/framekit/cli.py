@@ -3,14 +3,18 @@
 Subcommands: ``gen`` writes a random frame to a frame file, ``verify`` runs
 the check suite over generated instances or a loaded frame and can emit a
 JSON or CSV report, ``demo-reconstruct`` prints a reconstruction round trip
-for one vector.  Exit codes: 0 success, 1 verification/generation failure,
-2 invalid configuration or unreadable input.
+for one vector through the maps that EQ4_RECON and EQ5_DUAL_RECON check.
+Exit codes: 0 success, 1 verification/generation failure, 2 invalid
+configuration or unreadable input, which every subcommand reports as a
+``ValueError``.
 
-Frame files and reports are JSON.  Real matrices serialize as nested arrays
-of numbers, complex ones as nested arrays of [re, im] pairs; floats use
-Python's shortest round-trip representation, so reloading is bit-exact.
-The environment variable ``FRAMEKIT_TOLERANCE`` overrides the default
-residual/margin tolerance (flags still win).
+Each input is decided in one place: a tolerance by ``_tolerance`` (its
+flag, else ``FRAMEKIT_TOLERANCE``, read only when the flag is absent, else
+the default), a frame file by ``_frame_file``.  Frame files and JSON reports
+are JSON; a CSV report writes columns of the same per-check dicts.  Real
+matrices serialize as nested arrays of numbers, complex ones as nested
+arrays of [re, im] pairs; floats use Python's shortest round-trip
+representation, so reloading is bit-exact.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from .gen import (
 )
 from .gframe import GFrame
 from .gfusion import GFusionFrame
-from .linops import Field, adjoint
-from .verify import (CATALOG, CheckId, RunReport, SuitePlan, Tolerances, frame_kind,
-                     inapplicable, run_suite)
+from .linops import Field
+from .verify import (CATALOG, CheckId, RunReport, SuitePlan, Tolerances, _dual_maps,
+                     _operator_maps, frame_kind, inapplicable, run_suite)
 
 __all__ = [
     "FRAME_FORMAT_VERSION",
@@ -54,6 +58,9 @@ __all__ = [
 FRAME_FORMAT_VERSION = 1
 
 _TOL_ENV = "FRAMEKIT_TOLERANCE"
+
+_CSV_FIELDS = ("id", "instances", "evaluations", "max_residual", "min_margin", "pass",
+               "witness_count")
 
 
 # ---------------------------------------------------------------------------
@@ -160,24 +167,12 @@ def report_to_json(report: RunReport) -> str:
 
 
 def report_to_csv(report: RunReport) -> str:
-    """Flat projection of the per-check summaries; same numerics as JSON."""
+    """The columns ``_CSV_FIELDS`` of each check's JSON dict: the same
+    numerics, a null as an empty cell."""
     out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(
-        ["id", "instances", "evaluations", "max_residual", "min_margin", "pass", "witness_count"]
-    )
-    for s in report.checks:
-        writer.writerow(
-            [
-                s.check.value,
-                s.instances,
-                s.evaluations,
-                "" if s.max_residual is None else repr(s.max_residual),
-                "" if s.min_margin is None else repr(s.min_margin),
-                s.passed,
-                s.witness_count,
-            ]
-        )
+    writer = csv.DictWriter(out, _CSV_FIELDS, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(s.to_dict() for s in report.checks)
     return out.getvalue()
 
 
@@ -200,50 +195,34 @@ def _print_report(report: RunReport, stream):
 # flag parsing helpers
 
 
-class _ConfigError(Exception):
+class _ConfigError(ValueError):
     pass
 
 
-def _tolerance(value: float, message: str) -> float:
-    """``value`` when ``Tolerances`` takes it (finite and nonnegative, the one
-    rule for every tolerance), else a ``_ConfigError`` saying ``message``."""
+def _tolerance(flag: float | None, default: float, name: str) -> float:
+    """The tolerance from ``flag`` (the option ``name``), else from
+    ``FRAMEKIT_TOLERANCE``, which is read only when the flag is absent, else
+    ``default``.  A value ``Tolerances`` refuses (not finite, or negative)
+    raises ``_ConfigError`` naming its source."""
+    if flag is None:
+        raw = os.environ.get(_TOL_ENV)
+        if raw is None:
+            return default
+        try:
+            flag, name = float(raw), _TOL_ENV
+        except ValueError:
+            raise _ConfigError(f"{_TOL_ENV} must be a number, got {raw!r}") from None
     try:
-        Tolerances(value, value)
+        Tolerances(flag, flag)
     except ValueError:
-        raise _ConfigError(message) from None
-    return value
+        raise _ConfigError(f"{name} must be finite and nonnegative, got {flag}") from None
+    return flag
 
 
-def _env_tolerance() -> float | None:
-    raw = os.environ.get(_TOL_ENV)
-    if raw is None:
+def _parse_checks(tokens) -> tuple[CheckId, ...] | None:
+    """The named checks, or ``None`` when a token is 'all'."""
+    if any(t.lower() == "all" for t in tokens):
         return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise _ConfigError(f"{_TOL_ENV} must be a number, got {raw!r}")
-    return _tolerance(value, f"{_TOL_ENV} must be finite and nonnegative, got {value}")
-
-
-def _resolve_tolerances(args) -> Tolerances:
-    """Each tolerance from its flag, else from the environment, else the
-    ``Tolerances`` default."""
-    base = _env_tolerance()
-    default = Tolerances()
-    residual = args.tol_residual if args.tol_residual is not None else base
-    margin = args.tol_margin if args.tol_margin is not None else base
-    try:
-        return Tolerances(
-            residual=default.residual if residual is None else residual,
-            margin=default.margin if margin is None else margin,
-        )
-    except ValueError as exc:
-        raise _ConfigError(str(exc))
-
-
-def _parse_checks(tokens) -> tuple[CheckId, ...]:
-    if not tokens or any(t.lower() == "all" for t in tokens):
-        return tuple(CheckId)
     out = []
     for t in tokens:
         try:
@@ -252,6 +231,18 @@ def _parse_checks(tokens) -> tuple[CheckId, ...]:
             known = ", ".join(c.value for c in CheckId)
             raise _ConfigError(f"unknown check {t!r}; known checks: {known}")
     return tuple(out)
+
+
+def _frame_file(path: str):
+    """The frame in the file at ``path``; a file that does not load, or a
+    frame with no positive lower bound, raises ``_ConfigError``."""
+    try:
+        frame = load_frame(path)
+    except (OSError, ValueError) as exc:
+        raise _ConfigError(f"could not load frame file {path!r}: {exc}")
+    if not frame.is_frame:
+        raise _ConfigError(f"frame file {path!r} has no positive lower bound")
+    return frame
 
 
 def _parse_field(token: str) -> tuple[Field, ...]:
@@ -311,7 +302,7 @@ def _parse_vector(text: str, fld: Field) -> np.ndarray:
 def _generated_frame(args, command: str):
     """The weighted subspace frame ``gen`` and ``demo-reconstruct --random``
     draw from ``--dim``, ``--components``, ``--field``, ``--seed`` and
-    ``--parseval``; a bad flag raises ``_ConfigError`` or ``ValueError``."""
+    ``--parseval``; a bad flag raises ``ValueError``."""
     components = _parse_component_triples(args.components)
     fields = _parse_field(args.field)
     if len(fields) != 1:
@@ -326,7 +317,7 @@ def cmd_gen(args) -> int:
     except GenerationFailed as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return 1
-    except (_ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -341,31 +332,24 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        tol = _resolve_tolerances(args)
+        default = Tolerances()
+        tol = Tolerances(_tolerance(args.tol_residual, default.residual, "--tol-residual"),
+                         _tolerance(args.tol_margin, default.margin, "--tol-margin"))
         checks = _parse_checks(args.checks)
         fields = _parse_field(args.field)
         if args.seeds < 1:
             raise _ConfigError("--seeds must be at least 1")
-        frame = None
-        if args.frame is not None:
-            try:
-                frame = load_frame(args.frame)
-            except (OSError, ValueError) as exc:
-                raise _ConfigError(f"could not load frame file {args.frame!r}: {exc}")
-            if not frame.is_frame:
-                raise _ConfigError(
-                    f"frame file {args.frame!r} has no positive lower bound; nothing to verify"
-                )
+        frame = None if args.frame is None else _frame_file(args.frame)
+        if checks is None:
+            # 'all': every check the frame admits
+            checks = tuple(c for c in CheckId
+                           if frame is None or inapplicable(CATALOG[c], frame) is None)
+            if not checks:
+                raise _ConfigError("no applicable checks for this frame")
+        elif frame is not None:
             refused = [c.value for c in checks if inapplicable(CATALOG[c], frame) is not None]
-            if args.checks and not any(t.lower() == "all" for t in args.checks):
-                if refused:
-                    raise _ConfigError(
-                        f"checks not applicable to this frame: {', '.join(refused)}"
-                    )
-            else:
-                checks = tuple(c for c in checks if c.value not in refused)
-                if not checks:
-                    raise _ConfigError("no applicable checks for this frame")
+            if refused:
+                raise _ConfigError(f"checks not applicable to this frame: {', '.join(refused)}")
         plan = SuitePlan(
             dims=tuple(args.dims),
             fields=fields,
@@ -375,7 +359,7 @@ def cmd_verify(args) -> int:
             tol=tol,
             frame_path=args.frame,
         )
-    except (_ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -399,59 +383,44 @@ def cmd_verify(args) -> int:
     return 0 if report.overall_pass else 1
 
 
-def _demo_frame(args):
-    if args.frame is not None:
-        return load_frame(args.frame)
-    if not args.random:
-        raise _ConfigError("need --frame PATH or --random")
-    return _generated_frame(args, "demo")
-
-
 def cmd_demo_reconstruct(args) -> int:
     try:
-        if args.tol is None:
-            env = _env_tolerance()
-            args.tol = 1e-9 if env is None else env
-        _tolerance(args.tol, f"tolerance must be finite and nonnegative, got {args.tol}")
-        try:
-            frame = _demo_frame(args)
-        except (OSError, ValueError, GenerationFailed) as exc:
-            raise _ConfigError(f"could not obtain a frame: {exc}")
-        if not frame.is_frame:
-            raise _ConfigError("frame has no positive lower bound; cannot reconstruct")
-        fld = frame.field
+        tol = _tolerance(args.tol, 1e-9, "--tol")
+        if args.frame is not None:
+            frame = _frame_file(args.frame)
+        elif args.random:
+            frame = _generated_frame(args, "demo")
+        else:
+            raise _ConfigError("need --frame PATH or --random")
         if args.vector is not None:
-            f = _parse_vector(args.vector, fld)
+            f = _parse_vector(args.vector, frame.field)
             if f.shape[0] != frame.dim_h:
                 raise _ConfigError(
                     f"vector has length {f.shape[0]}, frame dimension is {frame.dim_h}"
                 )
         else:
-            f = random_vector(frame.dim_h, fld, substream(args.vector_seed, 0))
-    except _ConfigError as exc:
+            f = random_vector(frame.dim_h, frame.field, substream(args.vector_seed, 0))
+    except (ValueError, GenerationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # the maps that EQ4_RECON and EQ5_DUAL_RECON check
     if frame_kind(frame) == "gfusion":
-        routes = [
-            ("frame-operator route", frame.frame_operator @ (frame.inverse @ f)),
-            ("canonical-dual route", frame.partial_sum(range(len(frame))) @ f),
-        ]
+        (operator_route, _), (dual_route, _) = _operator_maps(frame), _dual_maps(frame)
+        routes = [("frame-operator route", operator_route), ("canonical-dual route", dual_route)]
     else:
-        s_full = frame.partial_sum(range(len(frame)))
-        routes = [
-            ("dual-synthesis route", adjoint(s_full) @ f),
-            ("dual-analysis route", s_full @ f),
-        ]
+        analysis, synthesis = _dual_maps(frame)
+        routes = [("dual-synthesis route", synthesis), ("dual-analysis route", analysis)]
 
     nf = float(np.linalg.norm(f))
     print(f"f               = {np.array2string(f, precision=6)}")
     ok = True
-    for name, recon in routes:
+    for name, route in routes:
+        recon = route(f)
         err = float(np.linalg.norm(recon - f)) / nf if nf > 0 else 0.0
-        ok = ok and err <= args.tol
+        ok = ok and err <= tol
         print(f"{name:<22}= {np.array2string(recon, precision=6)}  rel_error={err:.3e}")
-    print(f"tolerance {args.tol:.1e}: {'PASS' if ok else 'FAIL'}")
+    print(f"tolerance {tol:.1e}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

@@ -21,12 +21,13 @@ gives for every (subset, f) of the chunk the per-block inner products
 <Gamma_j f, Lambda_j f> summed over each row, from one segmented sum over
 the block row starts, and the truncated images sum_{j in I} Lambda_j*
 Gamma_j f, from one product of Lambda* with Gamma f masked to each row.  It
-runs its pairs under ``np.errstate`` and refuses the whole chunk, once, by
-the ``ValueError`` that ``stacked_image`` raises when an entry is not
-finite.  ``identity_terms`` turns its (k, V) stacks (k subsets, V vectors)
-into the two sides of the identity; with the frame's own stack as the dual
-it is the Parseval case.  Each public per-(subset, f) identity evaluates its
-pair through ``_pair_identity`` as a 1 x 1 chunk.
+runs its pairs under ``np.errstate`` and refuses the whole chunk, once,
+by a ``ValueError`` naming the subset sums and the frame's scale when an
+entry is not finite.  ``identity_terms`` turns its (k, V) stacks
+(k subsets, V vectors) into the two sides of the identity; with the
+frame's own stack as the dual it is the Parseval case.  Each public
+per-(subset, f) identity evaluates its pair through ``_pair_identity`` as a
+1 x 1 chunk.
 
 The operator checks take many partial sums at once: each frame keeps the
 per-index terms behind ``partial_sum`` only as a read-only (n, d*d)
@@ -132,8 +133,9 @@ def subset_sums(frame_stack: StackedAnalysis, dual_stack: StackedAnalysis, sides
     <Gamma_j f, Lambda_j f> over each row, shape (k, V, 2), and the
     truncated images sum_j Lambda_j* Gamma_j f over the same rows, shape
     (k, V, dim, 2).  Each (subset, f) pair takes its own products, so an entry
-    does not depend on the chunk around it.  An overflow raises the
-    ``ValueError`` of ``stacked_image``, once for the chunk, and no warning.
+    does not depend on the chunk around it.  An overflow raises one
+    ``ValueError`` for the chunk ("subset sums are not finite at this
+    frame's scale"), and no warning.
     """
     k, dim = sides.shape[1], frame_stack.matrix.shape[1]
     sums, images = [], []
@@ -149,7 +151,7 @@ def subset_sums(frame_stack: StackedAnalysis, dual_stack: StackedAnalysis, sides
     sums = np.array(sums).reshape(k, len(vectors), 2)
     images = np.array(images).reshape(k, len(vectors), dim, 2)
     if not (np.isfinite(sums).all() and np.isfinite(images).all()):
-        raise ValueError("vector entries must be finite")
+        raise ValueError("subset sums are not finite at this frame's scale")
     return sums, images
 
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from framekit import RunReport, SuitePlan, load_frame, save_frame
+from framekit import RunReport, SuitePlan, Tolerances, load_frame, save_frame
 from framekit.cli import frame_from_dict, frame_to_dict, main
 from framekit.gframe import GFrame
 from framekit.gfusion import GFusionFrame
@@ -318,15 +318,17 @@ class TestVerify:
         assert run_cli(common + ["--report", str(jpath), "--format", "json"]) == 0
         assert run_cli(common + ["--report", str(cpath), "--format", "csv"]) == 0
         report = json.loads(jpath.read_text())
-        rows = {row["id"]: row for row in csv.DictReader(cpath.read_text().splitlines())}
+        reader = csv.DictReader(cpath.read_text().splitlines())
+        assert reader.fieldnames == ["id", "instances", "evaluations", "max_residual",
+                                     "min_margin", "pass", "witness_count"]
+        rows = list(reader)
         assert report["overall_pass"] is True
-        for check in report["checks"]:
-            row = rows[check["id"]]
-            assert int(row["instances"]) == check["instances"]
-            if check["max_residual"] is not None:
-                assert float(row["max_residual"]) == check["max_residual"]
-            if check["min_margin"] is not None:
-                assert float(row["min_margin"]) == check["min_margin"]
+        assert [row["id"] for row in rows] == [check["id"] for check in report["checks"]]
+        # every column: a float by its repr, a bool as True/False, a null as ""
+        for check, row in zip(report["checks"], rows):
+            assert row == {k: "" if check[k] is None else str(check[k]) for k in reader.fieldnames}
+        assert any(check["max_residual"] is None for check in report["checks"])
+        assert any(check["min_margin"] is None for check in report["checks"])
 
     def test_report_numerics_deterministic(self, tmp_path):
         args = ["verify", "--dims", "2", "--seeds", "2", "--components", "3",
@@ -408,24 +410,88 @@ class TestVerify:
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv, env, source",
     [
-        (["verify", "--dims", "2", "--seeds", "1", "--tol-residual", "{}"], None),
-        (["verify", "--dims", "2", "--seeds", "1", "--tol-margin", "{}"], None),
-        (["verify", "--dims", "2", "--seeds", "1"], "{}"),
-        (["demo-reconstruct", "--random", "--tol", "{}"], None),
-        (["demo-reconstruct", "--random"], "{}"),
+        (["verify", "--dims", "2", "--seeds", "1", "--tol-residual", "{}"], None, "--tol-residual"),
+        (["verify", "--dims", "2", "--seeds", "1", "--tol-margin", "{}"], None, "--tol-margin"),
+        (["verify", "--dims", "2", "--seeds", "1"], "{}", "FRAMEKIT_TOLERANCE"),
+        (["demo-reconstruct", "--random", "--tol", "{}"], None, "--tol"),
+        (["demo-reconstruct", "--random"], "{}", "FRAMEKIT_TOLERANCE"),
+        (["verify", "--dims", "2", "--seeds", "1", "--tol-residual", "{}"], "1e-3",
+         "--tol-residual"),
+        (["verify", "--dims", "2", "--seeds", "1", "--tol-residual", "1e-5"], "{}",
+         "FRAMEKIT_TOLERANCE"),
+        (["demo-reconstruct", "--random", "--tol", "{}"], "1e-3", "--tol"),
     ],
-    ids=["verify-tol-residual", "verify-tol-margin", "verify-env", "demo-tol", "demo-env"],
+    ids=["verify-tol-residual", "verify-tol-margin", "verify-env", "demo-tol", "demo-env",
+         "verify-flag-over-env", "verify-env-for-margin", "demo-flag-over-env"],
 )
-def test_tolerance_that_is_not_finite_exits_2(monkeypatch, capsys, argv, env, value):
-    # NaN compares false with every residual, so it would pass every check
+def test_tolerance_that_is_not_finite_exits_2(monkeypatch, capsys, argv, env, source, value):
+    # NaN compares false with every residual, so it would pass every check;
+    # the one error line names the value's source
     if env is not None:
         monkeypatch.setenv("FRAMEKIT_TOLERANCE", env.format(value))
     assert run_cli([a.format(value) for a in argv]) == 2
     captured = capsys.readouterr()
-    assert "error:" in captured.err and "finite" in captured.err
+    assert captured.err == f"error: {source} must be finite and nonnegative, got {value}\n"
     assert "PASS" not in captured.out
+
+
+class TestToleranceSources:
+    """Each tolerance comes from its flag, else from FRAMEKIT_TOLERANCE, read
+    only when the flag is absent, else from the default."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        import framekit.cli as cli
+
+        monkeypatch.delenv("FRAMEKIT_TOLERANCE", raising=False)
+        plans = []
+
+        def record(plan, frame=None):
+            plans.append(plan)
+            return RunReport(plan, [], True, 0.0)
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        return plans
+
+    @pytest.mark.parametrize(
+        "env, flags, expected",
+        [
+            (None, [], Tolerances()),
+            (None, ["--tol-residual", "1e-5"], Tolerances(1e-5, Tolerances().margin)),
+            ("1e-3", [], Tolerances(1e-3, 1e-3)),
+            ("1e-3", ["--tol-residual", "1e-5"], Tolerances(1e-5, 1e-3)),
+            ("1e-3", ["--tol-margin", "1e-6"], Tolerances(1e-3, 1e-6)),
+            ("1e-3", ["--tol-residual", "1e-5", "--tol-margin", "1e-6"], Tolerances(1e-5, 1e-6)),
+        ],
+        ids=["default", "flag", "env", "residual-flag", "margin-flag", "both-flags"],
+    )
+    def test_verify(self, monkeypatch, plans, env, flags, expected):
+        if env is not None:
+            monkeypatch.setenv("FRAMEKIT_TOLERANCE", env)
+        assert run_cli(["verify", *flags]) == 0
+        assert [plan.tol for plan in plans] == [expected]
+
+    @pytest.mark.parametrize(
+        "env, flags, expected",
+        [(None, [], "1.0e-09"), ("1e-3", [], "1.0e-03"), ("1e-3", ["--tol", "1e-5"], "1.0e-05"),
+         ("not-a-number", ["--tol", "1e-5"], "1.0e-05")],
+        ids=["default", "env", "flag", "flag-over-malformed-env"],
+    )
+    def test_demo_reconstruct(self, monkeypatch, capsys, env, flags, expected):
+        monkeypatch.delenv("FRAMEKIT_TOLERANCE", raising=False)
+        if env is not None:
+            monkeypatch.setenv("FRAMEKIT_TOLERANCE", env)
+        assert run_cli(["demo-reconstruct", "--random", *flags]) == 0
+        assert f"tolerance {expected}: PASS" in capsys.readouterr().out
+
+    def test_both_flags_leave_a_malformed_env_unread(self, monkeypatch, plans):
+        monkeypatch.setenv("FRAMEKIT_TOLERANCE", "not-a-number")
+        assert run_cli(["verify", "--tol-residual", "1e-5", "--tol-margin", "1e-6"]) == 0
+        assert [plan.tol for plan in plans] == [Tolerances(1e-5, 1e-6)]
+        # with one flag absent, its tolerance still reads the environment
+        assert run_cli(["verify", "--tol-residual", "1e-5"]) == 2
 
 
 class TestDemoReconstruct:

@@ -316,7 +316,8 @@ class TestSubsetSumsChunk:
         sides = gframe.subset_masks(1, [(), (0,)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="vector entries must be finite"):
+            with pytest.raises(ValueError,
+                               match="subset sums are not finite at this frame's scale"):
                 gframe.subset_sums(stack, stack, sides, [np.ones(2), np.full(2, entry)])
 
 

@@ -15,6 +15,12 @@ are JSON; a CSV report writes columns of the same per-check dicts.  Real
 matrices serialize as nested arrays of numbers, complex ones as nested
 arrays of [re, im] pairs; floats use Python's shortest round-trip
 representation, so reloading is bit-exact.
+
+A frame file's layout is decided once, by ``_frame_layout``, which both
+``frame_to_dict`` and ``save_frame`` read.  ``save_frame`` writes the bytes
+of ``json.dumps(frame_to_dict(frame)) + "\\n"`` one matrix at a time, and
+``load_frame`` makes each component's matrices arrays as soon as the parser
+closes it, so neither holds the whole frame as nested lists.
 """
 
 from __future__ import annotations
@@ -76,8 +82,10 @@ def _encode_matrix(m: np.ndarray, field: Field) -> list:
     return m.tolist()
 
 
-def _decode_matrix(rows: list, field: Field) -> np.ndarray:
-    m = np.array(rows, dtype=np.float64)
+def _decode_matrix(rows, field: Field) -> np.ndarray:
+    """The matrix that ``rows`` describes: nested lists, or the float64
+    array ``_decode_components`` made of them, which is taken uncopied."""
+    m = np.asarray(rows, dtype=np.float64)
     if field is Field.REAL:
         return m
     if m.ndim != 3 or m.shape[2] != 2:
@@ -88,27 +96,52 @@ def _decode_matrix(rows: list, field: Field) -> np.ndarray:
     return z
 
 
-def frame_to_dict(frame) -> dict:
+def _frame_layout(frame) -> tuple:
+    """The frame file of ``frame`` as an object: a tuple of (key, value)
+    pairs in file order, whose ``components`` value is a list of such
+    objects.  Matrices stay arrays, for ``_encode_matrix`` to write one at a
+    time."""
     kind = frame_kind(frame)
-    fld = frame.field
     if kind == "gframe":
-        components = [{"lambda": _encode_matrix(b, fld)} for b in frame.blocks]
+        components = [(("lambda", b),) for b in frame.blocks]
     else:
-        components = [
-            {
-                "lambda": _encode_matrix(c.block, fld),
-                "basis": _encode_matrix(c.basis, fld),
-                "weight": float(c.weight),
-            }
-            for c in frame.components
-        ]
-    return {
-        "format_version": FRAME_FORMAT_VERSION,
-        "field": fld.value,
-        "dim_h": frame.dim_h,
-        "kind": kind,
-        "components": components,
-    }
+        components = [(("lambda", c.block), ("basis", c.basis), ("weight", float(c.weight)))
+                      for c in frame.components]
+    return (("format_version", FRAME_FORMAT_VERSION), ("field", frame.field.value),
+            ("dim_h", frame.dim_h), ("kind", kind), ("components", components))
+
+
+def _json_value(node, field: Field):
+    """The JSON value of a ``_frame_layout`` node."""
+    if isinstance(node, tuple):
+        return {key: _json_value(value, field) for key, value in node}
+    if isinstance(node, list):
+        return [_json_value(item, field) for item in node]
+    return _encode_matrix(node, field) if isinstance(node, np.ndarray) else node
+
+
+def _write_json(fh, node, field: Field):
+    """Write ``json.dumps(_json_value(node, field))`` to ``fh`` one leaf at
+    a time, so no more than one matrix is held as lists and text."""
+    if isinstance(node, tuple):
+        fh.write("{")
+        for i, (key, value) in enumerate(node):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json(fh, value, field)
+        fh.write("}")
+    elif isinstance(node, list):
+        fh.write("[")
+        for i, item in enumerate(node):
+            if i:
+                fh.write(", ")
+            _write_json(fh, item, field)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(_json_value(node, field)))
+
+
+def frame_to_dict(frame) -> dict:
+    return _json_value(_frame_layout(frame), frame.field)
 
 
 def frame_from_dict(data: dict):
@@ -144,16 +177,35 @@ def frame_from_dict(data: dict):
 
 
 def save_frame(frame, path: str):
+    """Write ``json.dumps(frame_to_dict(frame)) + "\\n"`` to ``path``, in
+    memory bounded by one matrix rather than by the whole frame."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(frame_to_dict(frame)) + "\n")
+        _write_json(fh, _frame_layout(frame), frame.field)
+        fh.write("\n")
+
+
+def _decode_components(obj: dict) -> dict:
+    """``json.load``'s object hook: the matrices of a component become
+    float64 arrays as soon as it closes, so only one component's nested
+    lists are alive at a time.  A value that does not convert stays as
+    parsed, for ``frame_from_dict`` to refuse it with the error it raises on
+    ``json.loads`` of the same text."""
+    for key in ("lambda", "basis"):
+        if key in obj:
+            try:
+                obj[key] = np.array(obj[key], dtype=np.float64)
+            except (ValueError, TypeError, OverflowError):
+                pass
+    return obj
 
 
 def load_frame(path: str):
-    """Read a frame file.  Malformed content, also nesting too deep for the
-    JSON parser, raises ``ValueError``."""
+    """Read a frame file, in memory bounded by the text and one component's
+    lists.  Malformed content, also nesting too deep for the JSON parser,
+    raises ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return frame_from_dict(json.load(fh))
+            return frame_from_dict(json.load(fh, object_hook=_decode_components))
         except RecursionError as exc:
             raise ValueError(f"unreadable frame data ({type(exc).__name__}: {exc})") from exc
 

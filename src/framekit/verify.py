@@ -614,7 +614,9 @@ class SuitePlan:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "fields", tuple(Field(f) for f in self.fields))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "checks", tuple(CheckId(c) for c in self.checks))
+        # a repeated check runs once, where it first appears
+        checks = dict.fromkeys(CheckId(c) for c in self.checks)
+        object.__setattr__(self, "checks", tuple(checks))
         if not self.dims or min(self.dims) < 1:
             raise ValueError("dims must be positive")
         if not self.fields:

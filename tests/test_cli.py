@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,24 @@ def coordinate_frame_file(tmp_path, coordinate_gfusion):
     path = tmp_path / "coordinate.frame"
     save_frame(coordinate_gfusion, str(path))
     return str(path)
+
+
+_COMPLEX_ENTRY_NOT_A_PAIR = json.dumps({"format_version": 1, "field": "complex", "dim_h": 1,
+                                       "kind": "gframe", "components": [{"lambda": [[[1.0]]]}]})
+
+@pytest.fixture(scope="module")
+def dim64_frame_file(tmp_path_factory):
+    """The dim-64 complex frame file of ``gen --seed 3``: 934 KiB."""
+    path = tmp_path_factory.mktemp("dim64") / "l.frame"
+    assert main(["gen", "--dim", "64", "--components", "64:64:1", "48:40:1.5", "32:64:0.75",
+                 "16:8:2", "--seed", "3", "--out", str(path)]) == 0
+    return str(path)
+
+
+def _matrices(frame):
+    if isinstance(frame, GFrame):
+        return list(frame.blocks)
+    return [m for c in frame.components for m in (c.basis, c.block)]
 
 
 class TestFrameFiles:
@@ -111,14 +130,52 @@ class TestFrameFiles:
         )
         assert load_frame(str(path)).blocks[0].tobytes() == z.tobytes()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda _: GFrame([np.arange(6.0).reshape(2, 3) / 7, np.eye(3)]),
+            lambda _: GFrame([np.array([[1 / 3 + 2j, -0.0, 1e-300j]]), (1 - 1j) * np.eye(3)]),
+            lambda _: GFrame([np.eye(2), np.array([[1j, 0], [0, 1]])]),
+            lambda _: GFusionFrame([(np.eye(2), np.arange(4.0).reshape(2, 2) + 1, 0.75),
+                                    (np.eye(2)[:, :1], [[1 / 3, -0.0]], 2.0)]),
+            lambda _: GFusionFrame([(np.eye(2) * 1j, [[1 + 1j, 0], [0, 0.1j]], 1.5)]),
+            lambda _: GFusionFrame([(np.eye(2), [[1j, 0], [0, 1]], 1.0)]),
+            load_frame,
+        ],
+        ids=["gframe-real", "gframe-complex", "gframe-mixed", "gfusion-real",
+             "gfusion-complex", "gfusion-mixed", "gen-dim64-complex"],
+    )
+    def test_file_bytes_are_json_dumps_of_the_dict(self, tmp_path, dim64_frame_file, make):
+        frame = make(dim64_frame_file)
+        path = tmp_path / "f.frame"
+        save_frame(frame, str(path))
+        # the oracle: the whole-frame encoding that the streamed writer replaces
+        assert path.read_bytes() == (json.dumps(frame_to_dict(frame)) + "\n").encode()
+        reloaded = load_frame(str(path))
+        assert type(reloaded) is type(frame) and reloaded.dtype == frame.dtype
+        for m1, m2 in zip(_matrices(frame), _matrices(reloaded), strict=True):
+            assert m2.tobytes() == np.asarray(m1, dtype=frame.dtype).tobytes()
+        if isinstance(frame, GFusionFrame):
+            assert [c.weight for c in reloaded.components] == [c.weight for c in frame.components]
+
+    def test_save_and_load_peak_below_one_frame_of_lists(self, tmp_path, dim64_frame_file):
+        # whole-frame nested lists peaked at 6.3 MiB (save) and 4.1 MiB (load)
+        frame = load_frame(dim64_frame_file)
+        path = str(tmp_path / "again.frame")
+        peaks = []
+        for step in (lambda: save_frame(frame, path), lambda: load_frame(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2.5 and peaks[1] < 3.0, peaks
+
     @pytest.mark.parametrize("command", ["verify", "demo-reconstruct"])
     @pytest.mark.parametrize(
         "content",
-        [
-            "[1, 2]",
-            json.dumps({"format_version": 1, "field": "complex", "dim_h": 1,
-                        "kind": "gframe", "components": [{"lambda": [[[1.0]]]}]}),
-        ],
+        ["[1, 2]", _COMPLEX_ENTRY_NOT_A_PAIR],
         ids=["top-level-list", "complex-entry-not-a-pair"],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, command, content):
@@ -180,6 +237,36 @@ def test_malformed_frame_dict_raises_value_error(tmp_path, capsys, coordinate_gf
         assert run_cli([command, "--frame", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+
+# matrices that no float64 array holds: the loader leaves them as parsed
+_UNCONVERTIBLE_MATRICES = {
+    "ragged-basis": lambda d: d["components"][1]["basis"].append([1.0, 2.0]),
+    "object-entry": lambda d: d["components"][0]["lambda"][0].__setitem__(0, {}),
+}
+
+
+def _malformed_frame_text(name, coordinate_gfusion):
+    if name == "complex-entry-not-a-pair":
+        return _COMPLEX_ENTRY_NOT_A_PAIR
+    data = frame_to_dict(coordinate_gfusion)
+    {**_MALFORMED_DICTS, **_UNCONVERTIBLE_MATRICES}[name](data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "name", [*_MALFORMED_DICTS, *_UNCONVERTIBLE_MATRICES, "complex-entry-not-a-pair"]
+)
+def test_load_frame_raises_the_error_of_frame_from_dict(tmp_path, coordinate_gfusion, name):
+    text = _malformed_frame_text(name, coordinate_gfusion)
+    with pytest.raises(ValueError) as expected:
+        frame_from_dict(json.loads(text))
+    path = tmp_path / "bad.frame"
+    path.write_text(text)
+    with pytest.raises(ValueError) as raised:
+        load_frame(str(path))
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
 
 
 def _frame_file_with_weight(tmp_path, weight, block=1.0):
@@ -286,6 +373,14 @@ class TestVerify:
     def test_single_check_small_run(self):
         ret = run_cli(["verify", "--dims", "2", "--seeds", "2", "--checks", "LEMMA_L2"])
         assert ret == 0
+
+    def test_repeated_check_id_runs_once(self, capsys):
+        lines = []
+        for checks in (["LEMMA_L2"], ["LEMMA_L2", "lemma_l2"]):
+            assert run_cli(["verify", "--dims", "2", "--seeds", "1", "--checks", *checks]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[:-1])  # without the wall time
+        assert lines[1] == lines[0]
+        assert len(lines[0]) == 1 and "instances=8 evals=128" in lines[0][0]
 
     def test_negative_tolerance_exits_2(self):
         assert run_cli(["verify", "--tol-residual", "-1"]) == 2

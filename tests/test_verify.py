@@ -208,6 +208,15 @@ class TestSuitePlan:
         d = SuitePlan().to_dict()
         assert d == json.loads(json.dumps(d))
 
+    def test_repeated_checks_run_once_in_first_seen_order(self):
+        plan = SuitePlan(checks=(CheckId.LEMMA_L2, "THM_T1", "LEMMA_L2", CheckId.THM_T1))
+        assert plan.checks == (CheckId.LEMMA_L2, CheckId.THM_T1)
+        once = dict(dims=(2,), seeds=(0,), checks=("LEMMA_L2",))
+        twice = dict(once, checks=("LEMMA_L2", "LEMMA_L2"))
+        (s1,), (s2,) = run_suite(SuitePlan(**once)).checks, run_suite(SuitePlan(**twice)).checks
+        assert (s2.instances, s2.evaluations) == (s1.instances, s1.evaluations) == (8, 128)
+        assert s2.to_dict() == s1.to_dict()
+
 
 class TestBuildInstances:
     def test_grid_shape(self, small_plan):

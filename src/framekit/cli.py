@@ -144,15 +144,27 @@ def frame_to_dict(frame) -> dict:
     return _json_value(_frame_layout(frame), frame.field)
 
 
+def _number(value, name: str, integer: bool = False):
+    """``value`` when it is a JSON number, or a JSON integer when
+    ``integer``; a bool or a string of digits raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                         f"got {value!r}")
+    return value
+
+
 def frame_from_dict(data: dict):
-    """The frame a frame-file dict describes; malformed data, a missing key
-    or a number out of range included, raises ``ValueError``."""
+    """The frame a frame-file dict describes; malformed data, a missing key,
+    a scalar of the wrong type (``dim_h`` is a JSON integer, a ``weight`` a
+    JSON number, and neither is a bool) or a number out of range included,
+    raises ``ValueError``."""
     if not isinstance(data, dict):
         raise ValueError(f"frame file must hold a JSON object, got {type(data).__name__}")
     version = data.get("format_version")
-    if version != FRAME_FORMAT_VERSION:
+    if isinstance(version, bool) or version != FRAME_FORMAT_VERSION:
         raise ValueError(f"unsupported frame file version: {version!r}")
     try:
+        dim_h = _number(data["dim_h"], "frame file dim_h", integer=True)
         fld = Field(data["field"])
         kind = data["kind"]
         components = data["components"]
@@ -162,13 +174,12 @@ def frame_from_dict(data: dict):
             frame = GFusionFrame(
                 [
                     (_decode_matrix(c["basis"], fld), _decode_matrix(c["lambda"], fld),
-                     c["weight"])
+                     _number(c["weight"], "component weight"))
                     for c in components
                 ]
             )
         else:
             raise ValueError(f"unknown frame kind: {kind!r}")
-        dim_h = int(data["dim_h"])
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed frame data ({type(exc).__name__}: {exc})") from exc
     if frame.dim_h != dim_h:
@@ -438,6 +449,11 @@ def cmd_verify(args) -> int:
 def cmd_demo_reconstruct(args) -> int:
     try:
         tol = _tolerance(args.tol, 1e-9, "--tol")
+        if args.vector is not None and args.random_vector:
+            raise _ConfigError("give --vector or --random-vector, not both")
+        if not 0 <= args.vector_seed < 2**64:
+            raise _ConfigError(
+                f"--vector-seed must be a 64-bit unsigned integer, got {args.vector_seed}")
         if args.frame is not None:
             frame = _frame_file(args.frame)
         elif args.random:

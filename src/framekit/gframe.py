@@ -405,8 +405,9 @@ def _pair_identity(frame: _Frame, subset, f, through_dual: bool, terms_of) -> Id
     return IdentityTerms(complex(t.lhs[0, 0]), complex(t.rhs[0, 0]), float(t.residual[0, 0]))
 
 
-def partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
-    """Subset/complement energy identity through the canonical dual.
+def partition_identity(frame: _Frame, subset, f) -> IdentityTerms:
+    """Subset/complement energy identity through the canonical dual, for
+    either frame kind (``gfusion`` binds this function too).
 
     lhs sums <dual_j f, block_j f> over the subset and subtracts the squared
     norm of the truncated reconstruction of f; rhs mirrors it over the
@@ -415,8 +416,8 @@ def partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
     return _pair_identity(frame, subset, f, True, identity_terms)
 
 
-def parseval_partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
-    """Parseval special case of the partition identity.
+def parseval_partition_identity(frame: _Frame, subset, f) -> IdentityTerms:
+    """Parseval special case of the partition identity, for either frame kind.
 
     Uses the frame's own blocks on both sides (the canonical dual of a
     Parseval frame is the frame itself): block energies minus the squared

@@ -20,7 +20,10 @@ one product with the stack and one segmented sum over the block row ranges.
 The identities take (k, V) stacks of ``gframe.subset_sums`` over k subsets
 and V vectors: energies and truncated frame-operator images
 M_I f = sum_{j in I} Lambda_j* Lambda_j f, with no truncated frame operator
-built; the per-(subset, f) functions take 1 x 1 chunks.  The frame keeps the
+built; the per-(subset, f) functions take 1 x 1 chunks.  The energy
+identity and its Parseval case are the g-frame ones on these blocks, so
+``partition_identity`` and ``parseval_partition_identity`` are
+``gframe``'s functions, bound here under the same names.  The frame keeps the
 terms behind ``partial_sum`` and ``partial_frame_operator`` only as
 read-only (n, d*d) stacks, from which ``gframe.masked_sums`` takes a whole
 chunk of partial sums at once.
@@ -38,7 +41,8 @@ from .gframe import (
     _Frame,
     _norms_sq,
     _pair_identity,
-    identity_terms,
+    parseval_partition_identity,
+    partition_identity,
     stacked_image,
     term_stack,
 )
@@ -194,22 +198,6 @@ def block_energies(frame: GFusionFrame, f) -> np.ndarray:
     stacked = frame._stacked_analysis
     y = stacked_image(stacked, f)
     return np.add.reduceat((y.conj() * y).real, stacked.starts)
-
-
-def partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
-    """Subset/complement energy identity through the canonical dual triple.
-
-    lhs sums the weighted inner products of dual and primal block images over
-    the subset and subtracts the squared norm of the truncated reconstruction
-    of f; rhs mirrors it over the complement with conjugated inner products.
-    """
-    return _pair_identity(frame, subset, f, True, identity_terms)
-
-
-def parseval_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
-    """Parseval special case: block energies minus the squared norms of the
-    truncated frame-operator images, subset side versus complement side."""
-    return _pair_identity(frame, subset, f, False, identity_terms)
 
 
 def whitened_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:

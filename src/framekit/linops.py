@@ -12,7 +12,9 @@ The acceptance gates (Hermitian symmetry in ``hermitian_eig`` and
 semantics, ``||Y||_2 <= tol * max(floor, ||X||_2, ...)``.  They are decided
 first from an O(d^2) Frobenius certificate, which implies the spectral test,
 and fall back to the exact spectral test only when the certificate is
-inconclusive, so every verdict is the one the spectral test gives.
+inconclusive, so every verdict is the one the spectral test gives.  A
+deviation that is not finite (an overflow, computed without a warning)
+fails its gate with no SVD.
 
 ``loewner_check``, ``operator_norm`` and ``complement_identity_residual``
 also take a (k, d, d) stack of operators and return one value per matrix.
@@ -232,7 +234,8 @@ def _norms_within(deviations, tol: float, floor: float, operands=()) -> np.ndarr
     Squares that underflow lose less than ``tiny`` each, hence the
     ``size * tiny`` term.  Where the certificate is inconclusive the spectral
     test itself decides, with one ``operator_norm`` call per argument over
-    just those indices.
+    just those indices.  A deviation that is not finite fails with no SVD:
+    its norm would be NaN, or its SVD would not converge.
     """
     lower = np.float64(floor)
     for x in operands:
@@ -244,22 +247,26 @@ def _norms_within(deviations, tol: float, floor: float, operands=()) -> np.ndarr
         ok = ok & (_CERTIFICATE_SLACK * np.sqrt(_frobenius_sq(y) + 2 * size * _TINY) <= bound)
     if ok.all():
         return ok
-    open_ = np.flatnonzero(~ok) if ok.ndim else None
-
-    def pick(x):
-        return x if open_ is None or x.ndim == 2 else x[open_]
-
-    scale = np.float64(floor)
-    for x in operands:
-        scale = np.maximum(scale, operator_norm(pick(x)))
-    spectral = np.True_
+    finite = np.True_
     for y in deviations:
-        spectral = spectral & ~(operator_norm(pick(y)) > tol * scale)
-    if open_ is None:
-        return spectral
-    ok = ok.copy()
-    ok[open_] = spectral
-    return ok
+        finite = finite & np.isfinite(y).all(axis=(-2, -1))
+    ok, finite = np.broadcast_arrays(ok, finite)
+    shape = ok.shape
+    ok, finite = ok.reshape(-1).copy(), finite.reshape(-1)
+    open_ = np.flatnonzero(~ok & finite)
+    if open_.size:
+
+        def pick(x):
+            return x if x.ndim == 2 else x[open_]
+
+        scale = np.float64(floor)
+        for x in operands:
+            scale = np.maximum(scale, operator_norm(pick(x)))
+        spectral = np.True_
+        for y in deviations:
+            spectral = spectral & (operator_norm(pick(y)) <= tol * scale)
+        ok[open_] = spectral
+    return ok.reshape(shape)
 
 
 def hermitian_eig(a) -> SpectralDecomposition:
@@ -272,7 +279,9 @@ def hermitian_eig(a) -> SpectralDecomposition:
     a = as_operator(a)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"expected a square operator, got shape {a.shape}")
-    if not _norms_within([a - adjoint(a)], HTOL, 0.0, [a]):
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = a - adjoint(a)
+    if not _norms_within([deviation], HTOL, 0.0, [a]):
         raise NotHermitian("operator is not Hermitian within tolerance")
     w, u = np.linalg.eigh(symmetrize(a))
     return SpectralDecomposition(w, u)
@@ -318,8 +327,10 @@ def orthonormal_basis(vectors) -> np.ndarray:
 def projection(basis) -> np.ndarray:
     """Orthogonal projection onto the column span of an orthonormal basis."""
     b = as_operator(basis)
-    gram = adjoint(b) @ b
-    if not _norms_within([gram - identity_like(gram)], RTOL, 1.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = adjoint(b) @ b
+        deviation = gram - identity_like(gram)
+    if not _norms_within([deviation], RTOL, 1.0):
         raise NotOrthonormal("basis columns are not orthonormal within tolerance")
     return b @ adjoint(b)
 
@@ -375,7 +386,9 @@ def loewner_check(t, lower, upper, tol: float) -> LoewnerMargin:
     # the gate through the floor alone
     floor = max([1.0] + [abs(c) for c in (lo_c, up_c) if c is not None])
     operands = [t] + [x for x, c in ((lo, lo_c), (up, up_c)) if c is None]
-    if not _norms_within([x - adjoint(x) for x in operands], HTOL, floor, operands).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviations = [x - adjoint(x) for x in operands]
+    if not _norms_within(deviations, HTOL, floor, operands).all():
         raise NotHermitian("interval operands must be Hermitian within tolerance")
     if lo_c is not None and up_c is not None:
         # bounds a*I and b*I: one spectrum gives lambda_min(T) - a and b - lambda_max(T)

@@ -6,34 +6,34 @@ random instances, aggregates per-check extremes into a report, and renders
 an overall verdict.  Probe checks record counterexample witnesses without
 affecting the verdict.
 
-Every check takes its subsets in chunks of at most ``_CHUNK_ENTRIES``
-matrix entries (64 subsets at d = 8), but of no fewer than
-``_CHUNK_SUBSETS`` subsets (4 at d = 32 and d = 64), through one contract:
-its entry in ``_EVALUATORS``, the one table from check id to evaluator,
-takes a chunk context (``_Chunk``: the frame, the chunk's subsets and the
-sample vectors) and returns the chunk's residual and margin rows.
+Every check is one ``CATALOG`` entry, which carries its evaluator: it takes
+a chunk context (``_Chunk``: the frame, the chunk's subsets and the sample
+vectors) and returns the chunk's (residuals, margins, stats) rows.  A chunk
+holds at most ``_CHUNK_ENTRIES`` matrix entries (64 subsets at d = 8), but
+no fewer than ``_CHUNK_SUBSETS`` subsets (4 at d = 32 and d = 64).
 ``_evaluate`` decides which rows fail by one rule, for both routes: a row
 fails when a residual is not <= the residual tolerance or a margin is not
->= minus the margin tolerance, so a NaN fails.  ``run_suite`` walks
-instance -> chunk -> check: it cuts an instance's generated subsets into
-chunks, hands each chunk's one context to every check in turn, and folds
-each check's arrays straight into its ``CheckSummary``; no per-subset
-result is built.  What several checks read is computed once per chunk, on
-first read, by the expression a single check would use, so sharing changes
-no bit of a report: the 0/1 rows [K, 1 - K] of the chunk's subsets and
-their complements, one ``subset_sums`` call per stack pair, whose
-(k, V, ...) arrays cover the chunk's k subsets and V vectors, the partial
-sums, their squares and the sandwich margins that THM38_I shares.  A check
-that takes no subsets (EQ4_RECON, EQ5_DUAL_RECON, EQ6_QUADFORM, LEMMA_L0)
-gets the one chunk [None].  ``run_check`` builds one context per chunk for
-its one check and cuts the same rows into one ``CheckResult`` per subset; a
-single subset is a chunk of one.  Inputs are validated at the API
-boundary: ``run_check`` validates the subsets and vectors its caller
-passes, and ``run_suite`` the sample vectors once per instance, while the
-subsets of ``subsets_for`` are sorted, distinct and in range by
-construction.  A finite vector can still overflow in its stacked images
-or their inner products: ``subset_sums`` then raises ``ValueError`` for
-the chunk, and no warning.
+>= minus the margin tolerance, so a NaN fails.  It also picks every
+per-vector check's witness vector: such a row holds its V vectors side by
+side, and the witness is the first vector with the largest residual or the
+smallest margin.  ``_walk`` is the one traversal from chunk to rows: it
+yields (check, chunk, rows) over a frame's chunks, one chunk held at a
+time, the checks that take no subsets (EQ4_RECON, EQ5_DUAL_RECON,
+EQ6_QUADFORM, LEMMA_L0) first, on the one chunk [None].  ``run_suite``
+folds what it yields straight into each check's ``CheckSummary``, with no
+per-subset result, and ``run_check`` cuts it into one ``CheckResult`` per
+subset; a single subset is a chunk of one.  What several checks read is
+computed once per chunk, on first read, by the expression a single check
+would use, so sharing changes no bit of a report: the 0/1 rows [K, 1 - K]
+of the chunk's subsets and their complements, one ``subset_sums`` call per
+stack pair, whose (k, V, ...) arrays cover the chunk's k subsets and V
+vectors, the partial sums, their squares and the sandwich margins that
+THM38_I shares.  Inputs are validated at the API boundary: ``run_check``
+validates the subsets and vectors its caller passes, and ``run_suite`` the
+sample vectors once per instance, while the subsets of ``subsets_for`` are
+sorted, distinct and in range by construction.  A finite vector can still
+overflow in its stacked images or their inner products: ``subset_sums``
+then raises ``ValueError`` for the chunk, and no warning.
 The eight operator checks take partial sums from the rows over the frame's
 term stacks, then one stacked ``linops`` call for the margins, spectra or
 complement residuals.  The six interval checks among them share two
@@ -143,66 +143,17 @@ class CheckId(str, enum.Enum):
 
 @dataclass(frozen=True)
 class CheckInfo:
-    """Routing metadata for one catalog entry."""
+    """One catalog entry: routing metadata and the check's evaluator, which
+    takes a ``_Chunk`` and returns its (residuals, margins, stats)."""
 
     check: "CheckId"
     kind: str  # "gframe" | "gfusion" | "any"
     parseval_only: bool
     subsets: bool
     vectors: bool
-    probe: bool
+    evaluate: Callable
     summary: str
-
-
-def _info(check, kind, parseval_only, subsets, vectors, summary, probe=False):
-    return CheckInfo(check, kind, parseval_only, subsets, vectors, probe, summary)
-
-
-CATALOG: dict[CheckId, CheckInfo] = {
-    info.check: info
-    for info in [
-        _info(CheckId.THM_T1, "gframe", False, True, True,
-              "subset/complement energy identity for operator frames"),
-        _info(CheckId.FAMOUS_PARSEVAL, "gframe", True, True, True,
-              "Parseval special case of the energy identity"),
-        _info(CheckId.THM_TG1, "gfusion", False, True, True,
-              "subset/complement energy identity for weighted subspace frames"),
-        _info(CheckId.COR1_IDENTITY, "gfusion", True, True, True,
-              "Parseval identity linking block energies and truncated operator norms"),
-        _info(CheckId.COR1_34BOUND, "gfusion", True, True, True,
-              "subset energy plus complement operator energy is at least 3/4 of the input energy"),
-        _info(CheckId.COR2_SANDWICH, "gfusion", True, True, False,
-              "0 <= P - P^2 <= I/4 for Parseval partial reconstructions"),
-        _info(CheckId.THM_T33, "gfusion", False, True, True,
-              "whitened subset/complement energy identity for general frames"),
-        _info(CheckId.COR3_SANDWICH, "gfusion", False, True, False,
-              "0 <= M - M S^-1 M <= S/4 for truncated frame operators"),
-        _info(CheckId.COR_34_SINV, "gfusion", False, True, True,
-              "lower bound (3/4) * A on subset energy plus whitened complement energy"),
-        _info(CheckId.THM38_I, "gfusion", True, True, False,
-              "first part of the two-sided Parseval bound: 0 <= P - P^2 <= I/4"),
-        _info(CheckId.THM38_II, "gfusion", True, True, False,
-              "second part: I/2 <= P^2 + Q^2 <= 3I/2 for complementary partials"),
-        _info(CheckId.COR39_PLUS, "gfusion", False, True, False,
-              "S/2 <= M S^-1 M + M' S^-1 M' <= 3S/2 (sum form)"),
-        _info(CheckId.COR39_MINUS_PROBE, "gfusion", False, True, False,
-              "difference form as printed, probed for counterexamples", probe=True),
-        _info(CheckId.EQ4_RECON, "gfusion", False, False, True,
-              "frame-operator reconstruction, both orderings"),
-        _info(CheckId.EQ5_DUAL_RECON, "gfusion", False, False, True,
-              "canonical-dual reconstruction, both orderings"),
-        _info(CheckId.EQ6_QUADFORM, "gfusion", False, False, True,
-              "inverse-operator quadratic form equals the dual analysis energy"),
-        _info(CheckId.SPECTRUM_REMARK, "gfusion", True, True, False,
-              "Parseval partial reconstructions have spectrum inside [0, 1]"),
-        _info(CheckId.LEMMA_L0, "gfusion", False, False, False,
-              "projection absorption along subspace images under the inverse operator"),
-        _info(CheckId.LEMMA_L2, "any", False, True, False,
-              "complementary partials satisfy u - v = u^2 - v^2"),
-        _info(CheckId.THM_FINAL_MI, "gfusion", False, True, True,
-              "partition identity for truncated frame operators through the dual energy"),
-    ]
-}
+    probe: bool = False
 
 
 @dataclass(frozen=True)
@@ -236,11 +187,7 @@ def _json_vector(f: np.ndarray) -> list:
     return [float(x) for x in f]
 
 
-# Every check is one evaluator taking a chunk's ``_Chunk`` and returning
-# (residuals, margins, stats, worst): (k, r) and (k, m) arrays, a dict of
-# length-k arrays and each row's index into the chunk's vectors of its worst
-# vector (the first, where tied), each None where the check has none.  A
-# chunk holds at most this many matrix entries, 64 subsets at d = 8, but
+# A chunk holds at most this many matrix entries, 64 subsets at d = 8, but
 # never fewer than _CHUNK_SUBSETS subsets: 4 at d = 32 and at d = 64.  Up to
 # d = 32 larger chunks gain no speed and raise peak memory; at d = 64 a
 # chunk of one pays the chunk's fixed cost per subset, and chunks of 16 were
@@ -344,7 +291,7 @@ class _Family:
 
     def _interval(self, t, lower, upper):
         lm = loewner_check(t, lower, upper, tol=0.0)
-        return None, np.column_stack([lm.lower_margin, lm.upper_margin]) / self.scale, None, None
+        return None, np.column_stack([lm.lower_margin, lm.upper_margin]) / self.scale, None
 
     @functools.cached_property
     def sandwich(self):
@@ -368,8 +315,7 @@ def _identity_residuals(t, chunk):
     scales = np.maximum(1.0, chunk.norms_sq)
     r = t.residual / scales
     imag = np.abs(np.imag(t.lhs - t.rhs)) / scales
-    rows = np.stack([r, imag], axis=-1).reshape(len(chunk.subsets), -1)
-    return rows, None, None, r.argmax(axis=1)
+    return np.stack([r, imag], axis=-1).reshape(len(chunk.subsets), -1), None, None
 
 
 def _pointwise_bound(whitened, chunk):
@@ -382,8 +328,7 @@ def _pointwise_bound(whitened, chunk):
     m_k = images[..., 1:]
     tails = gf._norms_sq(frame.inverse_sqrt @ m_k if whitened else m_k)[..., 0]
     n2 = chunk.norms_sq
-    margins = _per_norm(sums[..., 0].real + tails - floor * n2, n2)
-    return None, margins, None, margins.argmin(axis=1)
+    return None, _per_norm(sums[..., 0].real + tails - floor * n2, n2), None
 
 
 def _operator_maps(frame):
@@ -402,60 +347,101 @@ def _reconstruction(maps, chunk):
     0 for a zero vector."""
     x = np.array(chunk.vectors).T
     errors = np.stack([np.linalg.norm(g(x) - x, axis=0) for g in maps(chunk.frame)], axis=-1)
-    errors = _per_norm(errors, np.sqrt(chunk.norms_sq)[:, None])
-    return errors.reshape(1, -1), None, None, errors.max(axis=1).argmax(keepdims=True)
+    return _per_norm(errors, np.sqrt(chunk.norms_sq)[:, None]).reshape(1, -1), None, None
 
 
 def _eq6_quadform(chunk):
     gaps = gfu.inverse_quadratic_residual(chunk.frame, np.array(chunk.vectors))
-    residuals = _per_norm(gaps, chunk.norms_sq)[None]
-    return residuals, None, None, residuals.argmax(axis=1)
+    return _per_norm(gaps, chunk.norms_sq)[None], None, None
 
 
 def _lemma_l0(chunk):
     t = chunk.frame.inverse
     tn = operator_norm(t)
     residuals = [projected_adjoint_residual(c.basis, t) / tn for c in chunk.frame.components]
-    return np.array([residuals]), None, None, None
+    return np.array([residuals]), None, None
 
 
 def _spectrum_remark(chunk):
     vals = np.linalg.eigvals(chunk.parseval.a)
     margins = np.column_stack([vals.real.min(axis=-1), 1.0 - vals.real.max(axis=-1)])
     residuals = np.abs(vals.imag).max(axis=-1)[:, None]
-    return residuals, margins, {"spectral_radius": np.abs(vals).max(axis=-1)}, None
+    return residuals, margins, {"spectral_radius": np.abs(vals).max(axis=-1)}
 
 
 def _lemma_l2(chunk):
-    return complement_identity_residual(chunk.parseval.a)[:, None], None, None, None
+    return complement_identity_residual(chunk.parseval.a)[:, None], None, None
 
 
 # The identity checks take their (k, V) ``IdentityTerms`` stack from the
 # chunk's shared sums, by the expression their module function
 # (``gframe.partition_identity`` and the like) uses on one pair.
-_EVALUATORS = {
-    CheckId.THM_T1: lambda c: _identity_residuals(gf.identity_terms(*c.dual_sums), c),
-    CheckId.FAMOUS_PARSEVAL: lambda c: _identity_residuals(gf.identity_terms(*c.own_sums), c),
-    CheckId.THM_TG1: lambda c: _identity_residuals(gf.identity_terms(*c.dual_sums), c),
-    CheckId.COR1_IDENTITY: lambda c: _identity_residuals(gf.identity_terms(*c.own_sums), c),
-    CheckId.THM_T33: lambda c: _identity_residuals(
-        gfu.whitened_terms(c.frame.inverse_sqrt, *c.own_sums), c),
-    CheckId.THM_FINAL_MI: lambda c: _identity_residuals(
-        gfu.dual_energy_terms(c.frame.canonical_dual._stacked_analysis, *c.own_sums), c),
-    CheckId.COR1_34BOUND: functools.partial(_pointwise_bound, False),
-    CheckId.COR_34_SINV: functools.partial(_pointwise_bound, True),
-    CheckId.EQ4_RECON: functools.partial(_reconstruction, _operator_maps),
-    CheckId.EQ5_DUAL_RECON: functools.partial(_reconstruction, _dual_maps),
-    CheckId.EQ6_QUADFORM: _eq6_quadform,
-    CheckId.LEMMA_L0: _lemma_l0,
-    CheckId.COR2_SANDWICH: lambda c: c.parseval.sandwich,
-    CheckId.THM38_I: lambda c: c.parseval.sandwich,
-    CheckId.THM38_II: lambda c: c.parseval.square_sum(1.0),
-    CheckId.COR3_SANDWICH: lambda c: c.relative.sandwich,
-    CheckId.COR39_PLUS: lambda c: c.relative.square_sum(1.0),
-    CheckId.COR39_MINUS_PROBE: lambda c: c.relative.square_sum(-1.0),
-    CheckId.SPECTRUM_REMARK: _spectrum_remark,
-    CheckId.LEMMA_L2: _lemma_l2,
+def _dual_identity(c):
+    return _identity_residuals(gf.identity_terms(*c.dual_sums), c)
+
+
+def _own_identity(c):
+    return _identity_residuals(gf.identity_terms(*c.own_sums), c)
+
+
+CATALOG: dict[CheckId, CheckInfo] = {
+    info.check: info
+    for info in [
+        CheckInfo(CheckId.THM_T1, "gframe", False, True, True, _dual_identity,
+                  "subset/complement energy identity for operator frames"),
+        CheckInfo(CheckId.FAMOUS_PARSEVAL, "gframe", True, True, True, _own_identity,
+                  "Parseval special case of the energy identity"),
+        CheckInfo(CheckId.THM_TG1, "gfusion", False, True, True, _dual_identity,
+                  "subset/complement energy identity for weighted subspace frames"),
+        CheckInfo(CheckId.COR1_IDENTITY, "gfusion", True, True, True, _own_identity,
+                  "Parseval identity linking block energies and truncated operator norms"),
+        CheckInfo(CheckId.COR1_34BOUND, "gfusion", True, True, True,
+                  functools.partial(_pointwise_bound, False),
+                  "subset energy plus complement operator energy is at least 3/4"
+                  " of the input energy"),
+        CheckInfo(CheckId.COR2_SANDWICH, "gfusion", True, True, False,
+                  lambda c: c.parseval.sandwich,
+                  "0 <= P - P^2 <= I/4 for Parseval partial reconstructions"),
+        CheckInfo(CheckId.THM_T33, "gfusion", False, True, True,
+                  lambda c: _identity_residuals(
+                      gfu.whitened_terms(c.frame.inverse_sqrt, *c.own_sums), c),
+                  "whitened subset/complement energy identity for general frames"),
+        CheckInfo(CheckId.COR3_SANDWICH, "gfusion", False, True, False,
+                  lambda c: c.relative.sandwich,
+                  "0 <= M - M S^-1 M <= S/4 for truncated frame operators"),
+        CheckInfo(CheckId.COR_34_SINV, "gfusion", False, True, True,
+                  functools.partial(_pointwise_bound, True),
+                  "lower bound (3/4) * A on subset energy plus whitened complement energy"),
+        CheckInfo(CheckId.THM38_I, "gfusion", True, True, False, lambda c: c.parseval.sandwich,
+                  "first part of the two-sided Parseval bound: 0 <= P - P^2 <= I/4"),
+        CheckInfo(CheckId.THM38_II, "gfusion", True, True, False,
+                  lambda c: c.parseval.square_sum(1.0),
+                  "second part: I/2 <= P^2 + Q^2 <= 3I/2 for complementary partials"),
+        CheckInfo(CheckId.COR39_PLUS, "gfusion", False, True, False,
+                  lambda c: c.relative.square_sum(1.0),
+                  "S/2 <= M S^-1 M + M' S^-1 M' <= 3S/2 (sum form)"),
+        CheckInfo(CheckId.COR39_MINUS_PROBE, "gfusion", False, True, False,
+                  lambda c: c.relative.square_sum(-1.0),
+                  "difference form as printed, probed for counterexamples", probe=True),
+        CheckInfo(CheckId.EQ4_RECON, "gfusion", False, False, True,
+                  functools.partial(_reconstruction, _operator_maps),
+                  "frame-operator reconstruction, both orderings"),
+        CheckInfo(CheckId.EQ5_DUAL_RECON, "gfusion", False, False, True,
+                  functools.partial(_reconstruction, _dual_maps),
+                  "canonical-dual reconstruction, both orderings"),
+        CheckInfo(CheckId.EQ6_QUADFORM, "gfusion", False, False, True, _eq6_quadform,
+                  "inverse-operator quadratic form equals the dual analysis energy"),
+        CheckInfo(CheckId.SPECTRUM_REMARK, "gfusion", True, True, False, _spectrum_remark,
+                  "Parseval partial reconstructions have spectrum inside [0, 1]"),
+        CheckInfo(CheckId.LEMMA_L0, "gfusion", False, False, False, _lemma_l0,
+                  "projection absorption along subspace images under the inverse operator"),
+        CheckInfo(CheckId.LEMMA_L2, "any", False, True, False, _lemma_l2,
+                  "complementary partials satisfy u - v = u^2 - v^2"),
+        CheckInfo(CheckId.THM_FINAL_MI, "gfusion", False, True, True,
+                  lambda c: _identity_residuals(gfu.dual_energy_terms(
+                      c.frame.canonical_dual._stacked_analysis, *c.own_sums), c),
+                  "partition identity for truncated frame operators through the dual energy"),
+    ]
 }
 
 
@@ -464,13 +450,6 @@ def _chunks(subsets, dim: int) -> list:
     subsets (the last may be shorter)."""
     size = max(_CHUNK_SUBSETS, _CHUNK_ENTRIES // dim**2)
     return [subsets[start:start + size] for start in range(0, len(subsets), size)]
-
-
-def _contexts(frame, subsets, vectors):
-    """One ``_Chunk`` per chunk of the validated ``subsets``, made as the
-    caller reaches it; ``subsets`` None gives the one chunk [None]."""
-    for chunk in [[None]] if subsets is None else _chunks(subsets, frame.dim_h):
-        yield _Chunk(frame, chunk, vectors)
 
 
 class _Rows(NamedTuple):
@@ -490,8 +469,11 @@ def _evaluate(check: CheckId, chunk: _Chunk, tol: Tolerances) -> _Rows:
     """One check on one chunk, and its failing rows by the one rule both
     routes share: a row fails when a residual is not <= ``tol.residual`` or
     a margin is not >= ``-tol.margin``, so a NaN fails.  A probe passes even
-    when its printed inequality is violated."""
-    residuals, margins, stats, worst = _EVALUATORS[check](chunk)
+    when its printed inequality is violated.  A per-vector check's row holds
+    its V vectors side by side; its witness vector is the one with the
+    largest residual, or the smallest margin, the first where tied."""
+    info = CATALOG[check]
+    residuals, margins, stats = info.evaluate(chunk)
     k = len(chunk.subsets)
     residuals = np.empty((k, 0)) if residuals is None else residuals
     margins = np.empty((k, 0)) if margins is None else margins
@@ -499,31 +481,36 @@ def _evaluate(check: CheckId, chunk: _Chunk, tol: Tolerances) -> _Rows:
                              | ~(margins >= -tol.margin).all(axis=1))
 
     def witness(i: int) -> dict:
-        subset = chunk.subsets[i]
+        # np.max and np.min keep a NaN where max and min may drop it, and
+        # argmax and argmin pick the first NaN
+        subset, vector = chunk.subsets[i], None
+        if info.vectors:
+            per_vector = len(chunk.vectors), -1
+            worst = (residuals[i].reshape(per_vector).max(axis=1).argmax() if residuals.size
+                     else margins[i].reshape(per_vector).min(axis=1).argmin())
+            vector = _json_vector(chunk.vectors[worst])
         return {
             "subset": None if subset is None else list(subset),
-            "vector": None if worst is None else _json_vector(chunk.vectors[worst[i]]),
-            # np.max and np.min keep a NaN where max and min may drop it
+            "vector": vector,
             "max_residual": float(residuals[i].max()) if residuals.size else None,
             "min_margin": float(margins[i].min()) if margins.size else None,
         }
 
-    return _Rows(residuals, margins, stats, failing,
-                 CATALOG[check].probe or not failing.size, witness)
+    return _Rows(residuals, margins, stats, failing, info.probe or not failing.size, witness)
 
 
-def _run_chunk(check: CheckId, chunk: _Chunk, tol: Tolerances) -> list[CheckResult]:
-    """One check on one chunk: one result per subset, in order."""
-    rows = _evaluate(check, chunk, tol)
-    failing = set(rows.failing.tolist())
-    probe = CATALOG[check].probe
-    return [
-        CheckResult(check, rows.residuals[i].tolist(), rows.margins[i].tolist(),
-                    probe or i not in failing, rows.witness(i) if i in failing else None,
-                    None if rows.stats is None
-                    else {key: float(v[i]) for key, v in rows.stats.items()})
-        for i in range(len(chunk.subsets))
-    ]
+def _walk(frame, checks, subsets, vectors, tol: Tolerances):
+    """(check, chunk, rows) for ``checks`` on ``frame``: the checks that take
+    no subsets first, on the one chunk [None], then the others on each chunk
+    of the validated ``subsets`` in turn, so one chunk is held at a time."""
+    for takes_subsets in (False, True):
+        group = [check for check in checks if CATALOG[check].subsets == takes_subsets]
+        if not group:
+            continue
+        for js in _chunks(subsets, frame.dim_h) if takes_subsets else [[None]]:
+            chunk = _Chunk(frame, js, vectors)
+            for check in group:
+                yield check, chunk, _evaluate(check, chunk, tol)
 
 
 def frame_kind(frame) -> str:
@@ -575,8 +562,17 @@ def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = No
     if info.vectors and not vectors:
         raise ValueError(f"{check.value} needs sample vectors")
     js = [frame._validate_subset(s) for s in group] if info.subsets else None
-    chunks = _contexts(frame, js, [as_vector(f, frame.dim_h) for f in vectors])
-    results = [result for chunk in chunks for result in _run_chunk(check, chunk, tol)]
+    results = []
+    for _, chunk, rows in _walk(frame, [check], js,
+                                [as_vector(f, frame.dim_h) for f in vectors], tol):
+        failing = set(rows.failing.tolist())
+        results += [
+            CheckResult(check, rows.residuals[i].tolist(), rows.margins[i].tolist(),
+                        info.probe or i not in failing, rows.witness(i) if i in failing else None,
+                        None if rows.stats is None
+                        else {key: float(v[i]) for key, v in rows.stats.items()})
+            for i in range(len(chunk.subsets))
+        ]
     return results if subsets is not None else results[0]
 
 
@@ -845,17 +841,8 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
         checks = [check for check in plan.checks if inapplicable(CATALOG[check], frame) is None]
         for check in checks:
             summaries.setdefault(check, CheckSummary(check)).instances += 1
-        # the checks that take no subsets share one chunk, the others each
-        # chunk of the instance's subsets; one chunk is held at a time
-        for takes_subsets in (False, True):
-            group = [check for check in checks if CATALOG[check].subsets == takes_subsets]
-            if not group:
-                continue
-            chunks = _contexts(frame, subsets if takes_subsets else None, vectors)
-            for chunk in chunks:
-                for check in group:
-                    summaries[check].fold(_evaluate(check, chunk, plan.tol), instance,
-                                          plan.witness_limit)
+        for check, _, rows in _walk(frame, checks, subsets, vectors, plan.tol):
+            summaries[check].fold(rows, instance, plan.witness_limit)
     ordered = [summaries[check] for check in sorted(summaries, key=lambda c: c.value)]
     overall = all(s.passed for s in ordered)
     return RunReport(plan, ordered, overall, time.perf_counter() - start)

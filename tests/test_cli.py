@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from framekit import RunReport, SuitePlan, Tolerances, load_frame, save_frame
 from framekit.cli import frame_from_dict, frame_to_dict, main
@@ -267,6 +269,91 @@ def test_load_frame_raises_the_error_of_frame_from_dict(tmp_path, coordinate_gfu
         load_frame(str(path))
     assert type(raised.value) is type(expected.value)
     assert str(raised.value) == str(expected.value)
+
+
+# scalars of the wrong JSON type, which the loader once coerced and verified
+_MISTYPED_SCALARS = {
+    "weight-string": lambda d: d["components"][0].update(weight="1.5"),
+    "weight-true": lambda d: d["components"][0].update(weight=True),
+    "format-version-true": lambda d: d.update(format_version=True),
+    "dim-h-2.7": lambda d: d.update(dim_h=2.7),
+    "dim-h-string": lambda d: d.update(dim_h="2"),
+}
+
+
+@pytest.mark.parametrize("spoil", _MISTYPED_SCALARS.values(), ids=_MISTYPED_SCALARS.keys())
+def test_mistyped_scalar_is_refused(tmp_path, capsys, coordinate_gfusion, spoil):
+    data = frame_to_dict(coordinate_gfusion)
+    spoil(data)
+    with pytest.raises(ValueError) as expected:
+        frame_from_dict(data)
+    path = tmp_path / "bad.frame"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as raised:
+        load_frame(str(path))
+    assert str(raised.value) == str(expected.value)
+    assert run_cli(["verify", "--frame", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not load frame file") and err.count("\n") == 1
+
+
+def test_json_integer_weight_is_a_number(coordinate_gfusion):
+    data = frame_to_dict(coordinate_gfusion)
+    data["components"][0]["weight"] = 2
+    assert frame_from_dict(data).components[0].weight == 2.0
+
+
+def _json_paths(node, path=()):
+    """The path of every value below ``node``, a frame-file dict."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+_FUZZ_FRAMES = {
+    "gfusion": frame_to_dict(GFusionFrame([(np.eye(2), np.eye(2), 1.0),
+                                           (np.eye(2)[:, :1], [[1.0, 2.0]], 2.0)])),
+    "gframe": frame_to_dict(GFrame([np.array([[1.0, 1j]]), np.eye(2)])),
+}
+_FUZZ_TARGETS = [(kind, path) for kind, data in _FUZZ_FRAMES.items()
+                 for path in _json_paths(data)]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "f.frame")
+
+
+# a basis entry whose Gram overflows in ``projection``
+@example(target=("gfusion", ("components", 0, "basis", 0, 0)), value=1e200)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(target=st.sampled_from(_FUZZ_TARGETS), value=_JSON_VALUES)
+def test_any_json_value_in_any_field_loads_or_raises_value_error(fuzz_file, target, value):
+    kind, path = target
+    data = json.loads(json.dumps(_FUZZ_FRAMES[kind]))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with open(fuzz_file, "w") as fh:
+        json.dump(data, fh)
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for load in (lambda: frame_from_dict(data), lambda: load_frame(fuzz_file)):
+            try:
+                outcomes.append(type(load()).__name__)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def _frame_file_with_weight(tmp_path, weight, block=1.0):
@@ -619,6 +706,22 @@ class TestDemoReconstruct:
         save_frame(frame, str(path))
         ret = run_cli(["demo-reconstruct", "--frame", str(path), "--vector", "1,2"])
         assert ret == 0
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (["--vector-seed", "-1"], "--vector-seed must be a 64-bit unsigned integer, got -1"),
+            (["--vector-seed", str(2**64)],
+             f"--vector-seed must be a 64-bit unsigned integer, got {2**64}"),
+            (["--vector", "1,2,3,4", "--random-vector"],
+             "give --vector or --random-vector, not both"),
+        ],
+        ids=["negative-seed", "seed-2**64", "vector-and-random-vector"],
+    )
+    def test_refused_vector_flags_exit_2(self, capsys, flags, line):
+        assert run_cli(["demo-reconstruct", "--random", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {line}\n" and captured.out == ""
 
     def test_nothing_to_do_exits_2(self):
         assert run_cli(["demo-reconstruct"]) == 2

@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -550,3 +551,28 @@ class TestGateCost:
             first = f.is_parseval
             assert f.is_parseval is first
             assert len(svd_calls) == 1
+
+
+# operands whose deviation from the gate's target overflows: A - A* is
+# infinite, B*B is infinite, and a complex B*B is NaN (inf - inf)
+_SKEW_OVERFLOW = np.array([[0.0, 1e308], [-1e308, 0.0]])
+_GATES_ON_OVERFLOW = {
+    "hermitian-eig": (lambda: hermitian_eig(_SKEW_OVERFLOW), NotHermitian),
+    "loewner-check": (lambda: loewner_check(_SKEW_OVERFLOW, -1.0, 1.0, tol=0.0), NotHermitian),
+    "loewner-check-stack": (lambda: loewner_check(np.stack([np.eye(2), _SKEW_OVERFLOW]),
+                                                  -1.0, 1.0, tol=0.0), NotHermitian),
+    "psd-power": (lambda: psd_power([[1.0, 1e308], [-1e308, 1.0]], -1.0), NotHermitian),
+    "projection-inf": (lambda: projection([[1e200], [0.0]]), NotOrthonormal),
+    "projection-nan": (lambda: projection([[1e200 + 1e200j], [0.0]]), NotOrthonormal),
+}
+
+
+@pytest.mark.parametrize("call, error", _GATES_ON_OVERFLOW.values(), ids=_GATES_ON_OVERFLOW.keys())
+def test_a_deviation_that_is_not_finite_fails_its_gate(svd_calls, call, error):
+    # a NaN spectral norm used to pass the gate (~(nan > bound)), and an SVD
+    # of a NaN deviation did not converge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
+    assert svd_calls == []

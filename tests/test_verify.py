@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -615,19 +616,19 @@ class TestNaNFails:
         frame = next(i.frame for i in two_chunk_instances if i.kind == "gfusion" and i.parseval)
         subsets = subsets_for(len(frame), SuitePlan(), 0)
         target = subsets[row]
-        original = verify._EVALUATORS[check]
+        info = CATALOG[check]
 
         def with_nan(chunk):
             # the last entry of the row, so it is not the first value the
             # row's extreme reads (THM38_II's upper margin)
-            out = list(original(chunk))
+            out = list(info.evaluate(chunk))
             out[side] = out[side].copy()
             for i, subset in enumerate(chunk.subsets):
                 if subset == target:
                     out[side][i, -1] = np.nan
             return tuple(out)
 
-        monkeypatch.setitem(verify._EVALUATORS, check, with_nan)
+        monkeypatch.setitem(verify.CATALOG, check, dataclasses.replace(info, evaluate=with_nan))
         key = ("max_residual", "min_margin")[side]
         results = run_check(check, frame, subsets=subsets)
         assert [i for i, r in enumerate(results) if not r.passed] == [row]

@@ -14,7 +14,8 @@ the default), a frame file by ``_frame_file``.  Frame files and JSON reports
 are JSON; a CSV report writes columns of the same per-check dicts.  Real
 matrices serialize as nested arrays of numbers, complex ones as nested
 arrays of [re, im] pairs; floats use Python's shortest round-trip
-representation, so reloading is bit-exact.
+representation, so reloading is bit-exact.  Every matrix entry of a frame
+file must be a JSON number: a string, a boolean or null is refused.
 
 A frame file's layout is decided once, by ``_frame_layout``, which both
 ``frame_to_dict`` and ``save_frame`` read.  ``save_frame`` writes the bytes
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -82,10 +84,31 @@ def _encode_matrix(m: np.ndarray, field: Field) -> list:
     return m.tolist()
 
 
-def _decode_matrix(rows, field: Field) -> np.ndarray:
-    """The matrix that ``rows`` describes: nested lists, or the float64
+# what ``json`` parses a string, true or false, and null into
+_NOT_NUMBERS = {str: "a string", bool: "a boolean", type(None): "null"}
+
+
+def _float_array(rows, key: str) -> np.ndarray:
+    """``rows`` as a float64 array.  Nested lists are read level by level,
+    one ``map(type)`` per level, and an entry that is a string, a boolean
+    or null raises ``ValueError`` naming ``key``: numpy alone would parse
+    "1.5" and take true as 1.0."""
+    level, types = rows, set(map(type, rows)) if isinstance(rows, list) else set()
+    while types == {list}:
+        level = list(itertools.chain.from_iterable(level))
+        types = set(map(type, level))
+    for kind, name in _NOT_NUMBERS.items():
+        if kind in types:
+            raise ValueError(f"frame file {key!r} entries must be JSON numbers, got {name}")
+    return np.array(rows, dtype=np.float64)
+
+
+def _decode_matrix(component: dict, key: str, field: Field) -> np.ndarray:
+    """The matrix ``component[key]`` describes: nested lists, or the float64
     array ``_decode_components`` made of them, which is taken uncopied."""
-    m = np.asarray(rows, dtype=np.float64)
+    m = component[key]
+    if not isinstance(m, np.ndarray):
+        m = _float_array(m, key)
     if field is Field.REAL:
         return m
     if m.ndim != 3 or m.shape[2] != 2:
@@ -169,11 +192,11 @@ def frame_from_dict(data: dict):
         kind = data["kind"]
         components = data["components"]
         if kind == "gframe":
-            frame = GFrame([_decode_matrix(c["lambda"], fld) for c in components])
+            frame = GFrame([_decode_matrix(c, "lambda", fld) for c in components])
         elif kind == "gfusion":
             frame = GFusionFrame(
                 [
-                    (_decode_matrix(c["basis"], fld), _decode_matrix(c["lambda"], fld),
+                    (_decode_matrix(c, "basis", fld), _decode_matrix(c, "lambda", fld),
                      _number(c["weight"], "component weight"))
                     for c in components
                 ]
@@ -198,13 +221,14 @@ def save_frame(frame, path: str):
 def _decode_components(obj: dict) -> dict:
     """``json.load``'s object hook: the matrices of a component become
     float64 arrays as soon as it closes, so only one component's nested
-    lists are alive at a time.  A value that does not convert stays as
-    parsed, for ``frame_from_dict`` to refuse it with the error it raises on
+    lists are alive at a time.  A value that does not convert, or holds an
+    entry that is not a JSON number, stays as parsed, for
+    ``frame_from_dict`` to refuse it with the error it raises on
     ``json.loads`` of the same text."""
     for key in ("lambda", "basis"):
         if key in obj:
             try:
-                obj[key] = np.array(obj[key], dtype=np.float64)
+                obj[key] = _float_array(obj[key], key)
             except (ValueError, TypeError, OverflowError):
                 pass
     return obj

@@ -6,6 +6,10 @@ substream index in the high word, so retries and independent sampling
 purposes each get their own stream without consuming from any other.
 Gaussian variates use numpy's ziggurat ``standard_normal``; complex entries
 take independent real and imaginary parts, each N(0, 1/2).
+
+A Parseval frame is a general frame whitened by its S^(-1/2).
+``whitened_gframe`` and ``whitened_gfusion`` whiten a frame the general
+generators gave, into the Parseval generators' frame, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .gframe import GFrame
 from .gfusion import GFusionFrame
-from .linops import Field, PDTOL, orthonormal_basis, psd_power
+from .linops import Field, PDTOL, orthonormal_basis
 
 __all__ = [
     "MAX_RETRIES",
@@ -31,8 +35,10 @@ __all__ = [
     "sample_vectors",
     "random_gframe",
     "random_parseval_gframe",
+    "whitened_gframe",
     "random_gfusion",
     "random_parseval_gfusion",
+    "whitened_gfusion",
 ]
 
 MAX_RETRIES = 16
@@ -146,14 +152,20 @@ def random_gframe(dim_h: int, block_dims, field: Field = Field.COMPLEX, seed: in
     )
 
 
-def random_parseval_gframe(dim_h: int, block_dims, field: Field = Field.COMPLEX, seed: int = 0) -> GFrame:
-    """Random operator-valued frame whitened to a Parseval frame."""
-    frame = random_gframe(dim_h, block_dims, field, seed)
-    w = psd_power(frame.frame_operator, -0.5)
+def whitened_gframe(frame: GFrame) -> GFrame:
+    """The frame with blocks Lambda_j S^(-1/2); raises ``GenerationFailed``
+    when it misses the Parseval threshold."""
+    w = frame._power(-0.5)
     parseval = GFrame([b @ w for b in frame.blocks])
     if not parseval.is_parseval:
         raise GenerationFailed("whitened family missed the Parseval threshold")
     return parseval
+
+
+def random_parseval_gframe(dim_h: int, block_dims, field: Field = Field.COMPLEX, seed: int = 0) -> GFrame:
+    """Random operator-valued frame whitened to a Parseval frame: the
+    ``whitened_gframe`` of ``random_gframe`` with the same arguments."""
+    return whitened_gframe(random_gframe(dim_h, block_dims, field, seed))
 
 
 def _gfusion_attempt(spec: GenSpec, attempt: int) -> GFusionFrame:
@@ -186,7 +198,8 @@ def random_gfusion(spec: GenSpec) -> GFusionFrame:
 
 
 def random_parseval_gfusion(spec: GenSpec) -> GFusionFrame:
-    """Random weighted subspace frame, whitened to a Parseval frame."""
+    """Random weighted subspace frame, whitened to a Parseval frame: the
+    first attempt that is a frame and whose whitening is Parseval."""
     for attempt in range(MAX_RETRIES):
         frame = _gfusion_attempt(spec, attempt)
         if frame.lower_bound <= PDTOL:
@@ -197,3 +210,11 @@ def random_parseval_gfusion(spec: GenSpec) -> GFusionFrame:
     raise GenerationFailed(
         f"no Parseval frame after {MAX_RETRIES} attempts for seed {spec.seed}"
     )
+
+
+def whitened_gfusion(spec: GenSpec, frame: GFusionFrame) -> GFusionFrame:
+    """``random_parseval_gfusion(spec)`` from ``frame = random_gfusion(spec)``,
+    the first attempt it whitens: that whitening when it is Parseval, else
+    the later attempts decide."""
+    parseval = frame.parsevalize()
+    return parseval if parseval.is_parseval else random_parseval_gfusion(spec)

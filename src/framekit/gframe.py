@@ -1,9 +1,12 @@
 """Operator-valued frames over a finite-dimensional space.
 
 A frame here is a finite family of block operators mapping the common space
-H into per-index codomains.  Frames are immutable; the frame operator and
-its extreme eigenvalues (the optimal bounds) are computed at construction,
-the canonical dual and per-index partial-sum terms lazily and cached.
+H into per-index codomains.  Frames are immutable; the frame operator S, its
+one spectral decomposition and its extreme eigenvalues (the optimal bounds)
+are computed at construction, the canonical dual and per-index partial-sum
+terms lazily and cached.  Every power of S a frame needs (S^-1, S^(-1/2)
+and the whitening of ``gen``) comes from that decomposition, by ``_power``,
+so S is diagonalised once per frame.
 
 ``GFrame`` and the weighted subspace frame ``gfusion.GFusionFrame`` derive
 from one core, ``_Frame``: it sums the per-index terms into the frame
@@ -55,7 +58,7 @@ from .linops import (
     hermitian_eig,
     identity_like,
     operator_norm,
-    psd_power,
+    spectral_power,
 )
 
 __all__ = [
@@ -220,11 +223,15 @@ class _Frame:
     _noun = "block"  # what one index holds, in messages and the repr
 
     def _set_frame_operator(self, terms, name) -> tuple[np.ndarray, ...]:
-        """Sum the per-index ``terms`` into the frame operator and its bounds.
+        """Sum the per-index ``terms`` into the frame operator, decompose it
+        once, and take its bounds.
 
         ``terms`` may be a generator.  It is consumed and the spectrum taken
         under ``np.errstate``: an overflow raises this ``ValueError`` (naming
-        index j by ``name(j)``) and no warning.  Returns the terms as a tuple.
+        index j by ``name(j)``) and no warning.  The checks add operators of
+        the size of S (S = M_I + M_K, up to 3S/2), so bounds that overflow
+        when doubled are refused too.  The decomposition is kept read-only,
+        for ``_power``.  Returns the terms as a tuple.
         """
         out = []
         s = np.zeros((self.dim_h, self.dim_h), dtype=self.dtype)
@@ -236,14 +243,16 @@ class _Frame:
                 s = s + term
             if not np.isfinite(s).all():
                 raise ValueError(f"the frame operator (sum of the {self._noun} terms) is not finite")
-            # a finite S can still overflow in symmetrize
-            eigenvalues = hermitian_eig(s).eigenvalues
-        if not np.isfinite(eigenvalues).all():
-            raise ValueError("the frame operator has bounds that are not finite")
+            spectrum = hermitian_eig(s)
+            if not np.isfinite(2.0 * spectrum.eigenvalues).all():
+                raise ValueError("the frame operator has bounds that are not finite when doubled")
+        for x in spectrum:
+            x.setflags(write=False)
         self._count = len(out)
         self.frame_operator = s
-        self.lower_bound = float(eigenvalues[0])
-        self.upper_bound = float(eigenvalues[-1])
+        self._spectrum = spectrum
+        self.lower_bound = float(spectrum.eigenvalues[0])
+        self.upper_bound = float(spectrum.eigenvalues[-1])
         return tuple(out)
 
     def __len__(self) -> int:
@@ -279,6 +288,12 @@ class _Frame:
             raise NotAFrame(
                 f"lower bound {self.lower_bound:.3e} is not above {PDTOL:.1e}"
             )
+
+    def _power(self, p: float) -> np.ndarray:
+        """S**p (-1 for the inverse, -1/2 for the whitening), from the
+        decomposition of S made at construction."""
+        self._require_frame()
+        return spectral_power(self._spectrum, p)
 
     def analysis(self, f) -> tuple[np.ndarray, ...]:
         """Block images Lambda_j f, each from its rows of the stacked analysis
@@ -364,8 +379,7 @@ class GFrame(_Frame):
     @functools.cached_property
     def inverse(self) -> np.ndarray:
         """Inverse of the frame operator."""
-        self._require_frame()
-        return psd_power(self.frame_operator, -1.0)
+        return self._power(-1.0)
 
     @functools.cached_property
     def canonical_dual(self) -> "GFrame":

@@ -11,7 +11,8 @@ A weighted subspace frame is the g-frame with blocks Lambda_j = w_j B_j P_j:
 once per frame and kept read-only, as the only copy of the blocks, and
 gives ``analysis`` and ``synthesis`` from it.  The triples stay in frame
 files, LEMMA_L0, and the canonical dual and whitened (Parseval) frames,
-which are the triples composed with S^-1 and S^(-1/2) (``_composed``).  The
+which are the triples composed with S^-1 and S^(-1/2) (``_composed``), both
+powers from the decomposition of S made at construction.  The
 frame-operator and dual terms stay in triple form, w_j^2 P_j (B_j* B_j) P_j,
 which rounds differently from Lambda_j* Lambda_j.
 
@@ -53,7 +54,6 @@ from .linops import (
     as_vector,
     orthonormal_basis,
     projection,
-    psd_power,
 )
 
 __all__ = [
@@ -136,14 +136,12 @@ class GFusionFrame(_Frame):
     @functools.cached_property
     def inverse(self) -> np.ndarray:
         """Inverse of the frame operator."""
-        self._require_frame()
-        return psd_power(self.frame_operator, -1.0)
+        return self._power(-1.0)
 
     @functools.cached_property
     def inverse_sqrt(self) -> np.ndarray:
         """Inverse square root of the frame operator."""
-        self._require_frame()
-        return psd_power(self.frame_operator, -0.5)
+        return self._power(-0.5)
 
     @functools.cached_property
     def canonical_dual(self) -> "GFusionFrame":

@@ -2,7 +2,8 @@
 
 All operators are plain numpy matrices over float64 or complex128.  The
 module provides adjoints, Hermitian spectral decompositions, operator powers
-of positive-definite matrices, orthonormal subspace bases with their
+of positive-definite matrices (``psd_power`` of a matrix, ``spectral_power``
+of its decomposition), orthonormal subspace bases with their
 projections, Loewner-order interval tests, and two small operator lemmas the
 verification checks lean on.  Every function is pure and never mutates its
 arguments.
@@ -59,6 +60,7 @@ __all__ = [
     "hermitian_violation",
     "identity_like",
     "hermitian_eig",
+    "spectral_power",
     "psd_power",
     "orthonormal_basis",
     "projection",
@@ -187,8 +189,13 @@ def operator_norm(a: np.ndarray):
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A*) / 2."""
-    return 0.5 * (a + adjoint(a))
+    """Hermitian part A/2 + A*/2.
+
+    Halving before the sum keeps it finite for every finite ``a``.  Halving
+    a float whose half is normal is exact, so for such entries this is
+    (A + A*) / 2 bit for bit wherever that is finite.
+    """
+    return 0.5 * a + 0.5 * adjoint(a)
 
 
 def hermitian_violation(a: np.ndarray) -> float:
@@ -274,7 +281,9 @@ def hermitian_eig(a) -> SpectralDecomposition:
 
     The input is gated by ``||A - A*|| <= HTOL * ||A||`` and symmetrized
     before decomposition so rounding noise cannot change the code path.
-    Eigenvalues come back ascending with orthonormal eigenvectors.
+    Eigenvalues come back ascending with orthonormal eigenvectors.  A
+    finite operator can still have an eigenvalue above the largest float,
+    which ``eigh`` returns as ``inf``: that raises ``ValueError``.
     """
     a = as_operator(a)
     if a.shape[0] != a.shape[1]:
@@ -284,23 +293,26 @@ def hermitian_eig(a) -> SpectralDecomposition:
     if not _norms_within([deviation], HTOL, 0.0, [a]):
         raise NotHermitian("operator is not Hermitian within tolerance")
     w, u = np.linalg.eigh(symmetrize(a))
+    if not np.isfinite(w).all():
+        raise ValueError("the operator's spectrum is not finite")
     return SpectralDecomposition(w, u)
 
 
-def psd_power(a, p: float) -> np.ndarray:
-    """Real power of a Hermitian positive-definite operator.
+def spectral_power(dec: SpectralDecomposition, p: float) -> np.ndarray:
+    """Real power U diag(w**p) U* of a Hermitian positive-definite operator,
+    from its ``hermitian_eig`` decomposition; the result is Hermitian.
+    Raises ``NotPositiveDefinite`` when the smallest eigenvalue is at or
+    below ``PDTOL``."""
+    w, u = dec
+    if w[0] <= PDTOL:
+        raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} is not above {PDTOL:.1e}")
+    return (u * w**p) @ adjoint(u)
 
-    Computed spectrally as U diag(w**p) U*; the result is Hermitian.  Raises
-    ``NotPositiveDefinite`` when the smallest eigenvalue is at or below
-    ``PDTOL``.
-    """
-    dec = hermitian_eig(a)
-    if dec.eigenvalues[0] <= PDTOL:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {dec.eigenvalues[0]:.3e} is not above {PDTOL:.1e}"
-        )
-    u = dec.eigenvectors
-    return (u * dec.eigenvalues**p) @ adjoint(u)
+
+def psd_power(a, p: float) -> np.ndarray:
+    """Real power of a Hermitian positive-definite operator:
+    ``spectral_power`` of its ``hermitian_eig`` decomposition."""
+    return spectral_power(hermitian_eig(a), p)
 
 
 def orthonormal_basis(vectors) -> np.ndarray:

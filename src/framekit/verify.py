@@ -30,8 +30,8 @@ stack pair, whose (k, V, ...) arrays cover the chunk's k subsets and V
 vectors, the partial sums, their squares and the sandwich margins that
 THM38_I shares.  Inputs are validated at the API boundary: ``run_check``
 validates the subsets and vectors its caller passes, and ``run_suite`` the
-sample vectors once per instance, while the subsets of ``subsets_for`` are
-sorted, distinct and in range by construction.  A finite vector can still
+sample vectors once per (dim, field, seed), while the subsets of
+``subsets_for`` are sorted, distinct and in range by construction.  A finite vector can still
 overflow in its stacked images or their inner products: ``subset_sums``
 then raises ``ValueError`` for the chunk, and no warning.
 The eight operator checks take partial sums from the rows over the frame's
@@ -76,10 +76,10 @@ from .gen import (
     GenSpec,
     random_gframe,
     random_gfusion,
-    random_parseval_gframe,
-    random_parseval_gfusion,
     sample_vectors,
     substream,
+    whitened_gframe,
+    whitened_gfusion,
 )
 from .linops import (
     Field,
@@ -770,7 +770,11 @@ def _component_specs(dim: int, count: int, weight_range) -> tuple[ComponentSpec,
 
 def build_instances(plan: SuitePlan) -> list[FrameInstance]:
     """Generate the plan's frame grid: for every (dim, field, seed), one
-    general and one Parseval instance of each frame kind."""
+    general and one Parseval instance of each frame kind.
+
+    Each kind's general frame is generated once, and its Parseval instance
+    whitened from it (``whitened_gframe``, ``whitened_gfusion``): the same
+    frames, bit for bit, as the four generators give on their own."""
     instances = []
     for dim in plan.dims:
         for fld in plan.fields:
@@ -779,12 +783,10 @@ def build_instances(plan: SuitePlan) -> list[FrameInstance]:
                 block_dims = _block_dims(dim, plan.components)
                 spec = GenSpec(dim, _component_specs(dim, plan.components, plan.weight_range), fld, seed)
                 try:
-                    frames = [
-                        ("gframe", random_gframe(dim, block_dims, fld, seed)),
-                        ("gframe", random_parseval_gframe(dim, block_dims, fld, seed)),
-                        ("gfusion", random_gfusion(spec)),
-                        ("gfusion", random_parseval_gfusion(spec)),
-                    ]
+                    blocks = random_gframe(dim, block_dims, fld, seed)
+                    frames = [("gframe", blocks), ("gframe", whitened_gframe(blocks))]
+                    fusion = random_gfusion(spec)
+                    frames += [("gfusion", fusion), ("gfusion", whitened_gfusion(spec, fusion))]
                 except GenerationFailed as exc:
                     raise GenerationFailed(
                         f"cannot generate instances at dim {dim} with block dims "
@@ -823,7 +825,9 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
 
     Aggregation is deterministic: instances are visited in plan order and
     summaries are sorted by check id.  The overall verdict is the
-    conjunction of all non-probe check verdicts.
+    conjunction of all non-probe check verdicts.  The sample vectors depend
+    only on (dim, field, seed), so they are drawn and validated once for
+    the four consecutive instances that share them.
     """
     start = time.perf_counter()
     if frame is not None:
@@ -832,11 +836,14 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
     else:
         instances = build_instances(plan)
     summaries: dict[CheckId, CheckSummary] = {}
+    drawn = None  # (dim, field, seed) of ``vectors``
     for instance in instances:
         frame = instance.frame
         seed = instance.seed if instance.seed is not None else 0
-        vectors = [as_vector(f, frame.dim_h) for f in
-                   sample_vectors(frame.dim_h, instance.field, seed, plan.vectors_per_instance)]
+        if drawn != (frame.dim_h, instance.field, seed):
+            drawn = (frame.dim_h, instance.field, seed)
+            vectors = [as_vector(f, frame.dim_h) for f in
+                       sample_vectors(*drawn, plan.vectors_per_instance)]
         subsets = subsets_for(len(frame), plan, seed)
         checks = [check for check in plan.checks if inapplicable(CATALOG[check], frame) is None]
         for check in checks:

@@ -224,6 +224,9 @@ _MALFORMED_DICTS = {
     "components-list-of-5": lambda d: d.update(components=[5]),
     "dim-h-1e400": lambda d: d.update(dim_h=json.loads("1e400")),
     "400-digit-entry": lambda d: d["components"][0]["lambda"][0].__setitem__(0, 10**400),
+    "string-entry": lambda d: d["components"][0]["lambda"][0].__setitem__(0, "1.5"),
+    "true-entry": lambda d: d["components"][1]["basis"][1].__setitem__(0, True),
+    "null-entry": lambda d: d["components"][0]["lambda"][1].__setitem__(1, None),
 }
 
 
@@ -295,6 +298,24 @@ def test_mistyped_scalar_is_refused(tmp_path, capsys, coordinate_gfusion, spoil)
     assert run_cli(["verify", "--frame", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: could not load frame file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry, name", [("1.5", "a string"), (True, "a boolean"),
+                                         (None, "null")])
+def test_gframe_file_entries_must_be_json_numbers(tmp_path, capsys, coordinate_gframe,
+                                                  entry, name):
+    # numpy parses "1.5" and takes true as 1.0: such a file once verified
+    data = frame_to_dict(coordinate_gframe)
+    data["components"][0]["lambda"][0][0] = entry
+    path = tmp_path / "mistyped.frame"
+    path.write_text(json.dumps(data))
+    for command in ("verify", "demo-reconstruct"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([command, "--frame", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not load frame file") and err.count("\n") == 1
+        assert f"'lambda' entries must be JSON numbers, got {name}" in err
 
 
 def test_json_integer_weight_is_a_number(coordinate_gfusion):

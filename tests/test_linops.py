@@ -33,6 +33,7 @@ from framekit import (
     psd_power,
     quad_bound,
     substream,
+    symmetrize,
 )
 from framekit.gen import random_operator, random_subspace_basis, random_vector
 from framekit.linops import hermitian_violation
@@ -576,3 +577,39 @@ def test_a_deviation_that_is_not_finite_fails_its_gate(svd_calls, call, error):
         with pytest.raises(error):
             call()
     assert svd_calls == []
+
+
+class TestSymmetrizeAtTheTopOfTheRange:
+    """A/2 + A*/2 cannot overflow where A + A* would."""
+
+    _FINITE = [[1.7e308, 0.0], [0.0, 1.0]]
+    _BEYOND = [[1e308, 1e308], [1e308, 1e308]]  # eigenvalues 0 and 2e308
+
+    def test_finite_spectrum_near_the_largest_float(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = hermitian_eig(self._FINITE).eigenvalues
+        assert w.tolist() == [1.0, 1.7e308]
+
+    @pytest.mark.parametrize("call", [hermitian_eig, lambda a: psd_power(a, -1.0)],
+                             ids=["hermitian-eig", "psd-power"])
+    def test_spectrum_beyond_the_largest_float_is_refused(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="spectrum is not finite"):
+                call(self._BEYOND)
+
+    def test_loewner_check_near_the_largest_float(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            finite = loewner_check(self._FINITE, 0.0, 1.0, tol=0.0)
+            beyond = loewner_check(self._BEYOND, 0.0, 1.0, tol=0.0)
+        assert (finite.lower_margin, finite.upper_margin) == (1.0, 1.0 - 1.7e308)
+        assert beyond.upper_margin == -np.inf and not beyond.passed
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_equals_the_halved_sum_bit_for_bit(self, field):
+        rng = substream(9, 36)
+        for scale in (1e-300, 1e-100, 1.0, 1e100, 1e300):
+            a = scale * random_operator(64, 64, field, rng)
+            assert np.array_equal(symmetrize(a), 0.5 * (a + adjoint(a)))

@@ -49,7 +49,7 @@ from .gframe import GFrame
 from .gfusion import GFusionFrame
 from .linops import Field
 from .verify import (CATALOG, CheckId, RunReport, SuitePlan, Tolerances, _dual_maps,
-                     _operator_maps, frame_kind, inapplicable, run_suite)
+                     _operator_maps, inapplicable, run_suite)
 
 __all__ = [
     "FRAME_FORMAT_VERSION",
@@ -124,14 +124,13 @@ def _frame_layout(frame) -> tuple:
     pairs in file order, whose ``components`` value is a list of such
     objects.  Matrices stay arrays, for ``_encode_matrix`` to write one at a
     time."""
-    kind = frame_kind(frame)
-    if kind == "gframe":
+    if frame.kind == "gframe":
         components = [(("lambda", b),) for b in frame.blocks]
     else:
         components = [(("lambda", c.block), ("basis", c.basis), ("weight", float(c.weight)))
                       for c in frame.components]
     return (("format_version", FRAME_FORMAT_VERSION), ("field", frame.field.value),
-            ("dim_h", frame.dim_h), ("kind", kind), ("components", components))
+            ("dim_h", frame.dim_h), ("kind", frame.kind), ("components", components))
 
 
 def _json_value(node, field: Field):
@@ -412,7 +411,7 @@ def cmd_gen(args) -> int:
     except OSError as exc:
         print(f"error: could not write frame file: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {frame_kind(frame)} frame (dim {frame.dim_h}, "
+    print(f"wrote {frame.kind} frame (dim {frame.dim_h}, "
           f"{len(frame)} components) to {args.out}")
     return 0
 
@@ -497,7 +496,7 @@ def cmd_demo_reconstruct(args) -> int:
         return 2
 
     # the maps that EQ4_RECON and EQ5_DUAL_RECON check
-    if frame_kind(frame) == "gfusion":
+    if frame.kind == "gfusion":
         (operator_route, _), (dual_route, _) = _operator_maps(frame), _dual_maps(frame)
         routes = [("frame-operator route", operator_route), ("canonical-dual route", dual_route)]
     else:

@@ -3,18 +3,21 @@
 A frame here is a finite family of block operators mapping the common space
 H into per-index codomains.  Frames are immutable; the frame operator S, its
 one spectral decomposition and its extreme eigenvalues (the optimal bounds)
-are computed at construction, the canonical dual and per-index partial-sum
-terms lazily and cached.  Every power of S a frame needs (S^-1, S^(-1/2)
-and the whitening of ``gen``) comes from that decomposition, by ``_power``,
-so S is diagonalised once per frame.
+are computed at construction, the canonical dual and the dual terms behind
+the partial sums lazily and cached.  Every power of S a frame needs (S^-1,
+S^(-1/2) and the whitening of ``gen``) comes from that decomposition, by
+``_power``, so S is diagonalised once per frame.
 
-``GFrame`` and the weighted subspace frame ``gfusion.GFusionFrame`` derive
-from one core, ``_Frame``: it sums the per-index terms into the frame
-operator and its bounds, builds the stacked analysis operator
-Lambda = [Lambda_1; ...; Lambda_n] once from ``blocks`` (``stack_blocks``,
-read-only), takes ``analysis`` and ``synthesis`` from that stack, counts and
-validates indices, and takes complements and partial sums.  Each class
-keeps its own dual term stack, inverse, canonical dual and ``partial_sum``.
+One frame model: ``GFrame``.  A weighted subspace frame
+(``gfusion.GFusionFrame``) is the ``GFrame`` of its blocks w_j B_j P_j and
+differs only in how it is built and in the triples it keeps as provenance.
+A frame stacks its blocks once into the read-only analysis operator
+Lambda = [Lambda_1; ...; Lambda_n] (``stack_blocks``) and keeps ``blocks``
+as read-only views of that stack, from which ``analysis`` and
+``synthesis`` read.  It keeps the terms Lambda_j* Lambda_j as a read-only
+stack, sums them into S, and counts, validates and complements indices and
+takes partial sums.  Every frame's canonical dual is the g-frame with
+blocks Lambda_j S^-1.
 
 A subset becomes 0/1 rows over the blocks in one place, ``subset_masks``,
 which gives a chunk of subsets its rows K and their complements 1 - K.
@@ -34,8 +37,10 @@ per-(subset, f) identity evaluates its pair through ``_pair_identity`` as a
 
 The operator checks take many partial sums at once: each frame keeps the
 per-index terms behind ``partial_sum`` only as a read-only (n, d*d)
-``term_stack``, and ``masked_sums`` turns 0/1 rows into a (k, d, d) stack
-of partial sums, each equal bit for bit to the ``partial_sum`` of its subset.
+``term_stack`` of Lambda_j* Gamma_j, and ``masked_sums`` turns 0/1 rows
+into a (k, d, d) stack of partial sums, each equal bit for bit to the
+``partial_sum`` of its subset; over the stack of Lambda_j* Lambda_j they are
+the truncated frame operators.
 """
 
 from __future__ import annotations
@@ -210,36 +215,57 @@ def masked_sums(stack: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return out.view(stack.dtype).reshape(-1, dim, dim)
 
 
-class _Frame:
-    """What g-frames and weighted subspace frames share.
+class GFrame:
+    """Finite family of block operators with cached frame operator and bounds.
 
-    A subclass hands its per-index terms to ``_set_frame_operator`` in
-    ``__init__`` and defines ``blocks`` (the g-frame blocks Lambda_j) and
-    ``_dual_term_stack`` (the ``term_stack`` behind ``partial_sum``).  The
-    members the benchmark tracer times (``perfbench/tracer.py``) stay in
-    each class, which is where it looks them up.
+    ``blocks[j]`` maps H (dimension ``dim_h``) into the j-th codomain.  The
+    family may fail to be a frame; ``lower_bound`` then sits at (numerical)
+    zero and operations needing the inverse frame operator raise
+    ``NotAFrame``.
+
+    The weighted subspace frame ``gfusion.GFusionFrame`` is the ``GFrame``
+    of its blocks w_j B_j P_j: it hands them to the same ``_set_blocks``, so
+    both kinds take the frame operator, its decomposition, the canonical
+    dual and the partial sums from the same expressions.  ``kind`` names
+    the kind in frame files and reports.
     """
 
+    kind = "gframe"
     _noun = "block"  # what one index holds, in messages and the repr
 
-    def _set_frame_operator(self, terms, name) -> tuple[np.ndarray, ...]:
-        """Sum the per-index ``terms`` into the frame operator, decompose it
-        once, and take its bounds.
+    def __init__(self, blocks: Sequence):
+        blocks = tuple(as_operator(b) for b in blocks)
+        if not blocks:
+            raise ShapeMismatch("a frame needs at least one block operator")
+        for b in blocks:
+            if b.shape[1] != blocks[0].shape[1]:
+                raise ShapeMismatch("all blocks must share the domain dimension")
+        self._set_blocks(blocks, lambda j: f"block {j}")
 
-        ``terms`` may be a generator.  It is consumed and the spectrum taken
+    def _set_blocks(self, blocks, name):
+        """Stack the validated ``blocks`` once, read-only, keep ``blocks`` as
+        views of that stack, and sum the terms Lambda_j* Lambda_j into the
+        frame operator, decomposed once, and its bounds.
+
+        ``blocks`` may be a generator.  It is consumed and the spectrum taken
         under ``np.errstate``: an overflow raises this ``ValueError`` (naming
         index j by ``name(j)``) and no warning.  The checks add operators of
         the size of S (S = M_I + M_K, up to 3S/2), so bounds that overflow
-        when doubled are refused too.  The decomposition is kept read-only,
-        for ``_power``.  Returns the terms as a tuple.
+        when doubled are refused too.  The terms are kept as the read-only
+        ``_term_stack``, and the decomposition read-only, for ``_power``.
         """
-        out = []
-        s = np.zeros((self.dim_h, self.dim_h), dtype=self.dtype)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, term in enumerate(terms):
+            self._stacked_analysis = stacked = stack_blocks(tuple(blocks))
+            self.blocks = tuple(np.split(stacked.matrix, stacked.starts[1:]))
+            self.dim_h = stacked.matrix.shape[1]
+            self.dtype = stacked.matrix.dtype
+            terms = []
+            s = np.zeros((self.dim_h, self.dim_h), dtype=self.dtype)
+            for j, b in enumerate(self.blocks):
+                term = adjoint(b) @ b
                 if not np.isfinite(term).all():
                     raise ValueError(f"{name(j)} has a frame-operator term that is not finite")
-                out.append(term)
+                terms.append(term)
                 s = s + term
             if not np.isfinite(s).all():
                 raise ValueError(f"the frame operator (sum of the {self._noun} terms) is not finite")
@@ -248,16 +274,15 @@ class _Frame:
                 raise ValueError("the frame operator has bounds that are not finite when doubled")
         for x in spectrum:
             x.setflags(write=False)
-        self._count = len(out)
+        self._term_stack = term_stack(terms)
         self.frame_operator = s
         self._spectrum = spectrum
         self.lower_bound = float(spectrum.eigenvalues[0])
         self.upper_bound = float(spectrum.eigenvalues[-1])
-        return tuple(out)
 
     def __len__(self) -> int:
         """The number of indices j."""
-        return self._count
+        return len(self.blocks)
 
     def __repr__(self) -> str:
         return (
@@ -299,30 +324,23 @@ class _Frame:
         """Block images Lambda_j f, each from its rows of the stacked analysis
         operator; ``ValueError`` when one is not finite."""
         f = as_vector(f, self.dim_h)
-        stacked = self._stacked_analysis
-        return tuple(as_vector(b @ f) for b in np.split(stacked.matrix, stacked.starts[1:]))
+        return tuple(as_vector(b @ f) for b in self.blocks)
 
     def synthesis(self, g) -> np.ndarray:
         """Adjoint of analysis: the sum of Lambda_j* g_j, one product with the
         adjoint of the stacked analysis operator."""
-        stacked = self._stacked_analysis
         parts = list(g)
         if len(parts) != len(self):
             raise ShapeMismatch("block count does not match the frame")
-        rows = np.diff(stacked.starts, append=stacked.matrix.shape[0]).tolist()
-        return stacked.adjoint @ np.concatenate([as_vector(gj, r) for gj, r in zip(parts, rows)])
-
-    @functools.cached_property
-    def _stacked_analysis(self) -> StackedAnalysis:
-        """[Lambda_1; ...; Lambda_n], behind ``analysis_matrix`` and the identities."""
-        return stack_blocks(self.blocks)
+        return self._stacked_analysis.adjoint @ np.concatenate(
+            [as_vector(gj, b.shape[0]) for gj, b in zip(parts, self.blocks)])
 
     def analysis_matrix(self) -> np.ndarray:
         """Dense stacked analysis operator; its Gram matrix is the oracle
         route to the frame operator.
 
-        Returned as a read-only view of the stack behind the partition
-        identities, so callers cannot change it.
+        Returned as a read-only view of the stack behind ``blocks`` and the
+        partition identities, so callers cannot change it.
         """
         return self._stacked_analysis.matrix.view()
 
@@ -353,29 +371,23 @@ class _Frame:
             out = out + stack[j].reshape(out.shape)
         return out
 
+    def _dual(self) -> "GFrame":
+        """The g-frame with blocks Lambda_j S^-1.  It holds no reference back
+        to this frame, which caches it, so the pair is freed without the
+        cyclic garbage collector."""
+        s_inv = self.inverse
+        return GFrame([b @ s_inv for b in self.blocks])
 
-class GFrame(_Frame):
-    """Finite family of block operators with cached frame operator and bounds.
+    @functools.cached_property
+    def _dual_term_stack(self) -> np.ndarray:
+        """The terms Lambda_j* Gamma_j behind ``partial_sum``, with Gamma the
+        canonical dual's blocks."""
+        return term_stack(adjoint(b) @ d for b, d in zip(self.blocks, self.canonical_dual.blocks))
 
-    ``blocks[j]`` maps H (dimension ``dim_h``) into the j-th codomain.  The
-    family may fail to be a frame; ``lower_bound`` then sits at (numerical)
-    zero and operations needing the inverse frame operator raise
-    ``NotAFrame``.
-    """
-
-    def __init__(self, blocks: Sequence):
-        blocks = tuple(as_operator(b) for b in blocks)
-        if not blocks:
-            raise ShapeMismatch("a frame needs at least one block operator")
-        dim = blocks[0].shape[1]
-        for b in blocks:
-            if b.shape[1] != dim:
-                raise ShapeMismatch("all blocks must share the domain dimension")
-        self.blocks = blocks
-        self.dim_h = int(dim)
-        self.dtype = np.result_type(*blocks)
-        self._set_frame_operator((adjoint(b) @ b for b in blocks), lambda j: f"block {j}")
-
+    # The benchmark tracer (perfbench/tracer.py) times the members below
+    # where ``vars(cls)`` finds them, and its self-test matches calls per
+    # code object, so each class defines its own, as one line over the core,
+    # until the tracer resolves members through the MRO (ROADMAP item 1b).
     @functools.cached_property
     def inverse(self) -> np.ndarray:
         """Inverse of the frame operator."""
@@ -388,14 +400,7 @@ class GFrame(_Frame):
         Together with the original family it reconstructs every vector; its
         bounds are the reciprocals of the original bounds.
         """
-        s_inv = self.inverse
-        return GFrame([b @ s_inv for b in self.blocks])
-
-    @functools.cached_property
-    def _dual_term_stack(self) -> np.ndarray:
-        """The terms blocks[j]* dual_j behind ``partial_sum``."""
-        dual = self.canonical_dual
-        return term_stack(adjoint(b) @ d for b, d in zip(self.blocks, dual.blocks))
+        return self._dual()
 
     def partial_sum(self, subset) -> np.ndarray:
         """Reconstruction operator truncated to ``subset``: sum over j in the
@@ -406,7 +411,7 @@ class GFrame(_Frame):
         return self._sum_terms(self._dual_term_stack, subset)
 
 
-def _pair_identity(frame: _Frame, subset, f, through_dual: bool, terms_of) -> IdentityTerms:
+def _pair_identity(frame: GFrame, subset, f, through_dual: bool, terms_of) -> IdentityTerms:
     """One (subset, vector) pair of an identity: ``terms_of`` on the
     ``subset_sums`` of the frame's stack with its canonical dual's (or with
     its own) over a 1 x 1 chunk, so it gives the scalars, and raises the
@@ -419,7 +424,7 @@ def _pair_identity(frame: _Frame, subset, f, through_dual: bool, terms_of) -> Id
     return IdentityTerms(complex(t.lhs[0, 0]), complex(t.rhs[0, 0]), float(t.residual[0, 0]))
 
 
-def partition_identity(frame: _Frame, subset, f) -> IdentityTerms:
+def partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
     """Subset/complement energy identity through the canonical dual, for
     either frame kind (``gfusion`` binds this function too).
 
@@ -430,7 +435,7 @@ def partition_identity(frame: _Frame, subset, f) -> IdentityTerms:
     return _pair_identity(frame, subset, f, True, identity_terms)
 
 
-def parseval_partition_identity(frame: _Frame, subset, f) -> IdentityTerms:
+def parseval_partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
     """Parseval special case of the partition identity, for either frame kind.
 
     Uses the frame's own blocks on both sides (the canonical dual of a

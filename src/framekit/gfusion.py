@@ -1,20 +1,16 @@
 """Weighted subspace frames: triples of (subspace, block operator, weight).
 
 Each component carries an orthonormal basis of a closed subspace W_j of H,
-a block operator acting on H, and a positive weight.  The frame operator
-sums the weighted, projected block Gram terms.  Subspaces are stored as
-orthonormal column bases, never as projection matrices; projections are derived.
+a block operator acting on H, and a positive weight.  Subspaces are stored
+as orthonormal column bases, never as projection matrices; projections are
+derived.
 
-A weighted subspace frame is the g-frame with blocks Lambda_j = w_j B_j P_j:
-``GFusionFrame.blocks`` computes them on access, and the core of
-``gframe.GFrame`` keeps the stack [w_1 B_1 P_1; ...; w_n B_n P_n], built
-once per frame and kept read-only, as the only copy of the blocks, and
-gives ``analysis`` and ``synthesis`` from it.  The triples stay in frame
-files, LEMMA_L0, and the canonical dual and whitened (Parseval) frames,
-which are the triples composed with S^-1 and S^(-1/2) (``_composed``), both
-powers from the decomposition of S made at construction.  The
-frame-operator and dual terms stay in triple form, w_j^2 P_j (B_j* B_j) P_j,
-which rounds differently from Lambda_j* Lambda_j.
+A weighted subspace frame is the g-frame with blocks Lambda_j = w_j B_j P_j,
+and ``GFusionFrame`` is a ``gframe.GFrame`` built from them: its frame
+operator, bounds, stack, canonical dual (the g-frame with blocks
+Lambda_j S^-1) and partial sums are the g-frame's.  The triples stay only as
+provenance, for frame files, LEMMA_L0 and ``parsevalize``, which whitens
+them into the triples (span of S^(-1/2) U_j, B_j P_j S^(-1/2), w_j).
 
 ``block_energies`` takes all energies weight_j^2 ||block_j P_j f||^2 from
 one product with the stack and one segmented sum over the block row ranges.
@@ -24,10 +20,7 @@ M_I f = sum_{j in I} Lambda_j* Lambda_j f, with no truncated frame operator
 built; the per-(subset, f) functions take 1 x 1 chunks.  The energy
 identity and its Parseval case are the g-frame ones on these blocks, so
 ``partition_identity`` and ``parseval_partition_identity`` are
-``gframe``'s functions, bound here under the same names.  The frame keeps the
-terms behind ``partial_sum`` and ``partial_frame_operator`` only as
-read-only (n, d*d) stacks, from which ``gframe.masked_sums`` takes a whole
-chunk of partial sums at once.
+``gframe``'s functions, bound here under the same names.
 """
 
 from __future__ import annotations
@@ -38,18 +31,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gframe import (
+    GFrame,
     IdentityTerms,
-    _Frame,
     _norms_sq,
     _pair_identity,
     parseval_partition_identity,
     partition_identity,
     stacked_image,
-    term_stack,
 )
 from .linops import (
     ShapeMismatch,
-    adjoint,
     as_operator,
     as_vector,
     orthonormal_basis,
@@ -78,8 +69,9 @@ class GFusionComponent(NamedTuple):
     weight: float
 
 
-class GFusionFrame(_Frame):
-    """Weighted subspace frame with cached frame operator and optimal bounds.
+class GFusionFrame(GFrame):
+    """Weighted subspace frame with cached frame operator and optimal bounds:
+    the ``GFrame`` of its blocks w_j B_j P_j.
 
     Components whose subspace is numerically zero, or whose weight is not
     strictly positive, are rejected at construction.  The family itself may
@@ -87,6 +79,7 @@ class GFusionFrame(_Frame):
     the inverse frame operator then raise ``NotAFrame``.
     """
 
+    kind = "gfusion"
     _noun = "component"
 
     def __init__(self, components: Sequence):
@@ -110,29 +103,13 @@ class GFusionFrame(_Frame):
             if c.block.shape[1] != dim:
                 raise ShapeMismatch("all blocks must share the domain dimension")
         self.components = tuple(comps)
-        self.dim_h = int(dim)
-        self.dtype = np.result_type(*(c.basis for c in comps), *(c.block for c in comps))
         # projection() also validates orthonormality of each stored basis
         self.projections = tuple(projection(c.basis) for c in comps)
-        terms = ((c.weight**2) * (p @ (adjoint(c.block) @ c.block) @ p)
-                 for c, p in zip(comps, self.projections))
-        self._component_term_stack = term_stack(self._set_frame_operator(
-            terms, lambda j: f"component {j} with weight {comps[j].weight!r}"))
+        # the core, not GFrame.__init__, so the tracer counts no g-frame here
+        self._set_blocks((c.weight * (c.block @ p) for c, p in zip(comps, self.projections)),
+                         lambda j: f"component {j} with weight {comps[j].weight!r}")
 
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """The g-frame blocks w_j B_j P_j, computed on each access, so the
-        cached stack behind ``analysis_matrix`` stays their only copy."""
-        return tuple(c.weight * (c.block @ p) for c, p in zip(self.components, self.projections))
-
-    def _composed(self, t: np.ndarray) -> "GFusionFrame":
-        """The triples (span of T U_j, B_j P_j T, w_j): every block composed
-        with T.  The result holds no reference back to this frame."""
-        return GFusionFrame([
-            (orthonormal_basis(t @ c.basis), c.block @ p @ t, c.weight)
-            for c, p in zip(self.components, self.projections)
-        ])
-
+    # One line each over the core, for the tracer (see GFrame).
     @functools.cached_property
     def inverse(self) -> np.ndarray:
         """Inverse of the frame operator."""
@@ -144,25 +121,11 @@ class GFusionFrame(_Frame):
         return self._power(-0.5)
 
     @functools.cached_property
-    def canonical_dual(self) -> "GFusionFrame":
-        """Canonical dual triple: subspaces pushed through the inverse frame
-        operator (re-orthonormalized), blocks composed with it, same weights.
-
-        It holds no reference back to this frame, which caches it, so the
-        pair is freed without the cyclic garbage collector.
-        """
-        return self._composed(self.inverse)
-
-    @functools.cached_property
-    def _dual_term_stack(self) -> np.ndarray:
-        """The terms w_j^2 P_j B_j* (dual B_j dual P_j) behind ``partial_sum``."""
-        dual = self.canonical_dual
-        return term_stack(
-            (c.weight**2) * (p @ adjoint(c.block) @ (dc.block @ dp))
-            for c, p, dc, dp in zip(
-                self.components, self.projections, dual.components, dual.projections
-            )
-        )
+    def canonical_dual(self) -> GFrame:
+        """The g-frame with blocks w_j B_j P_j S^-1: by the absorption that
+        LEMMA_L0 checks, the blocks of the dual triples (S^-1 W_j,
+        B_j P_j S^-1, w_j)."""
+        return self._dual()
 
     def partial_sum(self, subset) -> np.ndarray:
         """Reconstruction operator truncated to ``subset``, built through the
@@ -172,16 +135,19 @@ class GFusionFrame(_Frame):
     def partial_frame_operator(self, subset) -> np.ndarray:
         """Frame operator truncated to ``subset``; summed with the
         complement's it gives the full frame operator."""
-        return self._sum_terms(self._component_term_stack, subset)
+        return self._sum_terms(self._term_stack, subset)
 
     def parsevalize(self) -> "GFusionFrame":
-        """Whiten by the inverse square root of the frame operator.
+        """Whiten by the inverse square root of the frame operator: the
+        triples (span of S^(-1/2) U_j, B_j P_j S^(-1/2), w_j).
 
         The returned frame has frame operator (numerically) equal to the
         identity; its truncated frame operators are the originals conjugated
         by the inverse square root.
         """
-        return self._composed(self.inverse_sqrt)
+        r = self.inverse_sqrt
+        return GFusionFrame([(orthonormal_basis(r @ c.basis), c.block @ p @ r, c.weight)
+                             for c, p in zip(self.components, self.projections)])
 
 
 def block_energies(frame: GFusionFrame, f) -> np.ndarray:

@@ -42,7 +42,8 @@ chunk's two operand families (``_Family``): P, Q in units of I, and M, M'
 in units of S.  The eleven per-vector checks are each one array expression
 over the chunk; the identity functions of ``gframe`` and ``gfusion`` use
 the same expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
-``inapplicable`` is the one rule for which checks apply to which frame.
+``inapplicable`` is the one rule for which checks apply to which frame; it
+reads the frame's ``kind``.
 
 Normalization conventions (so a single pair of tolerances applies):
 
@@ -208,8 +209,10 @@ class _Chunk:
     the 0/1 rows of the subsets and of their complements, the chunk's
     ``subset_sums`` over the frame's own stack and over the stack and its
     canonical dual, one call each, and the interval checks' two operand
-    families, P and Q = P_{I^c}, and M and M' = M_{I^c}; SPECTRUM_REMARK
-    and LEMMA_L2 read the Parseval family's P.
+    families, P and Q = P_{I^c} over the terms Lambda_j* Gamma_j, and M and
+    M' = M_{I^c} over the terms Lambda_j* Lambda_j; SPECTRUM_REMARK and
+    LEMMA_L2 read the Parseval family's P.  Every frame is a ``GFrame``, so
+    both kinds give these from the same members.
     """
 
     def __init__(self, frame, subsets, vectors):
@@ -248,7 +251,7 @@ class _Chunk:
     @functools.cached_property
     def relative(self) -> _Family:
         frame = self.frame
-        return _Family(frame._component_term_stack, self.sides, frame.frame_operator,
+        return _Family(frame._term_stack, self.sides, frame.frame_operator,
                        max(1.0, frame.upper_bound), frame.inverse_sqrt)
 
 
@@ -513,19 +516,10 @@ def _walk(frame, checks, subsets, vectors, tol: Tolerances):
                 yield check, chunk, _evaluate(check, chunk, tol)
 
 
-def frame_kind(frame) -> str:
-    if isinstance(frame, gfu.GFusionFrame):
-        return "gfusion"
-    if isinstance(frame, gf.GFrame):
-        return "gframe"
-    raise TypeError(f"not a frame: {type(frame).__name__}")
-
-
 def inapplicable(info: CheckInfo, frame) -> str | None:
     """Why ``info``'s check does not apply to ``frame``, or None when it does."""
-    kind = frame_kind(frame)
-    if info.kind != "any" and info.kind != kind:
-        return f"{info.check.value} expects a {info.kind} frame, got {kind}"
+    if info.kind != "any" and info.kind != frame.kind:
+        return f"{info.check.value} expects a {info.kind} frame, got {frame.kind}"
     if info.parseval_only and not frame.is_parseval:
         return f"{info.check.value} requires a Parseval frame"
     return None
@@ -784,19 +778,18 @@ def build_instances(plan: SuitePlan) -> list[FrameInstance]:
                 spec = GenSpec(dim, _component_specs(dim, plan.components, plan.weight_range), fld, seed)
                 try:
                     blocks = random_gframe(dim, block_dims, fld, seed)
-                    frames = [("gframe", blocks), ("gframe", whitened_gframe(blocks))]
                     fusion = random_gfusion(spec)
-                    frames += [("gfusion", fusion), ("gfusion", whitened_gfusion(spec, fusion))]
+                    frames = [blocks, whitened_gframe(blocks), fusion, whitened_gfusion(spec, fusion)]
                 except GenerationFailed as exc:
                     raise GenerationFailed(
                         f"cannot generate instances at dim {dim} with block dims "
                         f"{block_dims} ({fld.value}, seed {seed}): {exc}"
                     ) from exc
-                for kind, frame in frames:
+                for frame in frames:
                     parseval = frame.is_parseval
-                    label = f"{kind}{'-parseval' if parseval else ''}[{tag}]"
+                    label = f"{frame.kind}{'-parseval' if parseval else ''}[{tag}]"
                     instances.append(
-                        FrameInstance(kind, parseval, dim, fld, seed, label, frame)
+                        FrameInstance(frame.kind, parseval, dim, fld, seed, label, frame)
                     )
     return instances
 
@@ -831,7 +824,7 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
     """
     start = time.perf_counter()
     if frame is not None:
-        instances = [FrameInstance(frame_kind(frame), frame.is_parseval, frame.dim_h, frame.field,
+        instances = [FrameInstance(frame.kind, frame.is_parseval, frame.dim_h, frame.field,
                                    None, plan.frame_path or "loaded-frame", frame)]
     else:
         instances = build_instances(plan)

@@ -223,7 +223,7 @@ class TestBatchedMatchesReference:
         subsets = _all_subsets(len(shapes))
         inside, outside = gframe.subset_masks(len(shapes), subsets)
         for stack, route in ((frame._dual_term_stack, frame.partial_sum),
-                             (frame._component_term_stack, frame.partial_frame_operator)):
+                             (frame._term_stack, frame.partial_frame_operator)):
             assert not stack.flags.writeable
             sums = gframe.masked_sums(stack, inside)
             complements = gframe.masked_sums(stack, outside)

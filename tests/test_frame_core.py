@@ -4,7 +4,7 @@ A weighted subspace frame is the g-frame with blocks w_j B_j P_j: a
 ``GFrame`` of its ``blocks`` must give the same frame operator, bounds,
 partial sums, complements and partition identity.  Both kinds give their
 blocks, analysis and synthesis, count, validate and complement their
-indices, and word their errors, through one ``_Frame`` core.
+indices, and word their errors, through the one ``GFrame`` core.
 """
 
 import itertools
@@ -25,6 +25,7 @@ from framekit import (
     ShapeMismatch,
     Tolerances,
     operator_norm,
+    orthonormal_basis,
     random_gframe,
     random_gfusion,
     random_parseval_gframe,
@@ -36,9 +37,9 @@ from framekit import (
 from framekit import gframe, gfusion
 from framekit.gen import ComponentSpec, GenSpec, random_operator, random_subspace_basis
 
-# |g-frame route - weighted route| <= TOL * max(1, ||S||), fixed before running
+# |dual block - dual triple block| <= TOL * max(1, ||S^-1||), fixed before running
 TOL = 1e-12
-# the partial sums and the identity go through the inverse frame operator
+# the two dual routes agree to rounding amplified by the condition number of S
 MAX_CONDITION = 100.0
 
 
@@ -59,25 +60,38 @@ def _as_gframe(frame):
     return GFrame(frame.blocks)
 
 
+def _dual_triples(frame):
+    """The canonical dual in triple form, (span of S^-1 U_j, B_j P_j S^-1, w_j)."""
+    si = frame.inverse
+    return GFusionFrame([(orthonormal_basis(si @ c.basis), c.block @ p @ si, c.weight)
+                         for c, p in zip(frame.components, frame.projections)])
+
+
 def _all_subsets(count):
     return [c for k in range(count + 1) for c in itertools.combinations(range(count), k)]
 
 
 def _assert_same_frame(weighted, vectors):
+    # both kinds take S, its bounds, the partial sums and the identity from
+    # the blocks by the same expressions, so they agree bit for bit
     plain = _as_gframe(weighted)
-    bound = TOL * max(1.0, operator_norm(weighted.frame_operator))
+    assert isinstance(weighted, GFrame)
     assert len(plain) == len(weighted)
-    assert operator_norm(plain.frame_operator - weighted.frame_operator) <= bound
-    for mine, theirs in zip(plain.bounds, weighted.bounds):
-        assert abs(mine - theirs) <= bound
+    assert np.array_equal(plain.frame_operator, weighted.frame_operator)
+    assert plain.bounds == weighted.bounds
     for subset in _all_subsets(len(weighted)):
         assert plain.complement(subset) == weighted.complement(subset)
-        assert operator_norm(plain.partial_sum(subset) - weighted.partial_sum(subset)) <= bound
+        assert np.array_equal(plain.partial_sum(subset), weighted.partial_sum(subset))
         for f in vectors:
-            mine = gframe.partition_identity(plain, subset, f)
-            theirs = gfusion.partition_identity(weighted, subset, f)
-            assert abs(mine.lhs - theirs.lhs) <= bound, subset
-            assert abs(mine.rhs - theirs.rhs) <= bound, subset
+            assert (gframe.partition_identity(plain, subset, f)
+                    == gfusion.partition_identity(weighted, subset, f)), subset
+    # the dual is the g-frame of the blocks w_j B_j P_j S^-1, which equal the
+    # blocks of the dual triples by the absorption identity LEMMA_L0 checks
+    dual = weighted.canonical_dual
+    assert type(dual) is GFrame
+    dual_bound = TOL * max(1.0, operator_norm(weighted.inverse))
+    for mine, theirs in zip(dual.blocks, _dual_triples(weighted).blocks, strict=True):
+        assert operator_norm(mine - theirs) <= dual_bound
 
 
 # 1-row and rectangular blocks; every subset, so the empty and the full one too
@@ -188,24 +202,22 @@ class TestSharedCore:
             _make(kind, [1e154 * np.eye(2), np.eye(2)])
 
 
-def test_analysis_and_synthesis_read_the_cached_stack(monkeypatch):
-    # GFusionFrame.blocks computes w_j B_j P_j on each access; once the stack
-    # is cached, analysis and synthesis read only the stack
-    frame = _random_gfusion(3, _SHAPES, Field.COMPLEX, 1)
-    stacked = frame.analysis_matrix()
-    reads = []
-    blocks = GFusionFrame.blocks
-
-    def counting(self):
-        reads.append(self)
-        return blocks.fget(self)
-
-    monkeypatch.setattr(GFusionFrame, "blocks", property(counting))
-    x = np.arange(1.0, 4.0)
-    images = frame.analysis(x)
-    assert np.allclose(np.concatenate(images), stacked @ x, atol=1e-12)
-    assert np.allclose(frame.synthesis(images), frame.frame_operator @ x, atol=1e-12)
-    assert reads == []
+def test_analysis_and_synthesis_read_the_cached_stack():
+    # every frame keeps one copy of its blocks: the stack behind
+    # analysis_matrix, analysis, synthesis and the identities
+    weighted = _random_gfusion(3, _SHAPES, Field.COMPLEX, 1)
+    plain = random_gframe(3, [2, 2, 1], Field.REAL, 0)
+    for frame in (weighted, weighted.canonical_dual, weighted.parsevalize(),
+                  plain, plain.canonical_dual):
+        stacked = frame.analysis_matrix()
+        assert not stacked.flags.writeable
+        for block in frame.blocks:
+            assert np.shares_memory(block, stacked)
+            assert not block.flags.writeable
+        x = np.arange(1.0, 4.0)
+        images = frame.analysis(x)
+        assert np.allclose(np.concatenate(images), stacked @ x, atol=1e-12)
+        assert np.allclose(frame.synthesis(images), frame.frame_operator @ x, atol=1e-12)
 
 
 def _gfusion_spec(seed):

@@ -27,6 +27,7 @@ from framekit import (
     adjoint,
     as_vector,
     inner,
+    orthonormal_basis,
     random_parseval_gfusion,
     run_check,
     sample_vectors,
@@ -67,9 +68,17 @@ def ref_gframe_parseval(frame, subset, f):
             _side_gframe(frame, frame.blocks, frame.complement(js), f, False))
 
 
+def dual_triples(frame):
+    """The canonical dual in triple form, (span of S^-1 U_j, B_j P_j S^-1, w_j),
+    so the references read neither ``blocks``, the stack nor ``canonical_dual``."""
+    si = frame.inverse
+    return GFusionFrame([(orthonormal_basis(si @ c.basis), c.block @ p @ si, c.weight)
+                         for c, p in zip(frame.components, frame.projections)])
+
+
 def ref_gfusion_partition(frame, subset, f):
     f = as_vector(f, frame.dim_h)
-    dual = frame.canonical_dual
+    dual = dual_triples(frame)
     js = frame._validate_subset(subset)
 
     def side(ids, conjugate):
@@ -125,7 +134,7 @@ def ref_gfusion_whitened(frame, subset, f):
 
 def ref_gfusion_frame(frame, subset, f):
     js, ks = _split(frame, subset, f)
-    dual = frame.canonical_dual
+    dual = dual_triples(frame)
 
     def side(ids):
         m_f = frame.partial_frame_operator(ids) @ f

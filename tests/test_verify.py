@@ -568,7 +568,7 @@ class TestArrayFold:
         import framekit.verify as verify
 
         results = _recording(monkeypatch, verify, "CheckResult")
-        validated = _recording(monkeypatch, gframe._Frame, "_validate_subset")
+        validated = _recording(monkeypatch, gframe.GFrame, "_validate_subset")
         for instance in two_chunk_instances:
             frame = instance.frame
             validated.clear()

@@ -281,15 +281,11 @@ def _print_report(report: RunReport, stream):
 # flag parsing helpers
 
 
-class _ConfigError(ValueError):
-    pass
-
-
 def _tolerance(flag: float | None, default: float, name: str) -> float:
     """The tolerance from ``flag`` (the option ``name``), else from
     ``FRAMEKIT_TOLERANCE``, which is read only when the flag is absent, else
     ``default``.  A value ``Tolerances`` refuses (not finite, or negative)
-    raises ``_ConfigError`` naming its source."""
+    raises ``ValueError`` naming its source."""
     if flag is None:
         raw = os.environ.get(_TOL_ENV)
         if raw is None:
@@ -297,11 +293,11 @@ def _tolerance(flag: float | None, default: float, name: str) -> float:
         try:
             flag, name = float(raw), _TOL_ENV
         except ValueError:
-            raise _ConfigError(f"{_TOL_ENV} must be a number, got {raw!r}") from None
+            raise ValueError(f"{_TOL_ENV} must be a number, got {raw!r}") from None
     try:
         Tolerances(flag, flag)
     except ValueError:
-        raise _ConfigError(f"{name} must be finite and nonnegative, got {flag}") from None
+        raise ValueError(f"{name} must be finite and nonnegative, got {flag}") from None
     return flag
 
 
@@ -315,19 +311,19 @@ def _parse_checks(tokens) -> tuple[CheckId, ...] | None:
             out.append(CheckId(t.upper()))
         except ValueError:
             known = ", ".join(c.value for c in CheckId)
-            raise _ConfigError(f"unknown check {t!r}; known checks: {known}")
+            raise ValueError(f"unknown check {t!r}; known checks: {known}")
     return tuple(out)
 
 
 def _frame_file(path: str):
     """The frame in the file at ``path``; a file that does not load, or a
-    frame with no positive lower bound, raises ``_ConfigError``."""
+    frame with no positive lower bound, raises ``ValueError``."""
     try:
         frame = load_frame(path)
     except (OSError, ValueError) as exc:
-        raise _ConfigError(f"could not load frame file {path!r}: {exc}")
+        raise ValueError(f"could not load frame file {path!r}: {exc}")
     if not frame.is_frame:
-        raise _ConfigError(f"frame file {path!r} has no positive lower bound")
+        raise ValueError(f"frame file {path!r} has no positive lower bound")
     return frame
 
 
@@ -338,7 +334,7 @@ def _parse_field(token: str) -> tuple[Field, ...]:
     try:
         return (Field(token),)
     except ValueError:
-        raise _ConfigError(f"field must be real, complex, or both; got {token!r}")
+        raise ValueError(f"field must be real, complex, or both; got {token!r}")
 
 
 def _parse_component_triples(tokens) -> tuple[ComponentSpec, ...]:
@@ -346,12 +342,12 @@ def _parse_component_triples(tokens) -> tuple[ComponentSpec, ...]:
     for t in tokens:
         parts = t.split(":")
         if len(parts) != 3:
-            raise _ConfigError(f"component {t!r} is not of the form dim:codim:weight")
+            raise ValueError(f"component {t!r} is not of the form dim:codim:weight")
         try:
             k, d, w = int(parts[0]), int(parts[1]), float(parts[2])
             specs.append(ComponentSpec(k, d, w, w))
         except ValueError as exc:
-            raise _ConfigError(f"bad component {t!r}: {exc}")
+            raise ValueError(f"bad component {t!r}: {exc}")
     return tuple(specs)
 
 
@@ -366,17 +362,17 @@ def _parse_vector(text: str, fld: Field) -> np.ndarray:
     try:
         values = [_complex_token(tok) for tok in text.split(",")]
     except ValueError:
-        raise _ConfigError(f"could not parse vector {text!r}")
+        raise ValueError(f"could not parse vector {text!r}")
     arr = np.array(values, dtype=np.complex128)
     if not np.isfinite(arr).all():
-        raise _ConfigError(f"vector {text!r} has a coordinate that is not finite")
+        raise ValueError(f"vector {text!r} has a coordinate that is not finite")
     with np.errstate(over="ignore"):
         norm_sq = np.vdot(arr, arr).real
     if not np.isfinite(norm_sq):
-        raise _ConfigError(f"vector {text!r} has a squared norm that is not finite")
+        raise ValueError(f"vector {text!r} has a squared norm that is not finite")
     if fld is Field.REAL:
         if np.any(arr.imag != 0):
-            raise _ConfigError("complex vector given for a real frame")
+            raise ValueError("complex vector given for a real frame")
         return arr.real.astype(np.float64)
     return arr
 
@@ -392,7 +388,7 @@ def _generated_frame(args, command: str):
     components = _parse_component_triples(args.components)
     fields = _parse_field(args.field)
     if len(fields) != 1:
-        raise _ConfigError(f"{command} needs a single field, not 'both'")
+        raise ValueError(f"{command} needs a single field, not 'both'")
     spec = GenSpec(args.dim, components, fields[0], args.seed)
     return random_parseval_gfusion(spec) if args.parseval else random_gfusion(spec)
 
@@ -424,18 +420,18 @@ def cmd_verify(args) -> int:
         checks = _parse_checks(args.checks)
         fields = _parse_field(args.field)
         if args.seeds < 1:
-            raise _ConfigError("--seeds must be at least 1")
+            raise ValueError("--seeds must be at least 1")
         frame = None if args.frame is None else _frame_file(args.frame)
         if checks is None:
             # 'all': every check the frame admits
             checks = tuple(c for c in CheckId
                            if frame is None or inapplicable(CATALOG[c], frame) is None)
             if not checks:
-                raise _ConfigError("no applicable checks for this frame")
+                raise ValueError("no applicable checks for this frame")
         elif frame is not None:
             refused = [c.value for c in checks if inapplicable(CATALOG[c], frame) is not None]
             if refused:
-                raise _ConfigError(f"checks not applicable to this frame: {', '.join(refused)}")
+                raise ValueError(f"checks not applicable to this frame: {', '.join(refused)}")
         plan = SuitePlan(
             dims=tuple(args.dims),
             fields=fields,
@@ -473,20 +469,20 @@ def cmd_demo_reconstruct(args) -> int:
     try:
         tol = _tolerance(args.tol, 1e-9, "--tol")
         if args.vector is not None and args.random_vector:
-            raise _ConfigError("give --vector or --random-vector, not both")
+            raise ValueError("give --vector or --random-vector, not both")
         if not 0 <= args.vector_seed < 2**64:
-            raise _ConfigError(
+            raise ValueError(
                 f"--vector-seed must be a 64-bit unsigned integer, got {args.vector_seed}")
         if args.frame is not None:
             frame = _frame_file(args.frame)
         elif args.random:
-            frame = _generated_frame(args, "demo")
+            frame = _generated_frame(args, "demo-reconstruct")
         else:
-            raise _ConfigError("need --frame PATH or --random")
+            raise ValueError("need --frame PATH or --random")
         if args.vector is not None:
             f = _parse_vector(args.vector, frame.field)
             if f.shape[0] != frame.dim_h:
-                raise _ConfigError(
+                raise ValueError(
                     f"vector has length {f.shape[0]}, frame dimension is {frame.dim_h}"
                 )
         else:

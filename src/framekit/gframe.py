@@ -3,8 +3,8 @@
 A frame here is a finite family of block operators mapping the common space
 H into per-index codomains.  Frames are immutable; the frame operator S, its
 one spectral decomposition and its extreme eigenvalues (the optimal bounds)
-are computed at construction, the canonical dual and the dual terms behind
-the partial sums lazily and cached.  Every power of S a frame needs (S^-1,
+are computed at construction, the dual matrix and the dual terms behind the
+partial sums lazily and cached.  Every power of S a frame needs (S^-1,
 S^(-1/2) and the whitening of ``gen``) comes from that decomposition, by
 ``_power``, so S is diagonalised once per frame.
 
@@ -16,14 +16,14 @@ Lambda = [Lambda_1; ...; Lambda_n] (``stack_blocks``) and keeps ``blocks``
 as read-only views of that stack, from which ``analysis`` and
 ``synthesis`` read.  It keeps the terms Lambda_j* Lambda_j as a read-only
 stack, sums them into S, and counts, validates and complements indices and
-takes partial sums.  Every frame's canonical dual is the g-frame with
-blocks Lambda_j S^-1.
+takes partial sums.  Every dual operand reads the dual matrix
+``_dual_stack`` = Lambda S^-1; ``canonical_dual`` is built on request.
 
 A subset becomes 0/1 rows over the blocks in one place, ``subset_masks``,
 which gives a chunk of subsets its rows K and their complements 1 - K.
 ``subset_sums`` is the one home of the subset sums: it takes those rows, a
-sequence of validated vectors f and the canonical dual stack Gamma, and
-gives for every (subset, f) of the chunk the per-block inner products
+sequence of validated vectors f and the dual matrix Gamma, and gives for
+every (subset, f) of the chunk the per-block inner products
 <Gamma_j f, Lambda_j f> summed over each row, from one segmented sum over
 the block row starts, and the truncated images sum_{j in I} Lambda_j*
 Gamma_j f, from one product of Lambda* with Gamma f masked to each row.  It
@@ -31,9 +31,8 @@ runs its pairs under ``np.errstate`` and refuses the whole chunk, once,
 by a ``ValueError`` naming the subset sums and the frame's scale when an
 entry is not finite.  ``identity_terms`` turns its (k, V) stacks
 (k subsets, V vectors) into the two sides of the identity; with the
-frame's own stack as the dual it is the Parseval case.  Each public
-per-(subset, f) identity evaluates its pair through ``_pair_identity`` as a
-1 x 1 chunk.
+frame's own matrix Lambda as the dual it is the Parseval case.  Each
+public per-(subset, f) identity takes a 1 x 1 chunk (``_pair_identity``).
 
 The operator checks take many partial sums at once: each frame keeps the
 per-index terms behind ``partial_sum`` only as a read-only (n, d*d)
@@ -122,28 +121,28 @@ def stack_blocks(blocks) -> StackedAnalysis:
     return StackedAnalysis(matrix, adj, starts, owners)
 
 
-def stacked_image(stacked: StackedAnalysis, x: np.ndarray) -> np.ndarray:
-    """The stacked operator applied to a vector or to each column of ``x``;
+def stacked_image(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A stacked matrix applied to a vector or to each column of ``x``;
     raises ``ValueError`` when the image is not finite."""
-    y = stacked.matrix @ x
+    y = matrix @ x
     if not np.isfinite(y).all():
         raise ValueError("vector entries must be finite")
     return y
 
 
-def subset_sums(frame_stack: StackedAnalysis, dual_stack: StackedAnalysis, sides, vectors):
+def subset_sums(frame_stack: StackedAnalysis, dual: np.ndarray, sides, vectors):
     """Subset and complement sums of the per-block terms of each vector, for
     one chunk of subsets.
 
     ``sides`` is the chunk's (2, k, n) rows [K, 1 - K] of ``subset_masks``
     and ``vectors`` a sequence of V validated vectors, where Lambda is
-    ``frame_stack`` and Gamma ``dual_stack``.  Returns the sums of
-    <Gamma_j f, Lambda_j f> over each row, shape (k, V, 2), and the
-    truncated images sum_j Lambda_j* Gamma_j f over the same rows, shape
-    (k, V, dim, 2).  Each (subset, f) pair takes its own products, so an entry
-    does not depend on the chunk around it.  An overflow raises one
-    ``ValueError`` for the chunk ("subset sums are not finite at this
-    frame's scale"), and no warning.
+    ``frame_stack`` and Gamma the matrix ``dual`` (``_dual_stack``, or
+    ``frame_stack.matrix``).  Returns the sums of <Gamma_j f, Lambda_j f>
+    over each row, shape (k, V, 2), and the truncated images
+    sum_j Lambda_j* Gamma_j f over the same rows, shape (k, V, dim, 2).  Each
+    (subset, f) pair takes its own products, so an entry does not depend on
+    the chunk around it.  An overflow raises one ``ValueError`` for the chunk
+    ("subset sums are not finite at this frame's scale"), and no warning.
     """
     k, dim = sides.shape[1], frame_stack.matrix.shape[1]
     sums, images = [], []
@@ -152,7 +151,7 @@ def subset_sums(frame_stack: StackedAnalysis, dual_stack: StackedAnalysis, sides
             rows = sides[:, i]
             for f in vectors:
                 y = frame_stack.matrix @ f
-                z = y if dual_stack is frame_stack else dual_stack.matrix @ f
+                z = y if dual is frame_stack.matrix else dual @ f
                 inner_products = np.add.reduceat(y.conj() * z, frame_stack.starts)
                 sums.append(rows @ inner_products)
                 images.append(frame_stack.adjoint @ (rows.take(frame_stack.owners, axis=1) * z).T)
@@ -225,8 +224,8 @@ class GFrame:
 
     The weighted subspace frame ``gfusion.GFusionFrame`` is the ``GFrame``
     of its blocks w_j B_j P_j: it hands them to the same ``_set_blocks``, so
-    both kinds take the frame operator, its decomposition, the canonical
-    dual and the partial sums from the same expressions.  ``kind`` names
+    both kinds take the frame operator, its decomposition, the dual matrix
+    and the partial sums from the same expressions.  ``kind`` names
     the kind in frame files and reports.
     """
 
@@ -371,18 +370,24 @@ class GFrame:
             out = out + stack[j].reshape(out.shape)
         return out
 
+    @functools.cached_property
+    def _dual_stack(self) -> np.ndarray:
+        """Gamma = Lambda S^-1, read-only; its row blocks are the dual blocks."""
+        dual = self._stacked_analysis.matrix @ self.inverse
+        dual.setflags(write=False)
+        return dual
+
     def _dual(self) -> "GFrame":
-        """The g-frame with blocks Lambda_j S^-1.  It holds no reference back
-        to this frame, which caches it, so the pair is freed without the
-        cyclic garbage collector."""
-        s_inv = self.inverse
-        return GFrame([b @ s_inv for b in self.blocks])
+        """The g-frame of the row blocks of ``_dual_stack``.  It holds no
+        reference back to this frame, so the pair is freed without the cyclic
+        garbage collector."""
+        return GFrame(np.split(self._dual_stack, self._stacked_analysis.starts[1:]))
 
     @functools.cached_property
     def _dual_term_stack(self) -> np.ndarray:
-        """The terms Lambda_j* Gamma_j behind ``partial_sum``, with Gamma the
-        canonical dual's blocks."""
-        return term_stack(adjoint(b) @ d for b, d in zip(self.blocks, self.canonical_dual.blocks))
+        """The terms Lambda_j* Gamma_j behind ``partial_sum``."""
+        duals = np.split(self._dual_stack, self._stacked_analysis.starts[1:])
+        return term_stack(adjoint(b) @ d for b, d in zip(self.blocks, duals))
 
     # The benchmark tracer (perfbench/tracer.py) times the members below
     # where ``vars(cls)`` finds them, and its self-test matches calls per
@@ -395,11 +400,9 @@ class GFrame:
 
     @functools.cached_property
     def canonical_dual(self) -> "GFrame":
-        """Frame composed with the inverse frame operator.
-
-        Together with the original family it reconstructs every vector; its
-        bounds are the reciprocals of the original bounds.
-        """
+        """Frame composed with the inverse frame operator, built on request;
+        no check reads it.  Together with the original family it reconstructs
+        every vector; its bounds are the reciprocals of the original bounds."""
         return self._dual()
 
     def partial_sum(self, subset) -> np.ndarray:
@@ -413,14 +416,14 @@ class GFrame:
 
 def _pair_identity(frame: GFrame, subset, f, through_dual: bool, terms_of) -> IdentityTerms:
     """One (subset, vector) pair of an identity: ``terms_of`` on the
-    ``subset_sums`` of the frame's stack with its canonical dual's (or with
-    its own) over a 1 x 1 chunk, so it gives the scalars, and raises the
+    ``subset_sums`` of the frame's stack with its ``_dual_stack`` (or with its
+    own matrix) over a 1 x 1 chunk, so it gives the scalars, and raises the
     errors, a check's chunk gives that pair.  ``f`` is validated first, then
     the subset."""
     f = as_vector(f, frame.dim_h)
     sides = subset_masks(len(frame), [frame._validate_subset(subset)])
-    dual = frame.canonical_dual if through_dual else frame
-    t = terms_of(*subset_sums(frame._stacked_analysis, dual._stacked_analysis, sides, [f]))
+    dual = frame._dual_stack if through_dual else frame._stacked_analysis.matrix
+    t = terms_of(*subset_sums(frame._stacked_analysis, dual, sides, [f]))
     return IdentityTerms(complex(t.lhs[0, 0]), complex(t.rhs[0, 0]), float(t.residual[0, 0]))
 
 

@@ -7,20 +7,20 @@ derived.
 
 A weighted subspace frame is the g-frame with blocks Lambda_j = w_j B_j P_j,
 and ``GFusionFrame`` is a ``gframe.GFrame`` built from them: its frame
-operator, bounds, stack, canonical dual (the g-frame with blocks
-Lambda_j S^-1) and partial sums are the g-frame's.  The triples stay only as
-provenance, for frame files, LEMMA_L0 and ``parsevalize``, which whitens
-them into the triples (span of S^(-1/2) U_j, B_j P_j S^(-1/2), w_j).
+operator, bounds, stack, dual matrix Lambda S^-1, canonical dual and partial
+sums are the g-frame's.  The triples stay only as provenance, for frame
+files, LEMMA_L0 and ``parsevalize``, which whitens them into the triples
+(span of S^(-1/2) U_j, B_j P_j S^(-1/2), w_j).
 
 ``block_energies`` takes all energies weight_j^2 ||block_j P_j f||^2 from
 one product with the stack and one segmented sum over the block row ranges.
 The identities take (k, V) stacks of ``gframe.subset_sums`` over k subsets
 and V vectors: energies and truncated frame-operator images
 M_I f = sum_{j in I} Lambda_j* Lambda_j f, with no truncated frame operator
-built; the per-(subset, f) functions take 1 x 1 chunks.  The energy
-identity and its Parseval case are the g-frame ones on these blocks, so
-``partition_identity`` and ``parseval_partition_identity`` are
-``gframe``'s functions, bound here under the same names.
+built, and dual energies from the dual matrix; the per-(subset, f)
+functions take 1 x 1 chunks.  The energy identity and its Parseval case are
+the g-frame ones on these blocks, so ``partition_identity`` and
+``parseval_partition_identity`` are ``gframe``'s, bound here by name.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ class GFusionFrame(GFrame):
 
     @functools.cached_property
     def canonical_dual(self) -> GFrame:
-        """The g-frame with blocks w_j B_j P_j S^-1: by the absorption that
-        LEMMA_L0 checks, the blocks of the dual triples (S^-1 W_j,
-        B_j P_j S^-1, w_j)."""
+        """The g-frame with blocks w_j B_j P_j S^-1, the row blocks of
+        ``_dual_stack``: by the absorption that LEMMA_L0 checks, the blocks of
+        the dual triples (S^-1 W_j, B_j P_j S^-1, w_j)."""
         return self._dual()
 
     def partial_sum(self, subset) -> np.ndarray:
@@ -160,7 +160,7 @@ def block_energies(frame: GFusionFrame, f) -> np.ndarray:
     """
     f = as_vector(f, frame.dim_h)
     stacked = frame._stacked_analysis
-    y = stacked_image(stacked, f)
+    y = stacked_image(stacked.matrix, f)
     return np.add.reduceat((y.conj() * y).real, stacked.starts)
 
 
@@ -193,14 +193,14 @@ def frame_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     Each side subtracts from the subset's block energy the full dual analysis
     energy of the truncated frame-operator image of f.
     """
-    return _pair_identity(frame, subset, f, False, lambda e, m: dual_energy_terms(
-        frame.canonical_dual._stacked_analysis, e, m))
+    return _pair_identity(frame, subset, f, False,
+                          lambda e, m: dual_energy_terms(frame._dual_stack, e, m))
 
 
-def dual_energy_terms(dual_stack, energies, images) -> IdentityTerms:
+def dual_energy_terms(dual_stack: np.ndarray, energies, images) -> IdentityTerms:
     """The truncated-operator identity's two sides from a (k, V) stack of
     energies and images as ``whitened_terms`` takes them, with
-    ``dual_stack`` the canonical dual's stacked analysis operator."""
+    ``dual_stack`` the frame's ``_dual_stack``, Lambda S^-1."""
     d = _norms_sq(stacked_image(dual_stack, images))
     lhs = energies[..., 0].real - d[..., 0]
     rhs = energies[..., 1].real - d[..., 1]
@@ -216,5 +216,5 @@ def inverse_quadratic_residual(frame: GFusionFrame, f):
     """
     x = (as_vector(f, frame.dim_h) if np.ndim(f) == 1 else f)[..., None]
     lhs = (x.conj() * (frame.inverse @ x)).sum(axis=(-2, -1))
-    rhs = _norms_sq(stacked_image(frame.canonical_dual._stacked_analysis, x))[..., 0]
+    rhs = _norms_sq(stacked_image(frame._dual_stack, x))[..., 0]
     return np.abs(lhs - rhs)

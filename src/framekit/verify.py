@@ -23,25 +23,24 @@ EQ6_QUADFORM, LEMMA_L0) first, on the one chunk [None].  ``run_suite``
 folds what it yields straight into each check's ``CheckSummary``, with no
 per-subset result, and ``run_check`` cuts it into one ``CheckResult`` per
 subset; a single subset is a chunk of one.  What several checks read is
-computed once per chunk, on first read, by the expression a single check
-would use, so sharing changes no bit of a report: the 0/1 rows [K, 1 - K]
-of the chunk's subsets and their complements, one ``subset_sums`` call per
-stack pair, whose (k, V, ...) arrays cover the chunk's k subsets and V
-vectors, the partial sums, their squares and the sandwich margins that
-THM38_I shares.  Inputs are validated at the API boundary: ``run_check``
-validates the subsets and vectors its caller passes, and ``run_suite`` the
-sample vectors once per (dim, field, seed), while the subsets of
-``subsets_for`` are sorted, distinct and in range by construction.  A finite vector can still
-overflow in its stacked images or their inner products: ``subset_sums``
-then raises ``ValueError`` for the chunk, and no warning.
-The eight operator checks take partial sums from the rows over the frame's
-term stacks, then one stacked ``linops`` call for the margins, spectra or
-complement residuals.  The six interval checks among them share two
-evaluators, 0 <= A - A^2 <= U/4 and U/2 <= A^2 +- B^2 <= 3U/2, over the
-chunk's two operand families (``_Family``): P, Q in units of I, and M, M'
-in units of S.  The eleven per-vector checks are each one array expression
-over the chunk; the identity functions of ``gframe`` and ``gfusion`` use
-the same expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
+computed once per chunk (``_Chunk``), on first read, by the expression a
+single check would use, so sharing changes no bit of a report.  Every dual
+operand is the frame's dual matrix ``_dual_stack`` = Lambda S^-1 or the dual
+terms from it: no check builds the canonical dual frame.  Inputs are
+validated at the API boundary: ``run_check`` validates the subsets and
+vectors its caller passes, and ``run_suite`` the sample vectors once per
+(dim, field, seed), while the subsets of ``subsets_for`` are sorted,
+distinct and in range by construction.  A finite vector can still overflow
+in its stacked images or their inner products: ``subset_sums`` then raises
+``ValueError`` for the chunk, and no warning.  The eight operator checks
+take partial sums from the rows over the frame's term stacks, then one
+stacked ``linops`` call for the margins, spectra or complement residuals.
+The six interval checks among them share two evaluators,
+0 <= A - A^2 <= U/4 and U/2 <= A^2 +- B^2 <= 3U/2, over the chunk's two
+operand families (``_Family``): P, Q in units of I, and M, M' in units of
+S.  The eleven per-vector checks are each one array expression over the
+chunk; the identity functions of ``gframe`` and ``gfusion`` use the same
+expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
 ``inapplicable`` is the one rule for which checks apply to which frame; it
 reads the frame's ``kind``.
 
@@ -208,7 +207,7 @@ class _Chunk:
     and then read by every check of the chunk: the vectors' squared norms,
     the 0/1 rows of the subsets and of their complements, the chunk's
     ``subset_sums`` over the frame's own stack and over the stack and its
-    canonical dual, one call each, and the interval checks' two operand
+    ``_dual_stack``, one call each, and the interval checks' two operand
     families, P and Q = P_{I^c} over the terms Lambda_j* Gamma_j, and M and
     M' = M_{I^c} over the terms Lambda_j* Lambda_j; SPECTRUM_REMARK and
     LEMMA_L2 read the Parseval family's P.  Every frame is a ``GFrame``, so
@@ -236,13 +235,13 @@ class _Chunk:
         (k, V, 2) and M_I f, M_K f (k, V, d, 2): ``subset_sums`` of the
         frame's stack with itself."""
         stack = self.frame._stacked_analysis
-        return gf.subset_sums(stack, stack, self.sides, self.vectors)
+        return gf.subset_sums(stack, stack.matrix, self.sides, self.vectors)
 
     @functools.cached_property
     def dual_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """``subset_sums`` of the frame's stack with its canonical dual's."""
-        return gf.subset_sums(self.frame._stacked_analysis,
-                              self.frame.canonical_dual._stacked_analysis, self.sides, self.vectors)
+        """``subset_sums`` of the frame's stack with its ``_dual_stack``."""
+        return gf.subset_sums(self.frame._stacked_analysis, self.frame._dual_stack,
+                              self.sides, self.vectors)
 
     @functools.cached_property
     def parseval(self) -> _Family:
@@ -441,8 +440,8 @@ CATALOG: dict[CheckId, CheckInfo] = {
         CheckInfo(CheckId.LEMMA_L2, "any", False, True, False, _lemma_l2,
                   "complementary partials satisfy u - v = u^2 - v^2"),
         CheckInfo(CheckId.THM_FINAL_MI, "gfusion", False, True, True,
-                  lambda c: _identity_residuals(gfu.dual_energy_terms(
-                      c.frame.canonical_dual._stacked_analysis, *c.own_sums), c),
+                  lambda c: _identity_residuals(
+                      gfu.dual_energy_terms(c.frame._dual_stack, *c.own_sums), c),
                   "partition identity for truncated frame operators through the dual energy"),
     ]
 }
@@ -617,8 +616,9 @@ class SuitePlan:
             raise ValueError("components must be at least 1")
         if self.vectors_per_instance < 1:
             raise ValueError("need at least one sample vector")
-        if not (0.0 < self.weight_range[0] <= self.weight_range[1]):
-            raise ValueError("weight range must satisfy 0 < lo <= hi")
+        lo, hi = self.weight_range
+        if not (0.0 < lo <= hi < math.inf):  # NaN fails too
+            raise ValueError("weight_range must be two finite numbers with 0 < lo <= hi")
         if not self.checks:
             raise ValueError("need at least one check")
         if self.subset_samples < 2:

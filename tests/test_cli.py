@@ -744,6 +744,12 @@ class TestDemoReconstruct:
         captured = capsys.readouterr()
         assert captured.err == f"error: {line}\n" and captured.out == ""
 
+    def test_both_fields_name_the_subcommand(self, capsys):
+        assert run_cli(["demo-reconstruct", "--random", "--field", "both"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: demo-reconstruct needs a single field, not 'both'\n"
+        assert captured.out == ""
+
     def test_nothing_to_do_exits_2(self):
         assert run_cli(["demo-reconstruct"]) == 2
 

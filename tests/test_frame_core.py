@@ -23,6 +23,7 @@ from framekit import (
     IndexOutOfRange,
     NotAFrame,
     ShapeMismatch,
+    SuitePlan,
     Tolerances,
     operator_norm,
     orthonormal_basis,
@@ -31,6 +32,7 @@ from framekit import (
     random_parseval_gframe,
     random_parseval_gfusion,
     run_check,
+    run_suite,
     sample_vectors,
     substream,
 )
@@ -218,6 +220,34 @@ def test_analysis_and_synthesis_read_the_cached_stack():
         images = frame.analysis(x)
         assert np.allclose(np.concatenate(images), stacked @ x, atol=1e-12)
         assert np.allclose(frame.synthesis(images), frame.frame_operator @ x, atol=1e-12)
+
+
+def test_no_check_builds_a_dual_frame(monkeypatch):
+    # every check reads the dual as the matrix _dual_stack, never as a frame
+    def refuse(self):
+        raise AssertionError("a check built the canonical dual frame")
+
+    monkeypatch.setattr(GFrame, "_dual", refuse)
+    report = run_suite(SuitePlan(dims=(2, 3), seeds=(0,)))
+    assert report.overall_pass
+    assert {s.check for s in report.checks} == set(CheckId)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_gframe(3, [2, 1, 3, 2], Field.COMPLEX, 4),
+    lambda: _random_gfusion(3, _SHAPES, Field.REAL, 2),
+], ids=["gframe", "gfusion"])
+def test_canonical_dual_blocks_are_the_rows_of_the_dual_stack(make):
+    frame = make()
+    stack = frame._dual_stack
+    assert not stack.flags.writeable
+    assert stack.tobytes() == (frame.analysis_matrix() @ frame.inverse).tobytes()
+    rows = np.split(stack, np.cumsum([b.shape[0] for b in frame.blocks])[:-1])
+    dual = frame.canonical_dual
+    assert len(dual.blocks) == len(rows)
+    for block, row in zip(dual.blocks, rows, strict=True):
+        assert block.dtype == row.dtype and block.shape == row.shape
+        assert block.tobytes() == row.tobytes()
 
 
 def _gfusion_spec(seed):

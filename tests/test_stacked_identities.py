@@ -1,7 +1,7 @@
 """The stacked partition identities against their per-block reference routes.
 
 ``gframe`` and ``gfusion`` evaluate every partition identity from the
-stacked analysis operators of the frame and of its canonical dual.  The
+frame's stacked analysis operator and its dual matrix ``_dual_stack``.  The
 routes below are the per-block loops they replaced: one block product, one
 inner product and one adjoint image per index, and the truncated frame
 operators ``partial_frame_operator`` for the identities built on M_I f.
@@ -56,7 +56,7 @@ def _side_gframe(frame, dual_blocks, ids, f, conjugate):
 def ref_gframe_partition(frame, subset, f):
     f = as_vector(f, frame.dim_h)
     js = frame._validate_subset(subset)
-    dual = frame.canonical_dual.blocks
+    dual = [b @ frame.inverse for b in frame.blocks]
     return (_side_gframe(frame, dual, js, f, False),
             _side_gframe(frame, dual, frame.complement(js), f, True))
 
@@ -226,7 +226,7 @@ class TestStackedMatchesReference:
         js, ks = _split(frame, subset, f)
         stack = frame._stacked_analysis
         sides = gframe.subset_masks(len(frame), [js])
-        energies, images = gframe.subset_sums(stack, stack, sides, [f])
+        energies, images = gframe.subset_sums(stack, stack.matrix, sides, [f])
         scale = max(1.0, np.vdot(f, f).real)
         for side, ids in enumerate((js, ks)):
             assert abs(energies[0, 0, side] - _energy(frame, ids, f)) <= TOL * scale
@@ -305,7 +305,7 @@ class TestSubsetSumsChunk:
         subsets = [tuple(_subset(bits, len(frame))) for bits in range(k)]
         vectors = sample_vectors(4, field, 5, count)
         stack = frame._stacked_analysis
-        for dual in (stack, frame.canonical_dual._stacked_analysis):
+        for dual in (stack.matrix, frame._dual_stack):
             sums, images = gframe.subset_sums(stack, dual, gframe.subset_masks(len(frame), subsets),
                                               vectors)
             assert sums.shape == (k, count, 2) and images.shape == (k, count, 4, 2)
@@ -327,7 +327,7 @@ class TestSubsetSumsChunk:
             warnings.simplefilter("error")
             with pytest.raises(ValueError,
                                match="subset sums are not finite at this frame's scale"):
-                gframe.subset_sums(stack, stack, sides, [np.ones(2), np.full(2, entry)])
+                gframe.subset_sums(stack, stack.matrix, sides, [np.ones(2), np.full(2, entry)])
 
 
 class TestNoTruncatedFrameOperators:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -204,6 +205,23 @@ class TestSuitePlan:
         with pytest.raises(ValueError, match="subset_samples"):
             SuitePlan(subset_samples=samples)
         assert len(subsets_for(20, SuitePlan(exhaustive_subset_limit=4, subset_samples=2), 0)) == 2
+
+    @pytest.mark.parametrize("weights", [
+        (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (-1.0, 1.0), (2.0, 1.0),
+    ], ids=["inf", "nan-lo", "nan-hi", "zero", "negative", "reversed"])
+    def test_rejects_a_weight_range_that_is_not_two_finite_numbers(self, weights):
+        # refused with the plan, not deep inside build_instances
+        with pytest.raises(ValueError, match="^weight_range must be two finite numbers"):
+            SuitePlan(weight_range=weights)
+
+    @pytest.mark.parametrize("weights", [(1.0,), (1.0, 2.0, 3.0)], ids=["one", "three"])
+    def test_rejects_a_weight_range_that_is_not_a_pair(self, weights):
+        with pytest.raises(ValueError):
+            SuitePlan(weight_range=weights)
+
+    def test_accepts_an_equal_finite_pair(self):
+        plan = SuitePlan(dims=(2,), seeds=(0,), weight_range=(3.0, 3.0), checks=("LEMMA_L0",))
+        assert run_suite(plan).overall_pass
 
     def test_plan_round_trips_through_dict(self):
         d = SuitePlan().to_dict()
@@ -435,7 +453,7 @@ class TestSharedChunk:
             assert len(set(keys)) == len(keys)
             # the dual pair, and the frame's own stack twice for all but a
             # general g-frame, which has no check through its own stack
-            pairs = {(a is b) for a, b, *_ in calls}
+            pairs = {(a.matrix is b) for a, b, *_ in calls}
             assert pairs == ({False} if instance.kind == "gframe" and not instance.parseval
                              else {True, False})
             assert len(calls) == len(pairs) * self.CHUNKS

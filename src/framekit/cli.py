@@ -6,7 +6,10 @@ JSON or CSV report, ``demo-reconstruct`` prints a reconstruction round trip
 for one vector through the maps that EQ4_RECON and EQ5_DUAL_RECON check.
 Exit codes: 0 success, 1 verification/generation failure, 2 invalid
 configuration or unreadable input, which every subcommand reports as a
-``ValueError``.
+``ValueError``.  A spec from which no frame can be generated
+(``GenerationFailed``) exits 1 from ``gen``, with a ``generation failed:``
+line, but 2 from ``verify`` and ``demo-reconstruct --random``, with an
+``error:`` line.
 
 Each input is decided in one place: a tolerance by ``_tolerance`` (its
 flag, else ``FRAMEKIT_TOLERANCE``, read only when the flag is absent, else

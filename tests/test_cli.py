@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -753,6 +755,14 @@ class TestDemoReconstruct:
     def test_nothing_to_do_exits_2(self):
         assert run_cli(["demo-reconstruct"]) == 2
 
+    def test_spec_that_cannot_be_generated_exits_2(self, capsys):
+        # ``gen`` exits 1 on the same spec (TestGen.test_undersized_spec_exits_1)
+        assert run_cli(["demo-reconstruct", "--random", "--dim", "3",
+                        "--components", "1:1:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no frame after") and captured.out == ""
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("vector", ["nan,0", "nan+1j,0", "1e308,1e308"])
     def test_non_finite_vector_exits_2(self, capsys, vector):
         with warnings.catch_warnings(record=True) as caught:
@@ -794,3 +804,129 @@ def test_python_m_framekit_runs_the_cli(extra, code):
         )
         assert done.returncode == code, (module, done.stderr)
         assert ("overall: PASS" in done.stdout) == (code == 0), module
+
+
+# ---------------------------------------------------------------------------
+# argument fuzz: generated argv for every subcommand ends in exit 0, 1 or 2
+
+
+def _tokens(good, bad):
+    """One flag value: (strategy of a good value, strategy of a bad one)."""
+    return (st.sampled_from(good).map(lambda v: [v]), st.sampled_from(bad).map(lambda v: [v]))
+
+
+_TRIPLE = st.builds("{}:{}:{}".format, st.sampled_from(["1", "2", "3"]),
+                    st.sampled_from(["1", "2", "3"]), st.sampled_from(["1", "0.5", "2", "1e-3"]))
+_BAD_TRIPLE = st.one_of(
+    st.builds("{}:{}:{}".format, st.sampled_from(["-1", "0", "1", "5", "x"]),
+              st.sampled_from(["-1", "0", "1", "5", "x"]),
+              st.sampled_from(["1", "0", "-1", "nan", "inf", "1e200", "1e-200", "x"])),
+    st.sampled_from(["1:2", "1:2:1:1", "", "::", "2:2:1e", "2.0:2:1"]),
+)
+_VECTOR = st.lists(st.floats(-10, 10), min_size=1, max_size=5).map(
+    lambda xs: [",".join(map(repr, xs))])
+_BAD_VECTOR = st.one_of(
+    st.lists(st.floats(width=64), min_size=1, max_size=5).map(lambda xs: ",".join(map(repr, xs))),
+    st.sampled_from(["1+2i,0,1", "1i,2,3,4", "x", "", ",", "1e308,1e308,1,1", "1,nan"]),
+).map(lambda v: [v])
+_SEED = _tokens(["0", "3", str(2**64 - 1)], ["-1", str(2**64), "x"])
+_TOL = _tokens(["0", "1e-8", "1"], ["-1", "nan", "inf", "1e400", "x"])
+# placeholders for the files of ``argv_paths``
+_INPUT = _tokens(["@gfusion", "@gframe"], ["@missing", "@directory", "@malformed", "@empty"])
+_OUTPUT = _tokens(["@out"], ["@directory", "@missing/out"])
+_GENERATED = {
+    "--dim": _tokens(["1", "2", "3", "4", "5"], ["0", "-1", "x", "2.5", "", "nan"]),
+    "--components": (st.lists(_TRIPLE, min_size=1, max_size=5),
+                     st.lists(_TRIPLE | _BAD_TRIPLE, min_size=1, max_size=5)),
+    "--field": _tokens(["real", "complex", "REAL"], ["both", "quaternion", ""]),
+    "--seed": _SEED,
+    "--parseval": None,
+}
+# each flag's good and bad values (None: a switch), and the flags always
+# given: verify always gets --dims and --seeds, so the sizes stay capped at
+# dim <= 5, seeds <= 2 and components <= 5
+_FLAGS = {
+    "verify": {
+        "--dims": (st.lists(st.sampled_from(["1", "2", "3", "5"]), min_size=1, max_size=2),
+                   st.lists(st.sampled_from(["0", "-1", "x", "2.5", "", "nan"]), min_size=1,
+                            max_size=2)),
+        "--seeds": _tokens(["1", "2"], ["0", "-1", "x", ""]),
+        "--field": _tokens(["real", "complex", "both", "REAL"], ["quaternion", ""]),
+        "--components": _tokens(["1", "2", "3", "4", "5"], ["-1", "0", "x"]),
+        "--checks": (st.lists(st.sampled_from(["all", "ALL", "LEMMA_L2", "thm_tg1", "COR1_34BOUND",
+                                               "EQ4_RECON", "THM_T1"]), min_size=1, max_size=3),
+                     st.lists(st.sampled_from(["LEMMA_L2", "NOPE", ""]), min_size=1, max_size=3)),
+        "--tol-residual": _TOL,
+        "--tol-margin": _TOL,
+        "--frame": _INPUT,
+        "--report": _OUTPUT,
+        "--format": _tokens(["json", "csv"], ["xml"]),
+    },
+    "gen": {**_GENERATED, "--out": _OUTPUT},
+    "demo-reconstruct": {
+        **_GENERATED,
+        "--frame": _INPUT,
+        "--random": None,
+        "--vector": (_VECTOR, _BAD_VECTOR),
+        "--random-vector": None,
+        "--vector-seed": _SEED,
+        "--tol": _TOL,
+    },
+}
+_REQUIRED = {"verify": ["--dims", "--seeds"], "gen": ["--dim", "--components", "--out"],
+             "demo-reconstruct": []}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with some of its flags, of which at most two take a bad
+    value."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    optional = sorted(set(flags) - set(_REQUIRED[command]))
+    chosen = _REQUIRED[command] + draw(st.lists(st.sampled_from(optional), unique=True))
+    bad = draw(st.sets(st.sampled_from(chosen), max_size=2)) if chosen else set()
+    argv = [command]
+    for flag in chosen:
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv += draw(flags[flag][flag in bad])
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    """What each path placeholder of ``_argv`` names."""
+    root = tmp_path_factory.mktemp("argv")
+    paths = {"@gfusion": root / "gfusion.frame", "@gframe": root / "gframe.frame",
+             "@missing": root / "missing.frame", "@directory": root / "directory",
+             "@malformed": root / "malformed.frame", "@empty": root / "empty.frame",
+             "@out": root / "out", "@missing/out": root / "missing" / "out"}
+    eye = np.eye(3)
+    save_frame(GFusionFrame([(eye[:, :2], eye, 1.0), (eye[:, 1:], eye, 2.0)]),
+               str(paths["@gfusion"]))
+    save_frame(GFrame([np.array([[1.0, 1j]]), np.eye(2)]), str(paths["@gframe"]))
+    paths["@directory"].mkdir()
+    paths["@malformed"].write_text("{")
+    paths["@empty"].write_text("")
+    return {key: str(path) for key, path in paths.items()}
+
+
+@example(argv=["gen", "--dim", "2"])
+@example(argv=["verify", "--dims", "2", "--seeds", "1", "--no-such-flag"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_any_argv_exits_0_1_or_2(argv_paths, argv):
+    argv = [argv_paths.get(token, token) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing a flag
+                code = exc.code
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert len(errors) == (1 if code == 2 else 0), (argv, code, err.getvalue())

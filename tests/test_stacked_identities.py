@@ -291,6 +291,21 @@ class TestErrorParity:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+class _CountingMatrix(np.ndarray):
+    """A matrix that counts the products it is the left operand of; each
+    product is a plain ``ndarray``."""
+
+    @classmethod
+    def of(cls, matrix):
+        counting = matrix.view(cls)
+        counting.products = 0
+        return counting
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.view(np.ndarray) @ other
+
+
 class TestSubsetSumsChunk:
     """``subset_sums`` on a chunk of k subsets and V vectors gives every
     (subset, vector) pair what the 1 x 1 call on that pair gives."""
@@ -315,6 +330,24 @@ class TestSubsetSumsChunk:
                     one_sums, one_images = gframe.subset_sums(stack, dual, sides, [f])
                     assert np.array_equal(sums[i, v], one_sums[0, 0])
                     assert np.array_equal(images[i, v], one_images[0, 0])
+
+    @pytest.mark.parametrize("own", [True, False], ids=["own-stack", "dual-stack"])
+    @pytest.mark.parametrize("field", list(Field))
+    def test_each_vector_is_applied_once_per_call(self, field, own):
+        # Lambda f, Gamma f and the inner products do not depend on the
+        # subset: V products with each matrix for 64 subsets, not 64 V
+        frame = _random_gfusion(4, self.SHAPES, field, 5)
+        subsets = [tuple(_subset(bits, len(frame))) for bits in range(64)]
+        vectors = sample_vectors(4, field, 5, 3)
+        stack = frame._stacked_analysis
+        sides = gframe.subset_masks(len(frame), subsets)
+        plain_dual = stack.matrix if own else frame._dual_stack
+        matrix = _CountingMatrix.of(stack.matrix)
+        dual = matrix if own else _CountingMatrix.of(plain_dual)
+        sums, images = gframe.subset_sums(stack._replace(matrix=matrix), dual, sides, vectors)
+        assert (matrix.products, dual.products) == (len(vectors), len(vectors))
+        expected_sums, expected_images = gframe.subset_sums(stack, plain_dual, sides, vectors)
+        assert np.array_equal(sums, expected_sums) and np.array_equal(images, expected_images)
 
     @pytest.mark.parametrize("weight,entry", [(1e150, 1e300), (1e100, 1e60)],
                              ids=["stacked-image", "inner-products"])

@@ -473,6 +473,8 @@ def cmd_demo_reconstruct(args) -> int:
         tol = _tolerance(args.tol, 1e-9, "--tol")
         if args.vector is not None and args.random_vector:
             raise ValueError("give --vector or --random-vector, not both")
+        if args.frame is not None and args.random:
+            raise ValueError("give --frame or --random, not both")
         if not 0 <= args.vector_seed < 2**64:
             raise ValueError(
                 f"--vector-seed must be a 64-bit unsigned integer, got {args.vector_seed}")

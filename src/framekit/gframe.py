@@ -3,10 +3,9 @@
 A frame here is a finite family of block operators mapping the common space
 H into per-index codomains.  Frames are immutable; the frame operator S, its
 one spectral decomposition and its extreme eigenvalues (the optimal bounds)
-are computed at construction, the dual matrix and the dual terms behind the
-partial sums lazily and cached.  Every power of S a frame needs (S^-1,
-S^(-1/2) and the whitening of ``gen``) comes from that decomposition, by
-``_power``, so S is diagonalised once per frame.
+are computed at construction, the dual matrix lazily.  Every power of S
+a frame needs (S^-1, S^(-1/2) and the whitening of ``gen``) comes from
+that decomposition, by ``_power``, so S is diagonalised once per frame.
 
 One frame model: ``GFrame``.  A weighted subspace frame
 (``gfusion.GFusionFrame``) is the ``GFrame`` of its blocks w_j B_j P_j and
@@ -37,12 +36,10 @@ entry is not finite.  ``identity_terms`` turns its (k, V) stacks
 frame's own matrix Lambda as the dual it is the Parseval case.  Each
 public per-(subset, f) identity takes a 1 x 1 chunk (``_pair_identity``).
 
-The operator checks take many partial sums at once: each frame keeps the
-per-index terms behind ``partial_sum`` only as a read-only (n, d*d)
-``term_stack`` of Lambda_j* Gamma_j, and ``masked_sums`` turns 0/1 rows
-into a (k, d, d) stack of partial sums, each equal bit for bit to the
-``partial_sum`` of its subset; over the stack of Lambda_j* Lambda_j they are
-the truncated frame operators.
+``masked_sums`` is the one code that adds the frame's one term stack, the
+read-only (n, d*d) ``_term_stack``: 0/1 rows give a (k, d, d) stack of
+truncated frame operators M_I.  ``partial_frame_operator`` is its one-row
+sum and ``partial_sum`` is M_I S^-1 = sum_{j in I} Lambda_j* Gamma_j.
 """
 
 from __future__ import annotations
@@ -203,21 +200,16 @@ def masked_sums(stack: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
     ``stack`` is a ``term_stack`` and ``masks`` a (k, n) 0/1 array; the
     result is a (k, d, d) stack.  The terms are added in index order to a
-    zero start, and a masked-out term adds an exact zero or nothing, so
-    each matrix equals the ``_sum_terms`` partial sum of its subset bit for
-    bit.  Complex terms are summed as pairs of reals, which keeps that
-    exact.  A term in every subset of the chunk, or in none, costs one
-    addition or none, so a chunk of one subset adds only its own terms.
+    zero start, each times its 0 or 1, so a row's sum does not depend on
+    the other rows: 1 * t = t, and a masked-out term adds a signed zero,
+    which leaves a running sum that starts at +0 unchanged.  Complex terms
+    are summed as pairs of reals, which keeps that exact.
     """
     dim = math.isqrt(stack.shape[1])
     flat = stack.view(np.float64) if np.iscomplexobj(stack) else stack
-    k = masks.shape[0]
-    out = np.zeros((k, flat.shape[1]))
-    for term, column, count in zip(flat, masks.T, masks.sum(axis=0).tolist()):
-        if count == k:
-            out += term
-        elif count:
-            out += column[:, None] * term
+    out = np.zeros((masks.shape[0], flat.shape[1]))
+    for term, column in zip(flat, masks.T):
+        out += column[:, None] * term
     return out.view(stack.dtype).reshape(-1, dim, dim)
 
 
@@ -369,13 +361,11 @@ class GFrame:
         js = set(self._validate_subset(subset))
         return tuple(j for j in range(len(self)) if j not in js)
 
-    def _sum_terms(self, stack, subset) -> np.ndarray:
-        """The rows of a ``term_stack`` over ``subset``, added in index order."""
-        js = self._validate_subset(subset)
-        out = np.zeros((self.dim_h, self.dim_h), dtype=self.dtype)
-        for j in js:
-            out = out + stack[j].reshape(out.shape)
-        return out
+    def _truncated(self, subset) -> np.ndarray:
+        """M_I = sum_{j in I} Lambda_j* Lambda_j, the one-row ``masked_sums``
+        of the term stack over the validated ``subset``."""
+        mask = subset_masks(len(self), [self._validate_subset(subset)])[0]
+        return masked_sums(self._term_stack, mask)[0]
 
     @functools.cached_property
     def _dual_stack(self) -> np.ndarray:
@@ -389,12 +379,6 @@ class GFrame:
         reference back to this frame, so the pair is freed without the cyclic
         garbage collector."""
         return GFrame(np.split(self._dual_stack, self._stacked_analysis.starts[1:]))
-
-    @functools.cached_property
-    def _dual_term_stack(self) -> np.ndarray:
-        """The terms Lambda_j* Gamma_j behind ``partial_sum``."""
-        duals = np.split(self._dual_stack, self._stacked_analysis.starts[1:])
-        return term_stack(adjoint(b) @ d for b, d in zip(self.blocks, duals))
 
     # The benchmark tracer (perfbench/tracer.py) times the members below
     # where ``vars(cls)`` finds them, and its self-test matches calls per
@@ -414,11 +398,12 @@ class GFrame:
 
     def partial_sum(self, subset) -> np.ndarray:
         """Reconstruction operator truncated to ``subset``: sum over j in the
-        subset of blocks[j]* composed with the canonical dual blocks.
+        subset of blocks[j]* composed with the canonical dual blocks, taken
+        as M_I S^-1.
 
         Summed with the complement's partial sum this gives the identity.
         """
-        return self._sum_terms(self._dual_term_stack, subset)
+        return self._truncated(subset) @ self.inverse
 
 
 def _pair_identity(frame: GFrame, subset, f, through_dual: bool, terms_of) -> IdentityTerms:

@@ -7,10 +7,12 @@ derived.
 
 A weighted subspace frame is the g-frame with blocks Lambda_j = w_j B_j P_j,
 and ``GFusionFrame`` is a ``gframe.GFrame`` built from them: its frame
-operator, bounds, stack, dual matrix Lambda S^-1, canonical dual and partial
-sums are the g-frame's.  The triples stay only as provenance, for frame
-files, LEMMA_L0 and ``parsevalize``, which whitens them into the triples
-(span of S^(-1/2) U_j, B_j P_j S^(-1/2), w_j).
+operator, bounds, stack, term stack, dual matrix Lambda S^-1, canonical dual
+and partial sums are the g-frame's.  ``partial_frame_operator`` is the
+one-row ``masked_sums`` M_I of the term stack and ``partial_sum`` is
+M_I S^-1.  The triples stay only as provenance, for frame files, LEMMA_L0
+and ``parsevalize``, which whitens them into the triples (span of
+S^(-1/2) U_j, B_j P_j S^(-1/2), w_j).
 
 ``block_energies`` takes all energies weight_j^2 ||block_j P_j f||^2 from
 one product with the stack and one segmented sum over the block row ranges.
@@ -128,14 +130,14 @@ class GFusionFrame(GFrame):
         return self._dual()
 
     def partial_sum(self, subset) -> np.ndarray:
-        """Reconstruction operator truncated to ``subset``, built through the
-        canonical dual; summed with the complement's it gives the identity."""
-        return self._sum_terms(self._dual_term_stack, subset)
+        """Reconstruction operator truncated to ``subset``, M_I S^-1; summed
+        with the complement's it gives the identity."""
+        return self._truncated(subset) @ self.inverse
 
     def partial_frame_operator(self, subset) -> np.ndarray:
-        """Frame operator truncated to ``subset``; summed with the
+        """Frame operator M_I truncated to ``subset``; summed with the
         complement's it gives the full frame operator."""
-        return self._sum_terms(self._term_stack, subset)
+        return self._truncated(subset)
 
     def parsevalize(self) -> "GFusionFrame":
         """Whiten by the inverse square root of the frame operator: the

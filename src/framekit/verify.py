@@ -25,22 +25,23 @@ per-subset result, and ``run_check`` cuts it into one ``CheckResult`` per
 subset; a single subset is a chunk of one.  What several checks read is
 computed once per chunk (``_Chunk``), on first read, by the expression a
 single check would use, so sharing changes no bit of a report.  Every dual
-operand is the frame's dual matrix ``_dual_stack`` = Lambda S^-1 or the dual
-terms from it: no check builds the canonical dual frame.  Inputs are
-validated at the API boundary: ``run_check`` validates the subsets and
-vectors its caller passes, and ``run_suite`` the sample vectors once per
-(dim, field, seed), while the subsets of ``subsets_for`` are sorted,
-distinct and in range by construction.  A finite vector can still overflow
+operand is M_I S^-1 or reads the frame's dual matrix ``_dual_stack`` =
+Lambda S^-1, EQ5_DUAL_RECON's Lambda* Gamma too: no check builds the
+canonical dual frame.  Inputs are validated at the API boundary:
+``run_check`` validates the subsets and vectors its caller passes, and
+``run_suite`` the sample vectors once per (dim, field, seed), while the
+subsets of ``subsets_for`` are sorted, distinct and in range by
+construction.  A finite vector can still overflow
 in its stacked images or their inner products: ``subset_sums`` then raises
 ``ValueError`` for the chunk, and no warning.  The eight operator checks
-take partial sums from the rows over the frame's term stacks, then one
-stacked ``linops`` call for the margins, spectra or complement residuals.
-The six interval checks among them share two evaluators,
+take M_I and M_K from one ``masked_sums`` call over the chunk's 2k rows,
+then one stacked ``linops`` call for the margins, spectra or complement
+residuals.  The six interval checks among them share two evaluators,
 0 <= A - A^2 <= U/4 and U/2 <= A^2 +- B^2 <= 3U/2, over the chunk's two
-operand families (``_Family``): P, Q in units of I, and M, M' in units of
-S.  The eleven per-vector checks are each one array expression over the
-chunk; the identity functions of ``gframe`` and ``gfusion`` use the same
-expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
+operand families (``_Family``): P, Q = M_I S^-1, M_K S^-1 in units of I,
+and M, M' = M_I, M_K in units of S.  The eleven per-vector checks are each
+one array expression over the chunk; the identity functions of ``gframe``
+and ``gfusion`` use the same expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
 ``inapplicable`` is the one rule for which checks apply to which frame; it
 reads the frame's ``kind``.
 
@@ -207,11 +208,11 @@ class _Chunk:
     and then read by every check of the chunk: the vectors' squared norms,
     the 0/1 rows of the subsets and of their complements, the chunk's
     ``subset_sums`` over the frame's own stack and over the stack and its
-    ``_dual_stack``, one call each, and the interval checks' two operand
-    families, P and Q = P_{I^c} over the terms Lambda_j* Gamma_j, and M and
-    M' = M_{I^c} over the terms Lambda_j* Lambda_j; SPECTRUM_REMARK and
-    LEMMA_L2 read the Parseval family's P.  Every frame is a ``GFrame``, so
-    both kinds give these from the same members.
+    ``_dual_stack``, one call each, M_I and M_K from one ``masked_sums``,
+    and the interval checks' two operand families, M and M' = M_K, and P
+    and Q, the same times S^-1, which hold no reference to the chunk;
+    SPECTRUM_REMARK and LEMMA_L2 read the Parseval family's P.  Every frame
+    is a ``GFrame``, so both kinds give these from the same members.
     """
 
     def __init__(self, frame, subsets, vectors):
@@ -244,38 +245,40 @@ class _Chunk:
                               self.sides, self.vectors)
 
     @functools.cached_property
+    def truncated(self) -> np.ndarray:
+        """M_I and M_K, shape (2, k, d, d): ``masked_sums`` of the frame's
+        term stack over the 2k rows of ``sides``."""
+        sides = self.sides
+        m = gf.masked_sums(self.frame._term_stack, sides.reshape(-1, sides.shape[-1]))
+        return m.reshape(sides.shape[:2] + m.shape[1:])
+
+    @functools.cached_property
     def parseval(self) -> _Family:
-        return _Family(self.frame._dual_term_stack, self.sides, 1.0, 1.0)
+        p, q = self.truncated @ self.frame.inverse
+        return _Family(p, q, 1.0, 1.0)
 
     @functools.cached_property
     def relative(self) -> _Family:
         frame = self.frame
-        return _Family(frame._term_stack, self.sides, frame.frame_operator,
-                       max(1.0, frame.upper_bound), frame.inverse_sqrt)
+        m, m_k = self.truncated
+        return _Family(m, m_k, frame.frame_operator, max(1.0, frame.upper_bound),
+                       frame.inverse_sqrt)
 
 
 class _Family:
     """One operand family of the six interval checks, and their two
     evaluators: the partial sums A and B = U - A of a chunk's subsets and of
-    their complements (``masked_sums`` of ``stack`` over the two rows of
-    ``sides``), the unit U of the bounds and the divisor of the margins.  The
-    Parseval family is P, Q with U = I and margins unscaled; the S-relative
-    one is M, M' with U = S and margins over max(1, ||S||).  A, B, A^2 and
-    B^2 are each computed on first read, the squares as A A without
-    ``root``; with ``root`` = S^(-1/2), M S^-1 M is taken as G G* with
-    G = M S^(-1/2), which is Hermitian to rounding at any condition number."""
+    their complements, each a (k, d, d) stack, the unit U of the bounds and
+    the divisor of the margins.  The Parseval family is P, Q with U = I and
+    margins unscaled; the S-relative one is M, M' with U = S and margins
+    over max(1, ||S||).  A^2 and B^2 are each computed on first read, as
+    A A without ``root``; with ``root`` = S^(-1/2), M S^-1 M is taken as
+    G G* with G = M S^(-1/2), which is Hermitian to rounding at any
+    condition number."""
 
-    def __init__(self, stack, sides, unit, scale, root=None):
-        self._stack, self._sides = stack, sides
+    def __init__(self, a, b, unit, scale, root=None):
+        self.a, self.b = a, b
         self.unit, self.scale, self._root = unit, scale, root
-
-    @functools.cached_property
-    def a(self) -> np.ndarray:
-        return gf.masked_sums(self._stack, self._sides[0])
-
-    @functools.cached_property
-    def b(self) -> np.ndarray:
-        return gf.masked_sums(self._stack, self._sides[1])
 
     def _square(self, x: np.ndarray) -> np.ndarray:
         if self._root is None:
@@ -339,7 +342,7 @@ def _operator_maps(frame):
 
 
 def _dual_maps(frame):
-    s_full = frame.partial_sum(range(len(frame)))
+    s_full = frame._stacked_analysis.adjoint @ frame._dual_stack
     s_full_adj = adjoint(s_full)
     return (lambda f: s_full @ f), (lambda f: s_full_adj @ f)
 

@@ -217,19 +217,38 @@ class TestBatchedMatchesReference:
            shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=5),
            field=st.sampled_from(list(Field)), seed=st.integers(0, 10_000))
     def test_masked_sums_equal_the_partial_sums_exactly(self, dim, shapes, field, seed):
-        # the terms are added in the same order, so no tolerance is needed
+        # both routes take the one-row masked sum M_I, and partial_sum takes
+        # it times the inverse, so no tolerance is needed
         frame = _random_gfusion(dim, shapes, field, seed)
         assume(frame.is_frame)
         subsets = _all_subsets(len(shapes))
         inside, outside = gframe.subset_masks(len(shapes), subsets)
-        for stack, route in ((frame._dual_term_stack, frame.partial_sum),
-                             (frame._term_stack, frame.partial_frame_operator)):
-            assert not stack.flags.writeable
-            sums = gframe.masked_sums(stack, inside)
-            complements = gframe.masked_sums(stack, outside)
-            for subset, p, q in zip(subsets, sums, complements):
-                assert np.array_equal(p, route(subset))
-                assert np.array_equal(q, route(frame.complement(subset)))
+        stack = frame._term_stack
+        assert not stack.flags.writeable
+        for rows, routed in ((inside, subsets), (outside, map(frame.complement, subsets))):
+            sums = gframe.masked_sums(stack, rows)
+            for subset, m, p in zip(routed, sums, sums @ frame.inverse):
+                assert np.array_equal(m, frame.partial_frame_operator(subset))
+                assert np.array_equal(p, frame.partial_sum(subset))
+
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+    def test_masked_sums_rows_equal_their_one_row_calls(self, field):
+        # an all-ones column (0), an all-zeros one (3), entries near 1e+-300
+        # and signed zeros: each row is its one-row call, zero signs included
+        values = [1e300, -1e300, 1e-300, -1e-300, 0.0, -0.0, 1.5, -2.25, 3e299]
+        terms = np.resize(values, (5, 2, 2))
+        if field is Field.COMPLEX:
+            terms = terms.astype(complex)
+            terms.imag = np.resize(values[::-1], (5, 2, 2))
+        stack = gframe.term_stack(terms)
+        masks = np.array([[1, 0, 1, 0, 1], [1, 1, 0, 0, 0], [1, 0, 0, 0, 0], [1, 1, 1, 0, 1]],
+                         dtype=float)
+        sums = gframe.masked_sums(stack, masks)
+        assert sums.shape == (4, 2, 2) and sums.dtype == stack.dtype
+        for row, total in zip(masks, sums):
+            assert total.tobytes() == gframe.masked_sums(stack, row[None])[0].tobytes()
+        # the first row of the all-ones column alone is its term
+        assert sums[2].tobytes() == (terms[0] + 0.0).tobytes()
 
     def test_empty_subset_list_gives_no_results(self):
         frame = _random_gfusion(3, _SHAPES, Field.REAL, 0)
@@ -435,9 +454,9 @@ class TestErrorParity:
         rng = substream(4, 55)
         g = random_operator(4, 4, Field.COMPLEX, rng)
         skew = g - g.conj().T
-        stack = frame._dual_term_stack.copy()
+        stack = frame._term_stack.copy()
         stack[1] = stack[1] + (magnitude / operator_norm(skew)) * skew.reshape(-1)
-        frame.__dict__["_dual_term_stack"] = stack
+        frame.__dict__["_term_stack"] = stack
         return frame
 
     @pytest.mark.parametrize("magnitude, raises", [(1e-6, True), (1e-13, False)])

@@ -746,6 +746,13 @@ class TestDemoReconstruct:
         captured = capsys.readouterr()
         assert captured.err == f"error: {line}\n" and captured.out == ""
 
+    def test_frame_and_random_exit_2(self, coordinate_frame_file, capsys):
+        # the frame file would otherwise be used and --random dropped
+        assert run_cli(["demo-reconstruct", "--frame", coordinate_frame_file, "--random"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: give --frame or --random, not both\n"
+        assert captured.out == ""
+
     def test_both_fields_name_the_subcommand(self, capsys):
         assert run_cli(["demo-reconstruct", "--random", "--field", "both"]) == 2
         captured = capsys.readouterr()

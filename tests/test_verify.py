@@ -477,8 +477,10 @@ class TestSharedChunk:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
-    def test_at_most_two_masked_sums_per_term_stack_and_chunk(self, monkeypatch,
-                                                              two_chunk_instances):
+    def test_one_masked_sum_per_chunk_on_the_one_term_stack(self, monkeypatch,
+                                                            two_chunk_instances):
+        # M_I and M_K of a chunk's 64 subsets from one call over its 128 rows;
+        # both families, P = M_I S^-1 included, read them
         import framekit.gframe as gframe
 
         calls = _recording(monkeypatch, gframe, "masked_sums")
@@ -488,30 +490,27 @@ class TestSharedChunk:
             masks.clear()
             run_suite(SuitePlan(), frame=instance.frame)
             assert len(masks) == self.CHUNKS
-            per_stack = {}
-            for stack, _ in calls:
-                per_stack[id(stack)] = per_stack.get(id(stack), 0) + 1
-            assert max(per_stack.values()) <= 2 * self.CHUNKS
-            if instance.kind == "gfusion" and instance.parseval:
-                # P and Q from the dual terms, M and M' from the frame terms
-                assert sorted(per_stack.values()) == [2 * self.CHUNKS] * 2
+            assert len(calls) == self.CHUNKS, instance.label
+            for stack, rows in calls:
+                assert stack is instance.frame._term_stack
+                assert rows.shape == (2 * 64, len(instance.frame))
 
-    @pytest.mark.parametrize("check, reads", [
-        (CheckId.COR2_SANDWICH, 1), (CheckId.THM38_I, 1), (CheckId.COR3_SANDWICH, 1),
-        (CheckId.SPECTRUM_REMARK, 1), (CheckId.LEMMA_L2, 1),
-        (CheckId.THM38_II, 2), (CheckId.COR39_PLUS, 2), (CheckId.COR39_MINUS_PROBE, 2),
-    ], ids=lambda v: v.value if isinstance(v, CheckId) else str(v))
-    def test_a_single_check_takes_only_the_partial_sums_it_reads(self, monkeypatch,
-                                                                two_chunk_instances,
-                                                                check, reads):
-        # a sandwich reads A alone; a square sum reads A and its complement B
+    @pytest.mark.parametrize("check", [
+        CheckId.COR2_SANDWICH, CheckId.THM38_I, CheckId.COR3_SANDWICH,
+        CheckId.SPECTRUM_REMARK, CheckId.LEMMA_L2,
+        CheckId.THM38_II, CheckId.COR39_PLUS, CheckId.COR39_MINUS_PROBE,
+    ], ids=lambda v: v.value)
+    def test_a_single_check_takes_one_masked_sum_per_chunk(self, monkeypatch,
+                                                           two_chunk_instances, check):
+        # a sandwich reads A alone and a square sum A and B, all from one call
         import framekit.gframe as gframe
 
         frame = next(i.frame for i in two_chunk_instances
                      if i.kind == "gfusion" and i.parseval)
         calls = _recording(monkeypatch, gframe, "masked_sums")
         run_suite(SuitePlan(checks=(check,)), frame=frame)
-        assert len(calls) == reads * self.CHUNKS
+        assert len(calls) == self.CHUNKS
+        assert all(rows.shape == (2 * 64, len(frame)) for _, rows in calls)
 
     def test_one_loewner_check_per_chunk_for_both_sandwiches(self, monkeypatch,
                                                             two_chunk_instances):
@@ -592,10 +591,9 @@ class TestArrayFold:
             validated.clear()
             assert run_suite(SuitePlan(), frame=frame).overall_pass
             assert results == []
-            # the one subset validated is EQ5_DUAL_RECON's full index range,
-            # once per weighted frame, through partial_sum
-            assert [subset for _, subset in validated] == (
-                [] if instance.kind == "gframe" else [range(len(frame))])
+            # EQ5_DUAL_RECON takes Lambda* Gamma, not a partial sum, so no
+            # subset is validated on either kind
+            assert validated == []
         # run_check still validates what its caller passes and cuts rows
         subsets = subsets_for(7, SuitePlan(), 0)
         validated.clear()
@@ -619,6 +617,30 @@ class TestArrayFold:
             if summary.witness_count > plan.witness_limit:
                 cut.append(check)
         assert len(cut) > 1
+
+
+class TestDualMatrix:
+    """The dual checks read the dual matrix ``_dual_stack``: scaled by
+    1 + 1e-6 before any check reads it, it fails them, while EQ4_RECON,
+    which reads S S^-1, still passes, so EQ5_DUAL_RECON is not EQ4_RECON."""
+
+    @staticmethod
+    def _verdicts(frame, scaled):
+        if scaled:
+            frame.__dict__["_dual_stack"] = frame._dual_stack * (1 + 1e-6)
+        return {s.check: s.passed for s in run_suite(SuitePlan(), frame=frame).checks}
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["as-built", "scaled"])
+    def test_weighted_frame(self, scaled):
+        verdicts = self._verdicts(random_gfusion(gfusion_spec(seed=1)), scaled)
+        for check in (CheckId.EQ5_DUAL_RECON, CheckId.EQ6_QUADFORM, CheckId.THM_TG1):
+            assert verdicts[check] is not scaled, check
+        assert verdicts[CheckId.EQ4_RECON]
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["as-built", "scaled"])
+    def test_gframe(self, scaled):
+        verdicts = self._verdicts(random_gframe(4, [2, 3, 1], Field.COMPLEX, 1), scaled)
+        assert verdicts[CheckId.THM_T1] is not scaled
 
 
 class TestNaNFails:

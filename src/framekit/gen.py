@@ -21,7 +21,7 @@ import numpy as np
 
 from .gframe import GFrame
 from .gfusion import GFusionFrame
-from .linops import Field, PDTOL, orthonormal_basis
+from .linops import Field, orthonormal_basis
 
 __all__ = [
     "MAX_RETRIES",
@@ -145,7 +145,7 @@ def random_gframe(dim_h: int, block_dims, field: Field = Field.COMPLEX, seed: in
     for attempt in range(MAX_RETRIES):
         rng = _attempt_stream(seed, _GFRAME, attempt)
         frame = GFrame([random_operator(d, dim_h, field, rng) for d in block_dims])
-        if frame.lower_bound > PDTOL:
+        if frame.is_frame:
             return frame
     raise GenerationFailed(
         f"no frame after {MAX_RETRIES} attempts (block dims {block_dims}, dim {dim_h})"
@@ -189,7 +189,7 @@ def random_gfusion(spec: GenSpec) -> GFusionFrame:
     """
     for attempt in range(MAX_RETRIES):
         frame = _gfusion_attempt(spec, attempt)
-        if frame.lower_bound > PDTOL:
+        if frame.is_frame:
             return frame
     raise GenerationFailed(
         f"no frame after {MAX_RETRIES} attempts for seed {spec.seed}; "
@@ -202,7 +202,7 @@ def random_parseval_gfusion(spec: GenSpec) -> GFusionFrame:
     first attempt that is a frame and whose whitening is Parseval."""
     for attempt in range(MAX_RETRIES):
         frame = _gfusion_attempt(spec, attempt)
-        if frame.lower_bound <= PDTOL:
+        if not frame.is_frame:
             continue
         parseval = frame.parsevalize()
         if parseval.is_parseval:

@@ -52,8 +52,9 @@ Normalization conventions (so a single pair of tolerances applies):
 * pointwise lower-bound margins are divided by ||f||^2;
 * margins of inequalities whose bounds are multiples of the frame operator
   are divided by max(1, ||S||); identity-scaled margins stay raw;
-* operator-identity residuals (projection absorption is divided by the
-  operator norm; the complement-square identity stays raw).
+* operator-identity residuals: projection absorption is divided by
+  ||S^-1|| = 1/A, so multiplied by the lower bound A; the complement-square
+  identity stays raw.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ from .linops import (
     as_vector,
     complement_identity_residual,
     loewner_check,
-    operator_norm,
     projected_adjoint_residual,
 )
 
@@ -361,9 +361,9 @@ def _eq6_quadform(chunk):
 
 
 def _lemma_l0(chunk):
-    t = chunk.frame.inverse
-    tn = operator_norm(t)
-    residuals = [projected_adjoint_residual(c.basis, t) / tn for c in chunk.frame.components]
+    frame = chunk.frame  # residuals over ||S^-1|| = 1/A
+    residuals = [projected_adjoint_residual(c.basis, frame.inverse) * frame.lower_bound
+                 for c in frame.components]
     return np.array([residuals]), None, None
 
 
@@ -574,15 +574,13 @@ def run_check(check, frame, subset=None, vectors=(), tol: Tolerances | None = No
 
 @dataclass(frozen=True)
 class FrameInstance:
-    """One generated (or loaded) frame plus its provenance tag."""
+    """One generated (or loaded) frame plus its provenance: the seed (None
+    for a loaded frame) and the label.  Its kind, Parseval class, dimension
+    and field are read from the frame."""
 
-    kind: str
-    parseval: bool
-    dim: int
-    field: Field
+    frame: gf.GFrame
     seed: int | None
     label: str
-    frame: object
 
 
 @dataclass(frozen=True)
@@ -694,11 +692,12 @@ class CheckSummary:
             self.min_margin = _fold(self.min_margin, rows.margins.min(), np.minimum)
         self.passed = self.passed and rows.passed
         for i in rows.failing[:witness_limit - len(self.witnesses)].tolist():
+            frame = instance.frame
             self.witnesses.append({
-                "kind": instance.kind,
-                "parseval": instance.parseval,
-                "dim": instance.dim,
-                "field": instance.field.value,
+                "kind": frame.kind,
+                "parseval": frame.is_parseval,
+                "dim": frame.dim_h,
+                "field": frame.field.value,
                 "seed": instance.seed,
                 "label": instance.label,
                 **rows.witness(i),
@@ -789,11 +788,8 @@ def build_instances(plan: SuitePlan) -> list[FrameInstance]:
                         f"{block_dims} ({fld.value}, seed {seed}): {exc}"
                     ) from exc
                 for frame in frames:
-                    parseval = frame.is_parseval
-                    label = f"{frame.kind}{'-parseval' if parseval else ''}[{tag}]"
-                    instances.append(
-                        FrameInstance(frame.kind, parseval, dim, fld, seed, label, frame)
-                    )
+                    label = f"{frame.kind}{'-parseval' if frame.is_parseval else ''}[{tag}]"
+                    instances.append(FrameInstance(frame, seed, label))
     return instances
 
 
@@ -827,8 +823,7 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
     """
     start = time.perf_counter()
     if frame is not None:
-        instances = [FrameInstance(frame.kind, frame.is_parseval, frame.dim_h, frame.field,
-                                   None, plan.frame_path or "loaded-frame", frame)]
+        instances = [FrameInstance(frame, None, plan.frame_path or "loaded-frame")]
     else:
         instances = build_instances(plan)
     summaries: dict[CheckId, CheckSummary] = {}
@@ -836,8 +831,8 @@ def run_suite(plan: SuitePlan, frame=None) -> RunReport:
     for instance in instances:
         frame = instance.frame
         seed = instance.seed if instance.seed is not None else 0
-        if drawn != (frame.dim_h, instance.field, seed):
-            drawn = (frame.dim_h, instance.field, seed)
+        if drawn != (frame.dim_h, frame.field, seed):
+            drawn = (frame.dim_h, frame.field, seed)
             vectors = [as_vector(f, frame.dim_h) for f in
                        sample_vectors(*drawn, plan.vectors_per_instance)]
         subsets = subsets_for(len(frame), plan, seed)

@@ -81,10 +81,10 @@ def test_criterion_03_reconstruction(default_run, default_instances):
     ok = ok and summary(report, "EQ6_QUADFORM")["max_residual"] <= 1e-8
     # dual reconstruction for operator frames, both orderings
     for inst in default_instances:
-        if inst.kind != "gframe":
+        if inst.frame.kind != "gframe":
             continue
         frame, dual = inst.frame, inst.frame.canonical_dual
-        for f in sample_vectors(frame.dim_h, inst.field, inst.seed, 8):
+        for f in sample_vectors(frame.dim_h, frame.field, inst.seed, 8):
             nf = np.linalg.norm(f)
             e1 = np.linalg.norm(frame.synthesis(dual.analysis(f)) - f) / nf
             e2 = np.linalg.norm(dual.synthesis(frame.analysis(f)) - f) / nf

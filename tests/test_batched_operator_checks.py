@@ -330,7 +330,7 @@ class TestChunks:
                    and inapplicable(CATALOG[c], frame) is None]
         assert len(loewner) == (5 if parseval else 3)
         assert shapes == [(4, 64, 64)] * (4 * len(loewner))
-        instance = verify.FrameInstance("gfusion", parseval, 64, field, None, "loaded-frame", frame)
+        instance = verify.FrameInstance(frame, None, "loaded-frame")
         vectors = sample_vectors(64, field, 0, plan.vectors_per_instance)
         subsets = subsets_for(4, plan, 0)
         assert len(subsets) == 16

@@ -9,8 +9,12 @@ from numpy.testing import assert_allclose
 
 from framekit import (
     HTOL,
+    PARSEVAL_TOL,
     RTOL,
+    ComponentSpec,
     Field,
+    GenerationFailed,
+    GenSpec,
     LoewnerMargin,
     NotHermitian,
     NotOrthonormal,
@@ -32,11 +36,14 @@ from framekit import (
     projection,
     psd_power,
     quad_bound,
+    random_gfusion,
+    random_parseval_gfusion,
     substream,
     symmetrize,
 )
 from framekit.gen import random_operator, random_subspace_basis, random_vector
 from framekit.linops import hermitian_violation
+from framekit.verify import SuitePlan, build_instances
 
 
 class TestAdjoint:
@@ -542,6 +549,7 @@ class TestGateCost:
             hermitian_eig(x)
 
     def test_is_parseval_is_computed_once(self, svd_calls, coordinate_gframe):
+        # read from the kept spectrum of S: no SVD, and one cached value
         rng = substream(6, 35)
         frame = GFusionFrame(
             [(random_subspace_basis(4, 2, Field.COMPLEX, rng),
@@ -550,8 +558,50 @@ class TestGateCost:
         for f in (frame, frame.parsevalize(), coordinate_gframe):
             svd_calls.clear()
             first = f.is_parseval
+            assert vars(f)["is_parseval"] is first
             assert f.is_parseval is first
-            assert len(svd_calls) == 1
+            assert svd_calls == []
+
+
+def _parseval_by_svd(frame) -> bool:
+    """The reference criterion: the spectral norm of S - I, from an SVD."""
+    s = frame.frame_operator
+    return operator_norm(s - np.eye(len(s))) <= PARSEVAL_TOL
+
+
+def _conditioned_frames():
+    """``framekit gen --dim 8 --seed 0 --components 4:4:1/W 4:4:1 4:4:W 8:8:1``
+    for W = 1e2, 1e3 and 1e4, both fields: each general frame, its whitening
+    (the first attempt ``--parseval`` tries) and the ``--parseval`` frame,
+    where one is found."""
+    for high in (1e2, 1e3, 1e4):
+        comps = tuple(ComponentSpec(k, r, w, w) for k, r, w in
+                      ((4, 4, 1.0 / high), (4, 4, 1.0), (4, 4, high), (8, 8, 1.0)))
+        for field in Field:
+            spec = GenSpec(8, comps, field, 0)
+            frame = random_gfusion(spec)
+            yield frame
+            yield frame.parsevalize()
+            try:
+                yield random_parseval_gfusion(spec)
+            except GenerationFailed:
+                pass
+
+
+_PARSEVAL_CASES = {
+    "default-plan": lambda: [i.frame for i in build_instances(SuitePlan())],
+    "dim8-complex-n10": lambda: [i.frame for i in build_instances(SuitePlan(
+        dims=(8,), fields=(Field.COMPLEX,), seeds=(0,), components=10))],
+    "conditioned-gen": lambda: list(_conditioned_frames()),
+}
+
+
+@pytest.mark.parametrize("frames", _PARSEVAL_CASES.values(), ids=_PARSEVAL_CASES.keys())
+def test_is_parseval_matches_the_norm_of_s_minus_i(frames):
+    frames = frames()
+    classes = [f.is_parseval for f in frames]
+    assert classes == [_parseval_by_svd(f) for f in frames]
+    assert True in classes and False in classes
 
 
 # operands whose deviation from the gate's target overflows: A - A* is

@@ -97,7 +97,7 @@ def test_a_missed_whitening_leaves_the_parseval_instance_to_the_later_attempts(m
     expected = random_parseval_gfusion(spec)
     assert not _same(expected, whiten(first))
     instance = build_instances(plan)[3]
-    assert (instance.kind, instance.parseval) == ("gfusion", True)
+    assert (instance.frame.kind, instance.frame.is_parseval) == ("gfusion", True)
     assert _same(instance.frame, expected)
 
 

@@ -242,7 +242,7 @@ class TestBuildInstances:
         instances = build_instances(small_plan)
         # 2 dims x 1 field x 2 seeds x 4 instance kinds
         assert len(instances) == 16
-        kinds = {(i.kind, i.parseval) for i in instances}
+        kinds = {(i.frame.kind, i.frame.is_parseval) for i in instances}
         assert kinds == {
             ("gframe", False),
             ("gframe", True),
@@ -327,7 +327,7 @@ class TestRunSuite:
         subsets = subsets_for(7, plan, 0)
         assert len(subsets) == 128  # two chunks at d = 8
         instances = build_instances(plan)
-        assert {(i.kind, i.field) for i in instances} == {
+        assert {(i.frame.kind, i.frame.field) for i in instances} == {
             (kind, fld) for kind in ("gframe", "gfusion") for fld in (Field.REAL, Field.COMPLEX)}
         for check in CheckId:
             info = CATALOG[check]
@@ -336,7 +336,7 @@ class TestRunSuite:
                 if inapplicable(info, instance.frame) is not None:
                     continue
                 want.instances += 1
-                vectors = sample_vectors(8, instance.field, 0, plan.vectors_per_instance)
+                vectors = sample_vectors(8, instance.frame.field, 0, plan.vectors_per_instance)
                 if info.subsets:
                     results = [result for chunk in (subsets[:64], subsets[64:])
                                for result in run_check(check, instance.frame, vectors=vectors,
@@ -454,7 +454,7 @@ class TestSharedChunk:
             # the dual pair, and the frame's own stack twice for all but a
             # general g-frame, which has no check through its own stack
             pairs = {(a.matrix is b) for a, b, *_ in calls}
-            assert pairs == ({False} if instance.kind == "gframe" and not instance.parseval
+            assert pairs == ({False} if instance.frame.kind == "gframe" and not instance.frame.is_parseval
                              else {True, False})
             assert len(calls) == len(pairs) * self.CHUNKS
             # each call covers its chunk's 64 subsets and all the vectors
@@ -506,7 +506,7 @@ class TestSharedChunk:
         import framekit.gframe as gframe
 
         frame = next(i.frame for i in two_chunk_instances
-                     if i.kind == "gfusion" and i.parseval)
+                     if i.frame.kind == "gfusion" and i.frame.is_parseval)
         calls = _recording(monkeypatch, gframe, "masked_sums")
         run_suite(SuitePlan(checks=(check,)), frame=frame)
         assert len(calls) == self.CHUNKS
@@ -517,7 +517,7 @@ class TestSharedChunk:
         import framekit.verify as verify
 
         frame = next(i.frame for i in two_chunk_instances
-                     if i.kind == "gfusion" and i.parseval)
+                     if i.frame.kind == "gfusion" and i.frame.is_parseval)
         calls = _recording(monkeypatch, verify, "loewner_check")
         report = run_suite(SuitePlan(checks=(CheckId.COR2_SANDWICH, CheckId.THM38_I)),
                            frame=frame)
@@ -605,7 +605,7 @@ class TestArrayFold:
         import framekit.verify as verify
 
         frame = next(i.frame for i in two_chunk_instances
-                     if i.kind == "gfusion" and not i.parseval)
+                     if i.frame.kind == "gfusion" and not i.frame.is_parseval)
         calls = _recording(monkeypatch, verify, "_json_vector")
         cut = []
         for check in [c for c in VECTOR_CHECKS if inapplicable(CATALOG[c], frame) is None]:
@@ -653,7 +653,7 @@ class TestNaNFails:
     def test_run_check_and_run_suite(self, monkeypatch, two_chunk_instances, check, side, row):
         import framekit.verify as verify
 
-        frame = next(i.frame for i in two_chunk_instances if i.kind == "gfusion" and i.parseval)
+        frame = next(i.frame for i in two_chunk_instances if i.frame.kind == "gfusion" and i.frame.is_parseval)
         subsets = subsets_for(len(frame), SuitePlan(), 0)
         target = subsets[row]
         info = CATALOG[check]
@@ -737,6 +737,26 @@ def doubled_basis():
     return GFusionFrame([(line, eye, 1.0 / np.sqrt(2.0)) for line in lines * 2])
 
 
+def _rows_frame(rows):
+    """The weighted frame of the rows Lambda_j of ``rows``, each on W_j = H
+    with weight 1: GFusionFrame([(I, Lambda_j, 1)])."""
+    eye = np.eye(rows.shape[1])
+    return GFusionFrame([(eye, row[None], 1.0) for row in rows])
+
+
+# Parseval frames whose blocks do not commute, d = 4 and n = 8: the
+# identity and the unitary DFT, both times 1/sqrt(2), and the harmonic
+# frame.  The first basis, and the even rows of the harmonic frame, give
+# P = I/2, where every sandwich and square-sum bound is met.
+NAMED_PARSEVAL = {
+    "identity-dft": lambda: _rows_frame(
+        np.vstack([np.eye(4), np.fft.fft(np.eye(4)) / 2.0]) / np.sqrt(2.0)),
+    "harmonic": lambda: _rows_frame(
+        np.exp(2j * np.pi * np.outer(np.arange(8), np.arange(4)) / 8) / np.sqrt(8.0)),
+}
+NAMED_SHARP = (CheckId.COR1_34BOUND, CheckId.COR2_SANDWICH, CheckId.THM38_II,
+               CheckId.COR39_PLUS)
+
 ONE_COPY = (0, 1, 2, 3)
 # check -> the side (0 lower, 1 upper) of its bound met with equality on ONE_COPY
 SHARP_SIDES = {
@@ -752,7 +772,9 @@ POINTWISE_BOUNDS = (CheckId.COR1_34BOUND, CheckId.COR_34_SINV)
 class TestSharpness:
     """On the subset holding one copy, P = M = I/2 and Q = M' = I/2 with S = I,
     which meets each bound with equality: P - P^2 = I/4, P^2 + Q^2 = I/2,
-    M S^-1 M + M' S^-1 M' = S/2, and e_I(f) + ||M_K f||^2 = 3/4 ||f||^2."""
+    M S^-1 M + M' S^-1 M' = S/2, and e_I(f) + ||M_K f||^2 = 3/4 ||f||^2.
+    The named frames of ``NAMED_PARSEVAL`` meet them where the doubled
+    basis's blocks, which all commute, cannot show a wrong operand order."""
 
     def test_frame_is_parseval(self, doubled_basis):
         assert doubled_basis.is_parseval
@@ -778,3 +800,12 @@ class TestSharpness:
         assert report.overall_pass
         for check in (*SHARP_SIDES, *POINTWISE_BOUNDS):
             assert abs(report.summary(check).min_margin) <= 1e-12
+
+    @pytest.mark.parametrize("make", NAMED_PARSEVAL.values(), ids=NAMED_PARSEVAL.keys())
+    def test_suite_meets_the_bounds_where_blocks_do_not_commute(self, make):
+        frame = make()
+        assert frame.is_parseval and frame.field is Field.COMPLEX
+        report = run_suite(SuitePlan(), frame=frame)
+        assert report.overall_pass
+        for check in NAMED_SHARP:
+            assert abs(report.summary(check).min_margin) <= 1e-12, check

@@ -26,10 +26,11 @@ sequence of validated vectors f and the dual matrix Gamma, and gives for
 every (subset, f) of the chunk the per-block inner products
 <Gamma_j f, Lambda_j f> summed over each row, from one segmented sum over
 the block row starts, and the truncated images sum_{j in I} Lambda_j*
-Gamma_j f, from one product of Lambda* with Gamma f masked to each row.
-Lambda f, Gamma f and the inner products are taken once per vector and
-call; only the row sums and the masked product are taken per (subset, f)
-pair, so an entry does not depend on the chunk around it.  It
+Gamma_j f, from one product of Lambda* masked to each row with Gamma f.
+It works at three levels: Lambda f, Gamma f and the inner products are
+taken once per vector and call, the masked adjoint once per subset, and
+only the row sums and the product of the masked adjoint with Gamma f per
+(subset, f) pair, so an entry does not depend on the chunk around it.  It
 runs its pairs under ``np.errstate`` and refuses the whole chunk, once,
 by a ``ValueError`` naming the subset sums and the frame's scale when an
 entry is not finite.  ``identity_terms`` turns its (k, V) stacks
@@ -140,10 +141,12 @@ def subset_sums(frame_stack: StackedAnalysis, dual: np.ndarray, sides, vectors):
     over each row, shape (k, V, 2), and the truncated images
     sum_j Lambda_j* Gamma_j f over the same rows, shape (k, V, dim, 2).
     Lambda f, Gamma f and the per-block inner products are taken once per
-    vector; each (subset, f) pair then takes only its own row sums and its
-    masked product with Lambda*, so an entry does not depend on the chunk
-    around it.  An overflow raises one ``ValueError`` for the chunk
-    ("subset sums are not finite at this frame's scale"), and no warning.
+    vector, and Lambda* masked to the subset's two rows, shape (2, dim, R),
+    once per subset; each (subset, f) pair then takes only its own row sums
+    and one product of that masked adjoint with Gamma f, so an entry does
+    not depend on the chunk around it.  An overflow raises one
+    ``ValueError`` for the chunk ("subset sums are not finite at this
+    frame's scale"), and no warning.
     """
     k, dim = sides.shape[1], frame_stack.matrix.shape[1]
     sums, images = [], []
@@ -155,9 +158,10 @@ def subset_sums(frame_stack: StackedAnalysis, dual: np.ndarray, sides, vectors):
             per_vector.append((z, np.add.reduceat(y.conj() * z, frame_stack.starts)))
         for i in range(k):
             rows = sides[:, i]
+            masked = frame_stack.adjoint * rows.take(frame_stack.owners, axis=1)[:, None, :]
             for z, inner_products in per_vector:
                 sums.append(rows @ inner_products)
-                images.append(frame_stack.adjoint @ (rows.take(frame_stack.owners, axis=1) * z).T)
+                images.append((masked @ z).T)
     sums = np.array(sums).reshape(k, len(vectors), 2)
     images = np.array(images).reshape(k, len(vectors), dim, 2)
     if not (np.isfinite(sums).all() and np.isfinite(images).all()):

@@ -35,8 +35,11 @@ from framekit import (
 )
 from framekit import gframe, gfusion
 from framekit.gen import random_operator, random_subspace_basis, random_vector
+from framekit.verify import _block_dims
 
-# |stacked - reference| <= TOL * max(1, ||f||^2) on each side of each identity
+# |stacked - reference| <= TOL * max(1, ||f||^2, |reference|) on each side of
+# each identity: a Parseval-form side on a general frame is of order
+# ||S||^2 ||f||^2, and its rounding error grows with it
 TOL = 1e-11
 # the forward error of the dual routes grows with the condition number of S
 MAX_CONDITION = 100.0
@@ -177,10 +180,10 @@ def _subset(bits, count):
 
 
 def _assert_routes_agree(routes, frame, subset, f):
-    scale = max(1.0, np.vdot(f, f).real)
     for stacked, reference in routes:
         terms = stacked(frame, subset, f)
         lhs, rhs = reference(frame, subset, f)
+        scale = max(1.0, np.vdot(f, f).real, abs(lhs), abs(rhs))
         assert abs(terms.lhs - lhs) <= TOL * scale, stacked.__qualname__
         assert abs(terms.rhs - rhs) <= TOL * scale, stacked.__qualname__
         assert terms.residual == pytest.approx(abs(terms.lhs - terms.rhs))
@@ -194,10 +197,35 @@ def _well_conditioned(frame):
 # empty and at the full subset
 _CASES = dict(dim=3, frame_field=Field.REAL, vector_field=Field.COMPLEX, seed=0)
 
+# the benchmark's frames: wide-subsets (d = 8, the 10 block heights of the
+# sweep, R = 41, with the sweep's subspace dimensions 1 + i % 8) and
+# large-frames (d = 64, R = 176, the components of its gen call)
+WIDE_ROWS = _block_dims(8, 10)
+BENCHMARK_FRAMES = {
+    "wide-subsets": dict(dim=8, rows=WIDE_ROWS,
+                         shapes=[(1 + i % 8, r) for i, r in enumerate(WIDE_ROWS)]),
+    "large-frames": dict(dim=64, rows=[64, 40, 64, 8],
+                         shapes=[(64, 64), (48, 40), (32, 64), (16, 8)]),
+}
+
+
+def _benchmark_examples(blocks):
+    """An @example per benchmark frame and field, its ``blocks`` argument
+    ("rows" or "shapes") read from ``BENCHMARK_FRAMES``, at a subset that
+    mixes blocks of every height."""
+    def decorate(test):
+        for frame in BENCHMARK_FRAMES.values():
+            for field in Field:
+                test = example(dim=frame["dim"], frame_field=field, vector_field=field, seed=0,
+                               bits=0b1010110011, **{blocks: frame[blocks]})(test)
+        return test
+    return decorate
+
 
 class TestStackedMatchesReference:
     @example(rows=[1, 4, 2, 1], bits=0, **_CASES)
     @example(rows=[1, 4, 2, 1], bits=15, **_CASES)
+    @_benchmark_examples("rows")
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(dim=st.integers(1, 5), rows=st.lists(st.integers(1, 5), min_size=1, max_size=5),
            frame_field=st.sampled_from(list(Field)), vector_field=st.sampled_from(list(Field)),
@@ -210,6 +238,7 @@ class TestStackedMatchesReference:
 
     @example(shapes=[(1, 1), (2, 4), (3, 2), (3, 1)], bits=0, **_CASES)
     @example(shapes=[(1, 1), (2, 4), (3, 2), (3, 1)], bits=15, **_CASES)
+    @_benchmark_examples("shapes")
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(dim=st.integers(1, 5),
            shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=5),
@@ -292,8 +321,8 @@ class TestErrorParity:
 
 
 class _CountingMatrix(np.ndarray):
-    """A matrix that counts the products it is the left operand of; each
-    product is a plain ``ndarray``."""
+    """A matrix that counts the products (``@`` or ``*``) it is the left
+    operand of; each product is a plain ``ndarray``."""
 
     @classmethod
     def of(cls, matrix):
@@ -305,25 +334,32 @@ class _CountingMatrix(np.ndarray):
         self.products += 1
         return self.view(np.ndarray) @ other
 
+    def __mul__(self, other):
+        self.products += 1
+        return self.view(np.ndarray) * other
+
 
 class TestSubsetSumsChunk:
     """``subset_sums`` on a chunk of k subsets and V vectors gives every
     (subset, vector) pair what the 1 x 1 call on that pair gives."""
 
     SHAPES = [(1, 2), (2, 3), (3, 1), (4, 2), (2, 2), (1, 4), (3, 3)]
+    FRAMES = {"d4": (4, SHAPES)} | {
+        name: (frame["dim"], frame["shapes"]) for name, frame in BENCHMARK_FRAMES.items()}
 
     @pytest.mark.parametrize("count", [1, 8])
     @pytest.mark.parametrize("k", [1, 63, 64, 65])
     @pytest.mark.parametrize("field", list(Field))
-    def test_each_entry_equals_its_one_by_one_call(self, field, k, count):
-        frame = _random_gfusion(4, self.SHAPES, field, 5)
+    @pytest.mark.parametrize("dim,shapes", FRAMES.values(), ids=FRAMES.keys())
+    def test_each_entry_equals_its_one_by_one_call(self, dim, shapes, field, k, count):
+        frame = _random_gfusion(dim, shapes, field, 5)
         subsets = [tuple(_subset(bits, len(frame))) for bits in range(k)]
-        vectors = sample_vectors(4, field, 5, count)
+        vectors = sample_vectors(dim, field, 5, count)
         stack = frame._stacked_analysis
         for dual in (stack.matrix, frame._dual_stack):
             sums, images = gframe.subset_sums(stack, dual, gframe.subset_masks(len(frame), subsets),
                                               vectors)
-            assert sums.shape == (k, count, 2) and images.shape == (k, count, 4, 2)
+            assert sums.shape == (k, count, 2) and images.shape == (k, count, dim, 2)
             for i, js in enumerate(subsets):
                 sides = gframe.subset_masks(len(frame), [js])
                 for v, f in enumerate(vectors):
@@ -347,6 +383,23 @@ class TestSubsetSumsChunk:
         sums, images = gframe.subset_sums(stack._replace(matrix=matrix), dual, sides, vectors)
         assert (matrix.products, dual.products) == (len(vectors), len(vectors))
         expected_sums, expected_images = gframe.subset_sums(stack, plain_dual, sides, vectors)
+        assert np.array_equal(sums, expected_sums) and np.array_equal(images, expected_images)
+
+    @pytest.mark.parametrize("own", [True, False], ids=["own-stack", "dual-stack"])
+    @pytest.mark.parametrize("field", list(Field))
+    def test_each_subset_masks_the_adjoint_once_per_call(self, field, own):
+        # the row mask depends only on the subset: 64 products with Lambda*
+        # for 64 subsets and 3 vectors, not 64 * 3
+        frame = _random_gfusion(4, self.SHAPES, field, 5)
+        subsets = [tuple(_subset(bits, len(frame))) for bits in range(64)]
+        vectors = sample_vectors(4, field, 5, 3)
+        stack = frame._stacked_analysis
+        sides = gframe.subset_masks(len(frame), subsets)
+        dual = stack.matrix if own else frame._dual_stack
+        adjoint = _CountingMatrix.of(stack.adjoint)
+        sums, images = gframe.subset_sums(stack._replace(adjoint=adjoint), dual, sides, vectors)
+        assert adjoint.products == len(subsets)
+        expected_sums, expected_images = gframe.subset_sums(stack, dual, sides, vectors)
         assert np.array_equal(sums, expected_sums) and np.array_equal(images, expected_images)
 
     @pytest.mark.parametrize("weight,entry", [(1e150, 1e300), (1e100, 1e60)],

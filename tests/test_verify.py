@@ -408,7 +408,7 @@ class TestConditioningFaults:
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 4: a scalar residual is divided only by max(1, ||f||^2), so "
-        "THM_FINAL_MI fails at 1.82e-8 where kappa(S) is about 2.2e4"))
+        "THM_FINAL_MI fails at 2.49e-8 where kappa(S) is about 2.2e4"))
     def test_final_mi_passes_at_weights_1e_2_to_1e2(self):
         report = run_suite(SuitePlan(checks=(CheckId.THM_FINAL_MI,)),
                            frame=_weighted_gfusion(1e-2, 1e2))

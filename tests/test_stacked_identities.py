@@ -37,9 +37,7 @@ from framekit import gframe, gfusion
 from framekit.gen import random_operator, random_subspace_basis, random_vector
 from framekit.verify import _block_dims
 
-# |stacked - reference| <= TOL * max(1, ||f||^2, |reference|) on each side of
-# each identity: a Parseval-form side on a general frame is of order
-# ||S||^2 ||f||^2, and its rounding error grows with it
+# |stacked - reference| <= TOL * max(1, ||f||^2) on each side of each identity
 TOL = 1e-11
 # the forward error of the dual routes grows with the condition number of S
 MAX_CONDITION = 100.0
@@ -156,6 +154,10 @@ GFUSION_ROUTES = [
     (gfusion.whitened_partition_identity, ref_gfusion_whitened),
     (gfusion.frame_partition_identity, ref_gfusion_frame),
 ]
+# a Parseval-form side on a general frame is of order ||S||^2 ||f||^2 and its
+# rounding error grows with it, so these routes also scale TOL by |reference|
+# (the d = 64 benchmark frame needs it; every other route keeps the bound above)
+PARSEVAL_FORM_ROUTES = {gframe.parseval_partition_identity, gfusion.parseval_partition_identity}
 
 
 def _random_gframe(dim, rows, field, seed):
@@ -183,7 +185,9 @@ def _assert_routes_agree(routes, frame, subset, f):
     for stacked, reference in routes:
         terms = stacked(frame, subset, f)
         lhs, rhs = reference(frame, subset, f)
-        scale = max(1.0, np.vdot(f, f).real, abs(lhs), abs(rhs))
+        scale = max(1.0, np.vdot(f, f).real)
+        if stacked in PARSEVAL_FORM_ROUTES:
+            scale = max(scale, abs(lhs), abs(rhs))
         assert abs(terms.lhs - lhs) <= TOL * scale, stacked.__qualname__
         assert abs(terms.rhs - rhs) <= TOL * scale, stacked.__qualname__
         assert terms.residual == pytest.approx(abs(terms.lhs - terms.rhs))
@@ -371,7 +375,8 @@ class TestSubsetSumsChunk:
     @pytest.mark.parametrize("field", list(Field))
     def test_each_vector_is_applied_once_per_call(self, field, own):
         # Lambda f, Gamma f and the inner products do not depend on the
-        # subset: V products with each matrix for 64 subsets, not 64 V
+        # subset, nor the row mask on the vector: for 64 subsets and V
+        # vectors, V products with each matrix and 64 with Lambda*, not 64 V
         frame = _random_gfusion(4, self.SHAPES, field, 5)
         subsets = [tuple(_subset(bits, len(frame))) for bits in range(64)]
         vectors = sample_vectors(4, field, 5, 3)
@@ -380,26 +385,12 @@ class TestSubsetSumsChunk:
         plain_dual = stack.matrix if own else frame._dual_stack
         matrix = _CountingMatrix.of(stack.matrix)
         dual = matrix if own else _CountingMatrix.of(plain_dual)
-        sums, images = gframe.subset_sums(stack._replace(matrix=matrix), dual, sides, vectors)
-        assert (matrix.products, dual.products) == (len(vectors), len(vectors))
-        expected_sums, expected_images = gframe.subset_sums(stack, plain_dual, sides, vectors)
-        assert np.array_equal(sums, expected_sums) and np.array_equal(images, expected_images)
-
-    @pytest.mark.parametrize("own", [True, False], ids=["own-stack", "dual-stack"])
-    @pytest.mark.parametrize("field", list(Field))
-    def test_each_subset_masks_the_adjoint_once_per_call(self, field, own):
-        # the row mask depends only on the subset: 64 products with Lambda*
-        # for 64 subsets and 3 vectors, not 64 * 3
-        frame = _random_gfusion(4, self.SHAPES, field, 5)
-        subsets = [tuple(_subset(bits, len(frame))) for bits in range(64)]
-        vectors = sample_vectors(4, field, 5, 3)
-        stack = frame._stacked_analysis
-        sides = gframe.subset_masks(len(frame), subsets)
-        dual = stack.matrix if own else frame._dual_stack
         adjoint = _CountingMatrix.of(stack.adjoint)
-        sums, images = gframe.subset_sums(stack._replace(adjoint=adjoint), dual, sides, vectors)
-        assert adjoint.products == len(subsets)
-        expected_sums, expected_images = gframe.subset_sums(stack, dual, sides, vectors)
+        sums, images = gframe.subset_sums(stack._replace(matrix=matrix, adjoint=adjoint), dual,
+                                          sides, vectors)
+        assert ((matrix.products, dual.products, adjoint.products)
+                == (len(vectors), len(vectors), len(subsets)))
+        expected_sums, expected_images = gframe.subset_sums(stack, plain_dual, sides, vectors)
         assert np.array_equal(sums, expected_sums) and np.array_equal(images, expected_images)
 
     @pytest.mark.parametrize("weight,entry", [(1e150, 1e300), (1e100, 1e60)],

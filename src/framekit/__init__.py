@@ -25,6 +25,7 @@ from .linops import (
     as_vector,
     complement_identity_residual,
     hermitian_eig,
+    hermitian_eigvalsh,
     inner,
     loewner_check,
     operator_norm,
@@ -100,6 +101,7 @@ __all__ = [
     "operator_norm",
     "symmetrize",
     "hermitian_eig",
+    "hermitian_eigvalsh",
     "psd_power",
     "orthonormal_basis",
     "projection",

@@ -155,7 +155,7 @@ def random_gframe(dim_h: int, block_dims, field: Field = Field.COMPLEX, seed: in
 def whitened_gframe(frame: GFrame) -> GFrame:
     """The frame with blocks Lambda_j S^(-1/2); raises ``GenerationFailed``
     when it misses the Parseval threshold."""
-    w = frame._power(-0.5)
+    w = frame.inverse_sqrt
     parseval = GFrame([b @ w for b in frame.blocks])
     if not parseval.is_parseval:
         raise GenerationFailed("whitened family missed the Parseval threshold")

@@ -4,9 +4,10 @@ A frame here is a finite family of block operators mapping the common space
 H into per-index codomains.  Frames are immutable; the frame operator S, its
 one spectral decomposition and its extreme eigenvalues (the optimal bounds,
 which ``is_parseval`` also reads) are computed at construction, the dual
-matrix lazily.  Every power of S a frame needs (S^-1, S^(-1/2) and the
-whitening of ``gen``) comes from that decomposition, by ``_power``, so S is
-diagonalised once per frame.
+matrix and the whitened term stack lazily.  Every power of S a frame
+needs, ``inverse`` and ``inverse_sqrt`` (which ``gen`` whitens by and the
+whitened term stack reads), comes from that decomposition, by ``_power``,
+so S is diagonalised once per frame.
 
 One frame model: ``GFrame``.  A weighted subspace frame
 (``gfusion.GFusionFrame``) is the ``GFrame`` of its blocks w_j B_j P_j and
@@ -38,10 +39,14 @@ entry is not finite.  ``identity_terms`` turns its (k, V) stacks
 frame's own matrix Lambda as the dual it is the Parseval case.  Each
 public per-(subset, f) identity takes a 1 x 1 chunk (``_pair_identity``).
 
-``masked_sums`` is the one code that adds the frame's one term stack, the
-read-only (n, d*d) ``_term_stack``: 0/1 rows give a (k, d, d) stack of
-truncated frame operators M_I.  ``partial_frame_operator`` is its one-row
-sum and ``partial_sum`` is M_I S^-1 = sum_{j in I} Lambda_j* Gamma_j.
+``masked_sums`` is the one code that adds a frame's term stacks, each a
+read-only (n, d*d) array: 0/1 rows over ``_term_stack``, the terms
+Lambda_j* Lambda_j, give a (k, d, d) stack of truncated frame operators
+M_I, and over ``_whitened_term_stack``, the terms W_j of the whitened
+blocks Lambda_j S^(-1/2), the self-adjoint X_I = S^(-1/2) M_I S^(-1/2),
+which is similar to M_I S^-1.  ``partial_frame_operator`` is the one-row
+sum of the first and ``partial_sum`` is M_I S^-1 =
+sum_{j in I} Lambda_j* Gamma_j.
 """
 
 from __future__ import annotations
@@ -378,6 +383,16 @@ class GFrame:
         dual.setflags(write=False)
         return dual
 
+    @functools.cached_property
+    def _whitened_term_stack(self) -> np.ndarray:
+        """The whitened terms W_j = G_j* G_j with G_j = Lambda_j S^(-1/2), a
+        read-only ``term_stack`` that sums to I.  Each term is taken from its
+        whitened block, never as S^(-1/2) (Lambda_j* Lambda_j) S^(-1/2), so
+        it is Hermitian to rounding at any condition number of S."""
+        stacked = self._stacked_analysis
+        g = stacked.matrix @ self.inverse_sqrt
+        return term_stack(adjoint(b) @ b for b in np.split(g, stacked.starts[1:]))
+
     def _dual(self) -> "GFrame":
         """The g-frame of the row blocks of ``_dual_stack``.  It holds no
         reference back to this frame, so the pair is freed without the cyclic
@@ -392,6 +407,11 @@ class GFrame:
     def inverse(self) -> np.ndarray:
         """Inverse of the frame operator."""
         return self._power(-1.0)
+
+    @functools.cached_property
+    def inverse_sqrt(self) -> np.ndarray:
+        """Inverse square root of the frame operator."""
+        return self._power(-0.5)
 
     @functools.cached_property
     def canonical_dual(self) -> "GFrame":

@@ -7,12 +7,12 @@ derived.
 
 A weighted subspace frame is the g-frame with blocks Lambda_j = w_j B_j P_j,
 and ``GFusionFrame`` is a ``gframe.GFrame`` built from them: its frame
-operator, bounds, stack, term stack, dual matrix Lambda S^-1, canonical dual
-and partial sums are the g-frame's.  ``partial_frame_operator`` is the
-one-row ``masked_sums`` M_I of the term stack and ``partial_sum`` is
-M_I S^-1.  The triples stay only as provenance, for frame files, LEMMA_L0
-and ``parsevalize``, which whitens them into the triples (span of
-S^(-1/2) U_j, B_j P_j S^(-1/2), w_j).
+operator, bounds, stack, term stacks (its own and the whitened one), dual
+matrix Lambda S^-1, canonical dual and partial sums are the g-frame's.
+``partial_frame_operator`` is the one-row ``masked_sums`` M_I of the term
+stack and ``partial_sum`` is M_I S^-1.  The triples stay only as
+provenance, for frame files, LEMMA_L0 and ``parsevalize``, which whitens
+them into the triples (span of S^(-1/2) U_j, B_j P_j S^(-1/2), w_j).
 
 ``block_energies`` takes all energies weight_j^2 ||block_j P_j f||^2 from
 one product with the stack and one segmented sum over the block row ranges.

@@ -17,14 +17,17 @@ inconclusive, so every verdict is the one the spectral test gives.  A
 deviation that is not finite (an overflow, computed without a warning)
 fails its gate with no SVD.
 
-``loewner_check``, ``operator_norm`` and ``complement_identity_residual``
-also take a (k, d, d) stack of operators and return one value per matrix.
-The Hermitian gate then runs per matrix, certificate first, with the
-spectral fallback on just the matrices it leaves open.  The margins come
-from one batched ``eigvalsh`` per bound side, or from one in all when both
-bounds are multiples of the identity: then the smallest and the largest
-eigenvalue of T give both.  Each matrix of a stack gets the same
-arithmetic, and so the same result, as it would on its own.
+``hermitian_eigvalsh``, ``loewner_check``, ``operator_norm`` and
+``complement_identity_residual`` also take a (k, d, d) stack of operators
+and return one value (or one spectrum) per matrix.  The Hermitian gate then
+runs per matrix, certificate first, with the spectral fallback on just the
+matrices it leaves open.  ``hermitian_eigvalsh`` is the one gated stacked
+``eigvalsh``: gate, ``symmetrize``, then one batched call.  The margins of
+``loewner_check`` come from one batched ``eigvalsh`` per bound side, or,
+when both bounds are multiples of the identity, from one
+``hermitian_eigvalsh`` of T, whose smallest and largest eigenvalues give
+both.  Each matrix of a stack gets the same arithmetic, and so the same
+result, as it would on its own.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "hermitian_violation",
     "identity_like",
     "hermitian_eig",
+    "hermitian_eigvalsh",
     "spectral_power",
     "psd_power",
     "orthonormal_basis",
@@ -298,6 +302,24 @@ def hermitian_eig(a) -> SpectralDecomposition:
     return SpectralDecomposition(w, u)
 
 
+def hermitian_eigvalsh(a, floor: float = 0.0) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian operator, or of each matrix of a
+    (k, d, d) stack, shape (..., d).
+
+    Each matrix is gated by ``||A - A*|| <= HTOL * max(floor, ||A||)``,
+    raising ``NotHermitian`` when any fails, and symmetrized before one
+    batched ``eigvalsh``, so rounding noise cannot change the code path.
+    """
+    a = _as_operators(a)
+    if a.shape[-2] != a.shape[-1]:
+        raise NotSquare(f"expected a square operator, got shape {a.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = a - adjoint(a)
+    if not _norms_within([deviation], HTOL, floor, [a]).all():
+        raise NotHermitian("operator is not Hermitian within tolerance")
+    return np.linalg.eigvalsh(symmetrize(a))
+
+
 def spectral_power(dec: SpectralDecomposition, p: float) -> np.ndarray:
     """Real power U diag(w**p) U* of a Hermitian positive-definite operator,
     from its ``hermitian_eig`` decomposition; the result is Hermitian.
@@ -384,9 +406,9 @@ def loewner_check(t, lower, upper, tol: float) -> LoewnerMargin:
 
     ``t`` may also be a (k, d, d) stack, each bound then a scalar, one
     operator or a stack of the same shape.  The margins and verdicts come
-    back as length-k arrays, from one ``eigvalsh`` call per side (one in
-    all for two scalar bounds), and ``NotHermitian`` is raised when any
-    matrix fails the gate.
+    back as length-k arrays, from one ``eigvalsh`` call per side (one
+    ``hermitian_eigvalsh`` for two scalar bounds), and ``NotHermitian`` is
+    raised when any matrix fails the gate.
     """
     t = _as_operators(t)
     if t.shape[-2] != t.shape[-1]:
@@ -397,16 +419,16 @@ def loewner_check(t, lower, upper, tol: float) -> LoewnerMargin:
     # a scalar bound c*I is exactly Hermitian with norm |c|, so it enters
     # the gate through the floor alone
     floor = max([1.0] + [abs(c) for c in (lo_c, up_c) if c is not None])
-    operands = [t] + [x for x, c in ((lo, lo_c), (up, up_c)) if c is None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        deviations = [x - adjoint(x) for x in operands]
-    if not _norms_within(deviations, HTOL, floor, operands).all():
-        raise NotHermitian("interval operands must be Hermitian within tolerance")
     if lo_c is not None and up_c is not None:
         # bounds a*I and b*I: one spectrum gives lambda_min(T) - a and b - lambda_max(T)
-        w = np.linalg.eigvalsh(symmetrize(t))
+        w = hermitian_eigvalsh(t, floor)
         lower_margin, upper_margin = w[..., 0] - lo_c, up_c - w[..., -1]
     else:
+        operands = [t] + [x for x, c in ((lo, lo_c), (up, up_c)) if c is None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            deviations = [x - adjoint(x) for x in operands]
+        if not _norms_within(deviations, HTOL, floor, operands).all():
+            raise NotHermitian("interval operands must be Hermitian within tolerance")
         lower_margin = np.linalg.eigvalsh(symmetrize(t - lo))[..., 0]
         upper_margin = np.linalg.eigvalsh(symmetrize(up - t))[..., 0]
     passed = (lower_margin >= -tol) & (upper_margin >= -tol)

@@ -25,23 +25,31 @@ per-subset result, and ``run_check`` cuts it into one ``CheckResult`` per
 subset; a single subset is a chunk of one.  What several checks read is
 computed once per chunk (``_Chunk``), on first read, by the expression a
 single check would use, so sharing changes no bit of a report.  Every dual
-operand is M_I S^-1 or reads the frame's dual matrix ``_dual_stack`` =
-Lambda S^-1, EQ5_DUAL_RECON's Lambda* Gamma too: no check builds the
-canonical dual frame.  Inputs are validated at the API boundary:
+operand reads the frame's dual matrix ``_dual_stack`` = Lambda S^-1,
+EQ5_DUAL_RECON's Lambda* Gamma too: no check builds the canonical dual
+frame.  Inputs are validated at the API boundary:
 ``run_check`` validates the subsets and vectors its caller passes, and
 ``run_suite`` the sample vectors once per (dim, field, seed), while the
 subsets of ``subsets_for`` are sorted, distinct and in range by
 construction.  A finite vector can still overflow
 in its stacked images or their inner products: ``subset_sums`` then raises
 ``ValueError`` for the chunk, and no warning.  The eight operator checks
-take M_I and M_K from one ``masked_sums`` call over the chunk's 2k rows,
-then one stacked ``linops`` call for the margins, spectra or complement
-residuals.  The six interval checks among them share two evaluators,
-0 <= A - A^2 <= U/4 and U/2 <= A^2 +- B^2 <= 3U/2, over the chunk's two
-operand families (``_Family``): P, Q = M_I S^-1, M_K S^-1 in units of I,
-and M, M' = M_I, M_K in units of S.  The eleven per-vector checks are each
-one array expression over the chunk; the identity functions of ``gframe``
-and ``gfusion`` use the same expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
+take their operands from one ``masked_sums`` call per term stack over the
+chunk's 2k rows, then one stacked ``linops`` call for the margins, spectra
+or complement residuals.  COR3_SANDWICH, COR39_PLUS and COR39_MINUS_PROBE
+read M_I and M_K from the frame's term stack, in units of S, and share two
+evaluators (``_Family``): 0 <= M - M S^-1 M <= S/4 and
+S/2 <= M S^-1 M +- M' S^-1 M' <= 3S/2.  The Parseval checks and LEMMA_L2
+read X_I and X_K from the whitened term stack, X_I = S^(-1/2) M_I S^(-1/2)
+being self-adjoint and similar to the partial reconstruction M_I S^-1.
+COR2_SANDWICH, THM38_I and SPECTRUM_REMARK are scalar functions of x, the
+eigenvalues of X_I, which one gated ``hermitian_eigvalsh`` per chunk gives:
+x - x^2 in [0, 1/4], and x in [0, 1] with a residual of 0, since the gate
+bounds the skew part.  THM38_II takes X_I^2 + X_K^2, the complement's own
+sum, through ``loewner_check``, and LEMMA_L2 the complement residual of
+X_I.  The eleven per-vector checks are each one array expression over the
+chunk; the identity functions of ``gframe`` and ``gfusion`` use the same
+expressions on a 1 x 1 stack.  LEMMA_L0 loops over the components.
 ``inapplicable`` is the one rule for which checks apply to which frame; it
 reads the frame's ``kind``.
 
@@ -88,6 +96,7 @@ from .linops import (
     adjoint,
     as_vector,
     complement_identity_residual,
+    hermitian_eigvalsh,
     loewner_check,
     projected_adjoint_residual,
 )
@@ -208,11 +217,11 @@ class _Chunk:
     and then read by every check of the chunk: the vectors' squared norms,
     the 0/1 rows of the subsets and of their complements, the chunk's
     ``subset_sums`` over the frame's own stack and over the stack and its
-    ``_dual_stack``, one call each, M_I and M_K from one ``masked_sums``,
-    and the interval checks' two operand families, M and M' = M_K, and P
-    and Q, the same times S^-1, which hold no reference to the chunk;
-    SPECTRUM_REMARK and LEMMA_L2 read the Parseval family's P.  Every frame
-    is a ``GFrame``, so both kinds give these from the same members.
+    ``_dual_stack``, one call each, M_I and M_K from one ``masked_sums`` of
+    the term stack, with the S-relative ``_Family`` over them, which holds
+    no reference to the chunk, and X_I and X_K from one ``masked_sums`` of
+    the whitened term stack, with x, the gated eigenvalues of X_I.  Every
+    frame is a ``GFrame``, so both kinds give these from the same members.
     """
 
     def __init__(self, frame, subsets, vectors):
@@ -244,45 +253,50 @@ class _Chunk:
         return gf.subset_sums(self.frame._stacked_analysis, self.frame._dual_stack,
                               self.sides, self.vectors)
 
-    @functools.cached_property
-    def truncated(self) -> np.ndarray:
-        """M_I and M_K, shape (2, k, d, d): ``masked_sums`` of the frame's
-        term stack over the 2k rows of ``sides``."""
+    def _sides_sums(self, stack: np.ndarray) -> np.ndarray:
+        """``masked_sums`` of a term stack over the 2k rows of ``sides``,
+        shape (2, k, d, d)."""
         sides = self.sides
-        m = gf.masked_sums(self.frame._term_stack, sides.reshape(-1, sides.shape[-1]))
+        m = gf.masked_sums(stack, sides.reshape(-1, sides.shape[-1]))
         return m.reshape(sides.shape[:2] + m.shape[1:])
 
     @functools.cached_property
-    def parseval(self) -> _Family:
-        p, q = self.truncated @ self.frame.inverse
-        return _Family(p, q, 1.0, 1.0)
+    def truncated(self) -> np.ndarray:
+        """M_I and M_K from the frame's term stack."""
+        return self._sides_sums(self.frame._term_stack)
+
+    @functools.cached_property
+    def whitened(self) -> np.ndarray:
+        """X_I and X_K from the frame's whitened term stack."""
+        return self._sides_sums(self.frame._whitened_term_stack)
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """x, the ascending eigenvalues of each X_I, shape (k, d), from one
+        ``hermitian_eigvalsh`` gated with the floor 1 of the unit bounds."""
+        return hermitian_eigvalsh(self.whitened[0], 1.0)
 
     @functools.cached_property
     def relative(self) -> _Family:
-        frame = self.frame
-        m, m_k = self.truncated
-        return _Family(m, m_k, frame.frame_operator, max(1.0, frame.upper_bound),
-                       frame.inverse_sqrt)
+        return _Family(*self.truncated, self.frame)
 
 
 class _Family:
-    """One operand family of the six interval checks, and their two
-    evaluators: the partial sums A and B = U - A of a chunk's subsets and of
-    their complements, each a (k, d, d) stack, the unit U of the bounds and
-    the divisor of the margins.  The Parseval family is P, Q with U = I and
-    margins unscaled; the S-relative one is M, M' with U = S and margins
-    over max(1, ||S||).  A^2 and B^2 are each computed on first read, as
-    A A without ``root``; with ``root`` = S^(-1/2), M S^-1 M is taken as
-    G G* with G = M S^(-1/2), which is Hermitian to rounding at any
-    condition number."""
+    """The S-relative operands of COR3_SANDWICH, COR39_PLUS and
+    COR39_MINUS_PROBE, and their two evaluators: the truncated frame
+    operators A = M_I and B = M_K = U - A of a chunk's subsets and of their
+    complements, each a (k, d, d) stack, the unit U = S of the bounds and
+    the divisor max(1, ||S||) of the margins, read from the frame.  The
+    squares A S^-1 A and B S^-1 B are each computed on first read, as G G*
+    with G = A S^(-1/2), which is Hermitian to rounding at any condition
+    number."""
 
-    def __init__(self, a, b, unit, scale, root=None):
+    def __init__(self, a, b, frame):
         self.a, self.b = a, b
-        self.unit, self.scale, self._root = unit, scale, root
+        self.unit, self._root = frame.frame_operator, frame.inverse_sqrt
+        self.scale = max(1.0, frame.upper_bound)
 
     def _square(self, x: np.ndarray) -> np.ndarray:
-        if self._root is None:
-            return x @ x
         g = x @ self._root
         return g @ adjoint(g)
 
@@ -294,18 +308,21 @@ class _Family:
     def b_sq(self) -> np.ndarray:
         return self._square(self.b)
 
-    def _interval(self, t, lower, upper):
-        lm = loewner_check(t, lower, upper, tol=0.0)
-        return None, np.column_stack([lm.lower_margin, lm.upper_margin]) / self.scale, None
-
-    @functools.cached_property
     def sandwich(self):
-        """0 <= A - A^2 <= U/4, which COR2_SANDWICH and THM38_I share."""
-        return self._interval(self.a - self.a_sq, 0.0, 0.25 * self.unit)
+        """0 <= A - A^2 <= U/4."""
+        return _interval(self.a - self.a_sq, 0.0, 0.25 * self.unit, self.scale)
 
     def square_sum(self, sign: float):
         """U/2 <= A^2 + sign B^2 <= 3U/2."""
-        return self._interval(self.a_sq + sign * self.b_sq, 0.5 * self.unit, 1.5 * self.unit)
+        return _interval(self.a_sq + sign * self.b_sq, 0.5 * self.unit, 1.5 * self.unit,
+                         self.scale)
+
+
+def _interval(t, lower, upper, scale=1.0):
+    """The margins of lower <= t <= upper from one stacked ``loewner_check``,
+    over ``scale``."""
+    lm = loewner_check(t, lower, upper, tol=0.0)
+    return None, np.column_stack([lm.lower_margin, lm.upper_margin]) / scale, None
 
 
 def _per_norm(values, norms):
@@ -367,15 +384,29 @@ def _lemma_l0(chunk):
     return np.array([residuals]), None, None
 
 
+def _parseval_sandwich(chunk):
+    """0 <= X_I - X_I^2 <= I/4, whose spectrum is x - x^2 (COR2_SANDWICH,
+    THM38_I)."""
+    t = chunk.spectrum - chunk.spectrum**2
+    return None, np.column_stack([t.min(axis=-1), 0.25 - t.max(axis=-1)]), None
+
+
+def _parseval_square_sum(chunk):
+    """I/2 <= X_I^2 + X_K^2 <= 3I/2, with X_K the complement's own sum."""
+    x_i, x_k = chunk.whitened
+    return _interval(x_i @ x_i + x_k @ x_k, 0.5, 1.5)
+
+
 def _spectrum_remark(chunk):
-    vals = np.linalg.eigvals(chunk.parseval.a)
-    margins = np.column_stack([vals.real.min(axis=-1), 1.0 - vals.real.max(axis=-1)])
-    residuals = np.abs(vals.imag).max(axis=-1)[:, None]
-    return residuals, margins, {"spectral_radius": np.abs(vals).max(axis=-1)}
+    """x in [0, 1]; x is real, so the residual (the largest imaginary part)
+    is 0, and the Hermitian gate bounds the skew part of X_I."""
+    x = chunk.spectrum
+    margins = np.column_stack([x[:, 0], 1.0 - x[:, -1]])
+    return np.zeros((len(x), 1)), margins, {"spectral_radius": np.abs(x).max(axis=-1)}
 
 
 def _lemma_l2(chunk):
-    return complement_identity_residual(chunk.parseval.a)[:, None], None, None
+    return complement_identity_residual(chunk.whitened[0])[:, None], None, None
 
 
 # The identity checks take their (k, V) ``IdentityTerms`` stack from the
@@ -404,23 +435,21 @@ CATALOG: dict[CheckId, CheckInfo] = {
                   functools.partial(_pointwise_bound, False),
                   "subset energy plus complement operator energy is at least 3/4"
                   " of the input energy"),
-        CheckInfo(CheckId.COR2_SANDWICH, "gfusion", True, True, False,
-                  lambda c: c.parseval.sandwich,
+        CheckInfo(CheckId.COR2_SANDWICH, "gfusion", True, True, False, _parseval_sandwich,
                   "0 <= P - P^2 <= I/4 for Parseval partial reconstructions"),
         CheckInfo(CheckId.THM_T33, "gfusion", False, True, True,
                   lambda c: _identity_residuals(
                       gfu.whitened_terms(c.frame.inverse_sqrt, *c.own_sums), c),
                   "whitened subset/complement energy identity for general frames"),
         CheckInfo(CheckId.COR3_SANDWICH, "gfusion", False, True, False,
-                  lambda c: c.relative.sandwich,
+                  lambda c: c.relative.sandwich(),
                   "0 <= M - M S^-1 M <= S/4 for truncated frame operators"),
         CheckInfo(CheckId.COR_34_SINV, "gfusion", False, True, True,
                   functools.partial(_pointwise_bound, True),
                   "lower bound (3/4) * A on subset energy plus whitened complement energy"),
-        CheckInfo(CheckId.THM38_I, "gfusion", True, True, False, lambda c: c.parseval.sandwich,
+        CheckInfo(CheckId.THM38_I, "gfusion", True, True, False, _parseval_sandwich,
                   "first part of the two-sided Parseval bound: 0 <= P - P^2 <= I/4"),
-        CheckInfo(CheckId.THM38_II, "gfusion", True, True, False,
-                  lambda c: c.parseval.square_sum(1.0),
+        CheckInfo(CheckId.THM38_II, "gfusion", True, True, False, _parseval_square_sum,
                   "second part: I/2 <= P^2 + Q^2 <= 3I/2 for complementary partials"),
         CheckInfo(CheckId.COR39_PLUS, "gfusion", False, True, False,
                   lambda c: c.relative.square_sum(1.0),

@@ -3,18 +3,20 @@
 ``verify`` evaluates COR2_SANDWICH, THM38_I, THM38_II, COR3_SANDWICH,
 COR39_PLUS, COR39_MINUS_PROBE, SPECTRUM_REMARK and LEMMA_L2 over chunks of
 subsets: partial sums from 0/1 masks over the frame's cached term stacks,
-margins from one stacked ``loewner_check`` per chunk.  The routes below are
-the per-subset bodies they replaced: one ``partial_sum`` or
-``partial_frame_operator`` per subset and one ``loewner_check``,
-``eigvals`` or ``complement_identity_residual`` per matrix.  Each returns
-(residuals, margins, stats, X), X being the operator whose margins,
-spectrum or residual are taken.
+margins from one stacked ``loewner_check`` or one stacked spectrum per
+chunk.  The routes below are the per-subset bodies they replaced: one
+``partial_sum`` (P = M_I S^-1) or ``partial_frame_operator`` per subset and
+one ``loewner_check``, ``eigvals`` or ``complement_identity_residual`` per
+matrix.  The chunks read X_I = S^(-1/2) M_I S^(-1/2) where these read P,
+which is similar to it.  Each returns (residuals, margins, stats, X), X
+being the operator whose margins, spectrum or residual are taken.
 
 Every check, the twelve per-vector ones too, goes through the same chunked
 route, so a sequence of subsets gives what one call per subset gives,
 witnesses and their worst vectors included.
 """
 
+import dataclasses
 import inspect
 import tracemalloc
 
@@ -326,9 +328,11 @@ class TestChunks:
         plan = SuitePlan(tol=Tolerances(0.0, 0.0), witness_limit=3)
         shapes = _record_stack_shapes(monkeypatch)
         report = run_suite(plan, frame=frame)
-        loewner = [c for c in LOEWNER_CHECKS if c in plan.checks and c != CheckId.THM38_I
+        # the two sandwiches read the chunk's spectrum of X_I instead
+        loewner = [c for c in LOEWNER_CHECKS if c in plan.checks
+                   and c not in (CheckId.COR2_SANDWICH, CheckId.THM38_I)
                    and inapplicable(CATALOG[c], frame) is None]
-        assert len(loewner) == (5 if parseval else 3)
+        assert len(loewner) == (4 if parseval else 3)
         assert shapes == [(4, 64, 64)] * (4 * len(loewner))
         instance = verify.FrameInstance(frame, None, "loaded-frame")
         vectors = sample_vectors(64, field, 0, plan.vectors_per_instance)
@@ -454,9 +458,11 @@ class TestErrorParity:
         rng = substream(4, 55)
         g = random_operator(4, 4, Field.COMPLEX, rng)
         skew = g - g.conj().T
-        stack = frame._term_stack.copy()
-        stack[1] = stack[1] + (magnitude / operator_norm(skew)) * skew.reshape(-1)
-        frame.__dict__["_term_stack"] = stack
+        # the reference reads the term stack and the chunks the whitened one
+        for name in ("_term_stack", "_whitened_term_stack"):
+            stack = getattr(frame, name).copy()
+            stack[1] = stack[1] + (magnitude / operator_norm(skew)) * skew.reshape(-1)
+            frame.__dict__[name] = stack
         return frame
 
     @pytest.mark.parametrize("magnitude, raises", [(1e-6, True), (1e-13, False)])
@@ -593,8 +599,9 @@ class TestCallCounts:
         # n = 7 gives 128 subsets: one chunk at d = 2, two at d = 8
         plan = SuitePlan(dims=(dim,), seeds=(0,), components=7, checks=OPERATOR_CHECKS)
         report = run_suite(plan)
-        # THM38_I reads the margins COR2_SANDWICH takes of the same operand;
-        # its scalar bounds and THM38_II's take one spectrum for both sides
+        # THM38_I reads the spectrum of X_I that COR2_SANDWICH takes (and
+        # SPECTRUM_REMARK too); THM38_II's scalar bounds take one spectrum
+        # for both sides
         sides = {CheckId.COR2_SANDWICH: 1, CheckId.THM38_I: 0, CheckId.THM38_II: 1}
         want = sum(sides.get(c, 2) * chunks * report.summary(c).instances
                    for c in LOEWNER_CHECKS)
@@ -602,3 +609,31 @@ class TestCallCounts:
             CheckId.COR2_SANDWICH).instances
         assert eigvalsh_calls[0] == want
         assert svd_calls[0] == norms[0] + bases[0] > 0
+
+    def test_one_eigvalsh_of_x_per_parseval_chunk_and_no_eigvals(self, monkeypatch):
+        # COR2_SANDWICH, THM38_I and SPECTRUM_REMARK read one spectrum of the
+        # chunk's X_I, alone or together, and no check takes a general eigvals
+        eigvals_calls, shapes = [0], []
+        eigvals, eigvalsh = np.linalg.eigvals, np.linalg.eigvalsh
+
+        def counting_eigvals(*args, **kwargs):
+            eigvals_calls[0] += 1
+            return eigvals(*args, **kwargs)
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        # n = 7 at d = 8: two chunks of 64 subsets per instance
+        plan = SuitePlan(dims=(8,), seeds=(0,), components=7)
+        spectral = (CheckId.COR2_SANDWICH, CheckId.THM38_I, CheckId.SPECTRUM_REMARK)
+        for checks in [(c,) for c in spectral] + [spectral]:
+            shapes.clear()
+            report = run_suite(dataclasses.replace(plan, checks=checks))
+            # the Parseval weighted frame of each field
+            assert report.summary(checks[0]).instances == 2
+            assert shapes == [(64, 8, 8)] * 2 * 2
+        assert run_suite(plan).overall_pass
+        assert eigvals_calls[0] == 0

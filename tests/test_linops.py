@@ -28,6 +28,7 @@ from framekit import (
     as_operator,
     complement_identity_residual,
     hermitian_eig,
+    hermitian_eigvalsh,
     inner,
     loewner_check,
     operator_norm,
@@ -325,6 +326,44 @@ class TestScalarBounds:
         with pytest.raises(NotHermitian):
             loewner_check(t[1], -10.0, 10.0, tol=0.0)
         assert np.all(loewner_check(t[[0, 2]], -10.0, 10.0, tol=0.0).passed)
+
+
+class TestHermitianEigvalsh:
+    """One gated, symmetrized ``eigvalsh`` of an operator or a stack."""
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_spectra_of_the_symmetrized_operands(self, eigvalsh_calls, field):
+        t = _hermitian_stack(3, 5, field, substream(10, 40))
+        t[1, 0, 1] += 1e-13
+        w = hermitian_eigvalsh(t, 1.0)
+        assert eigvalsh_calls == [t.shape]
+        assert np.array_equal(w, np.linalg.eigvalsh(symmetrize(t)))
+        for x, spectrum in zip(t, w):
+            assert np.array_equal(hermitian_eigvalsh(x, 1.0), spectrum)
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_a_skewed_matrix_fails_the_gate_for_the_stack(self, field):
+        t = _hermitian_stack(3, 4, field, substream(11, 41))
+        t[1, 0, 1] += 1e-6
+        for x in (t, t[1]):
+            with pytest.raises(NotHermitian):
+                hermitian_eigvalsh(x, 1.0)
+        hermitian_eigvalsh(t[[0, 2]], 1.0)
+
+    def test_floor_scales_the_gate_of_a_small_operand(self):
+        # a skew part of 1e-13 on a matrix of norm 1e-4 is 1e-9 of its norm,
+        # but within HTOL of the floor 1
+        x = np.diag([1e-4, 0.0])
+        x[0, 1] = 1e-13
+        assert hermitian_eigvalsh(x, 1.0).shape == (2,)
+        with pytest.raises(NotHermitian):
+            hermitian_eigvalsh(x)
+
+    def test_rejects_what_loewner_check_rejects(self):
+        with pytest.raises(NotSquare):
+            hermitian_eigvalsh(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_eigvalsh(np.array([[np.nan]]))
 
 
 class TestQuadBound:

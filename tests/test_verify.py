@@ -11,12 +11,14 @@ from framekit import (
     CheckId,
     ComponentSpec,
     Field,
+    GFrame,
     GFusionFrame,
     GenSpec,
     ShapeMismatch,
     SuitePlan,
     Tolerances,
     WrongFrameKind,
+    hermitian_eigvalsh,
     random_gframe,
     random_gfusion,
     random_parseval_gfusion,
@@ -395,12 +397,13 @@ def two_chunk_instances():
                                      components=7))
 
 
-def _weighted_gfusion(low, high, field=Field.REAL):
+def _weighted_gfusion(low, high, field=Field.REAL, parseval=False):
     # the frame of framekit gen --dim 8 --field FIELD --seed 0
-    # --components 4:4:LOW 4:4:1 4:4:HIGH 8:8:1
+    # --components 4:4:LOW 4:4:1 4:4:HIGH 8:8:1 (with --parseval)
     comps = tuple(ComponentSpec(k, r, w, w)
                   for k, r, w in ((4, 4, low), (4, 4, 1.0), (4, 4, high), (8, 8, 1.0)))
-    return random_gfusion(GenSpec(8, comps, field, 0))
+    spec = GenSpec(8, comps, field, 0)
+    return random_parseval_gfusion(spec) if parseval else random_gfusion(spec)
 
 
 class TestConditioningFaults:
@@ -424,6 +427,33 @@ class TestConditioningFaults:
         report = run_suite(SuitePlan(), frame=_weighted_gfusion(1e-4, 1e4, field))
         for check in (CheckId.COR3_SANDWICH, CheckId.COR39_PLUS):
             assert report.summary(check).passed, check
+
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+    def test_whitened_partials_pass_the_gate_at_weights_1e_4_to_1e4(self, field):
+        # X_I and X_K are sums of the terms G_j* G_j of the whitened blocks
+        # G_j = Lambda_j S^(-1/2), so they stay Hermitian to rounding where
+        # kappa(S) is about 2.2e8, on the weighted frame and on the g-frame of
+        # its blocks, and every check evaluates
+        from framekit import verify
+
+        fusion = _weighted_gfusion(1e-4, 1e4, field)
+        assert fusion.upper_bound > 1e8 * fusion.lower_bound
+        for frame in (fusion, GFrame(fusion.blocks)):
+            chunk = verify._Chunk(frame, subsets_for(len(frame), SuitePlan(), 0), [])
+            for x in chunk.whitened:
+                assert hermitian_eigvalsh(x, 1.0).shape == (16, 8)
+            report = run_suite(SuitePlan(), frame=frame)
+            assert report.summary(CheckId.LEMMA_L2).passed
+
+    def test_parseval_checks_pass_on_the_complex_whitening_at_weights_1e_4_to_1e4(self):
+        # gen --field complex --parseval whitens this frame within
+        # PARSEVAL_TOL; P = M_I S^-1 failed the Hermitian gate of its
+        # sandwich here, and X_I from the whitened terms passes it
+        frame = _weighted_gfusion(1e-4, 1e4, Field.COMPLEX, parseval=True)
+        assert frame.is_parseval
+        report = run_suite(SuitePlan(), frame=frame)
+        assert report.overall_pass
+        assert report.summary(CheckId.SPECTRUM_REMARK).max_residual == 0.0
 
     @pytest.mark.parametrize("weight", [1e3, pytest.param(1e4, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=(
@@ -477,10 +507,11 @@ class TestSharedChunk:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
-    def test_one_masked_sum_per_chunk_on_the_one_term_stack(self, monkeypatch,
-                                                            two_chunk_instances):
-        # M_I and M_K of a chunk's 64 subsets from one call over its 128 rows;
-        # both families, P = M_I S^-1 included, read them
+    def test_one_masked_sum_per_chunk_and_term_stack(self, monkeypatch, two_chunk_instances):
+        # M_I and M_K of a chunk's 64 subsets from one call over its 128 rows
+        # of the term stack, which the S-relative checks read, and X_I and
+        # X_K from one over the whitened term stack, which the Parseval
+        # checks and LEMMA_L2 read; a g-frame runs none of the S-relative ones
         import framekit.gframe as gframe
 
         calls = _recording(monkeypatch, gframe, "masked_sums")
@@ -488,12 +519,17 @@ class TestSharedChunk:
         for instance in two_chunk_instances:
             calls.clear()
             masks.clear()
-            run_suite(SuitePlan(), frame=instance.frame)
+            frame = instance.frame
+            run_suite(SuitePlan(), frame=frame)
+            stacks = [frame._whitened_term_stack]
+            if frame.kind == "gfusion":
+                stacks.append(frame._term_stack)
             assert len(masks) == self.CHUNKS
-            assert len(calls) == self.CHUNKS, instance.label
-            for stack, rows in calls:
-                assert stack is instance.frame._term_stack
-                assert rows.shape == (2 * 64, len(instance.frame))
+            assert len(calls) == self.CHUNKS * len(stacks), instance.label
+            for stack in stacks:
+                assert sum(summed is stack for summed, _ in calls) == self.CHUNKS
+            for _, rows in calls:
+                assert rows.shape == (2 * 64, len(frame))
 
     @pytest.mark.parametrize("check", [
         CheckId.COR2_SANDWICH, CheckId.THM38_I, CheckId.COR3_SANDWICH,
@@ -512,16 +548,20 @@ class TestSharedChunk:
         assert len(calls) == self.CHUNKS
         assert all(rows.shape == (2 * 64, len(frame)) for _, rows in calls)
 
-    def test_one_loewner_check_per_chunk_for_both_sandwiches(self, monkeypatch,
-                                                            two_chunk_instances):
+    def test_one_spectrum_per_chunk_for_both_sandwiches(self, monkeypatch,
+                                                       two_chunk_instances):
+        # both sandwiches and SPECTRUM_REMARK read the chunk's one gated
+        # spectrum of X_I, and none of them a loewner_check
         import framekit.verify as verify
 
         frame = next(i.frame for i in two_chunk_instances
                      if i.frame.kind == "gfusion" and i.frame.is_parseval)
-        calls = _recording(monkeypatch, verify, "loewner_check")
-        report = run_suite(SuitePlan(checks=(CheckId.COR2_SANDWICH, CheckId.THM38_I)),
-                           frame=frame)
-        assert len(calls) == self.CHUNKS
+        spectra = _recording(monkeypatch, verify, "hermitian_eigvalsh")
+        intervals = _recording(monkeypatch, verify, "loewner_check")
+        report = run_suite(SuitePlan(checks=(CheckId.COR2_SANDWICH, CheckId.THM38_I,
+                                             CheckId.SPECTRUM_REMARK)), frame=frame)
+        assert len(spectra) == self.CHUNKS and not intervals
+        assert all(np.shape(x) == (64, 8, 8) for x, _ in spectra)
         cor2, thm38 = (report.summary(c).to_dict() for c in (CheckId.COR2_SANDWICH,
                                                                CheckId.THM38_I))
         assert {**cor2, "id": None} == {**thm38, "id": None}

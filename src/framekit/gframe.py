@@ -22,31 +22,36 @@ takes partial sums.  Every dual operand reads the dual matrix
 
 A subset becomes 0/1 rows over the blocks in one place, ``subset_masks``,
 which gives a chunk of subsets its rows K and their complements 1 - K.
-``subset_sums`` is the one home of the subset sums: it takes those rows, a
-sequence of validated vectors f and the dual matrix Gamma, and gives for
-every (subset, f) of the chunk the per-block inner products
-<Gamma_j f, Lambda_j f> summed over each row, from one segmented sum over
-the block row starts, and the truncated images sum_{j in I} Lambda_j*
-Gamma_j f, from one product of Lambda* masked to each row with Gamma f.
-It works at three levels: Lambda f, Gamma f and the inner products are
-taken once per vector and call, the masked adjoint once per subset, and
-only the row sums and the product of the masked adjoint with Gamma f per
-(subset, f) pair, so an entry does not depend on the chunk around it.  It
-runs its pairs under ``np.errstate`` and refuses the whole chunk, once,
-by a ``ValueError`` naming the subset sums and the frame's scale when an
-entry is not finite.  ``identity_terms`` turns its (k, V) stacks
-(k subsets, V vectors) into the two sides of the identity; with the
-frame's own matrix Lambda as the dual it is the Parseval case.  Each
-public per-(subset, f) identity takes a 1 x 1 chunk (``_pair_identity``).
-
 ``masked_sums`` is the one code that adds a frame's term stacks, each a
 read-only (n, d*d) array: 0/1 rows over ``_term_stack``, the terms
 Lambda_j* Lambda_j, give a (k, d, d) stack of truncated frame operators
 M_I, and over ``_whitened_term_stack``, the terms W_j of the whitened
 blocks Lambda_j S^(-1/2), the self-adjoint X_I = S^(-1/2) M_I S^(-1/2),
-which is similar to M_I S^-1.  ``partial_frame_operator`` is the one-row
-sum of the first and ``partial_sum`` is M_I S^-1 =
+which is similar to M_I S^-1.  ``side_sums`` takes it over a chunk's rows
+[K, 1 - K] at once, as a (2, k, d, d) stack.  ``partial_frame_operator``
+is the one-row sum of the first and ``partial_sum`` is M_I S^-1 =
 sum_{j in I} Lambda_j* Gamma_j.
+
+The per-vector sums come in two kinds.  The own sums are <M_I f, f> =
+sum_{j in I} ||Lambda_j f||^2 and M_I f: ``operator_sums`` takes them
+from the (2, k, d, d) stack [M_I, M_K], one stacked product of the stack
+with each vector f and one row sum of conj(f) times that image.  The dual
+sums come from ``subset_sums``: it takes the rows, a sequence of validated
+vectors f and the dual matrix Gamma, and gives for every (subset, f) of
+the chunk the per-block inner products <Gamma_j f, Lambda_j f> summed over
+each row, from one segmented sum over the block row starts, and the
+truncated images sum_{j in I} Lambda_j* Gamma_j f, from one product of
+Lambda* masked to each row with Gamma f.  It takes Lambda f, Gamma f and
+the inner products once per vector and call, the masked adjoint once per
+subset, and only the row sums and the product of the masked adjoint with
+Gamma f per (subset, f) pair.  Both functions give every entry
+independently of the chunk around it, run under ``np.errstate`` and refuse
+the whole chunk, once, by a ``ValueError`` naming the subset sums and the
+frame's scale when an entry is not finite.  ``identity_terms`` turns their
+(k, V) stacks (k subsets, V vectors) into the two sides of the identity;
+on the own sums it is the Parseval case.  Each public per-(subset, f)
+identity takes a 1 x 1 chunk: the one-row ``side_sums`` of its subset
+(``_pair_identity``), or the dual sums of one row.
 """
 
 from __future__ import annotations
@@ -79,10 +84,12 @@ __all__ = [
     "stack_blocks",
     "stacked_image",
     "subset_sums",
+    "operator_sums",
     "identity_terms",
     "term_stack",
     "subset_masks",
     "masked_sums",
+    "side_sums",
     "partition_identity",
     "parseval_partition_identity",
 ]
@@ -136,30 +143,28 @@ def stacked_image(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def subset_sums(frame_stack: StackedAnalysis, dual: np.ndarray, sides, vectors):
-    """Subset and complement sums of the per-block terms of each vector, for
-    one chunk of subsets.
+    """Subset and complement sums of the per-block dual terms of each vector,
+    for one chunk of subsets.
 
     ``sides`` is the chunk's (2, k, n) rows [K, 1 - K] of ``subset_masks``
     and ``vectors`` a sequence of V validated vectors, where Lambda is
-    ``frame_stack`` and Gamma the matrix ``dual`` (``_dual_stack``, or
-    ``frame_stack.matrix``).  Returns the sums of <Gamma_j f, Lambda_j f>
-    over each row, shape (k, V, 2), and the truncated images
-    sum_j Lambda_j* Gamma_j f over the same rows, shape (k, V, dim, 2).
-    Lambda f, Gamma f and the per-block inner products are taken once per
-    vector, and Lambda* masked to the subset's two rows, shape (2, dim, R),
-    once per subset; each (subset, f) pair then takes only its own row sums
-    and one product of that masked adjoint with Gamma f, so an entry does
-    not depend on the chunk around it.  An overflow raises one
-    ``ValueError`` for the chunk ("subset sums are not finite at this
-    frame's scale"), and no warning.
+    ``frame_stack`` and Gamma the matrix ``dual`` (``_dual_stack``).
+    Returns the sums of <Gamma_j f, Lambda_j f> over each row, shape
+    (k, V, 2), and the truncated images sum_j Lambda_j* Gamma_j f over the
+    same rows, shape (k, V, dim, 2).  Lambda f, Gamma f and the per-block
+    inner products are taken once per vector, and Lambda* masked to the
+    subset's two rows, shape (2, dim, R), once per subset; each (subset, f)
+    pair then takes only its own row sums and one product of that masked
+    adjoint with Gamma f, so an entry does not depend on the chunk around
+    it.  An overflow raises one ``ValueError`` for the chunk ("subset sums
+    are not finite at this frame's scale"), and no warning.
     """
     k, dim = sides.shape[1], frame_stack.matrix.shape[1]
     sums, images = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         per_vector = []
         for f in vectors:
-            y = frame_stack.matrix @ f
-            z = y if dual is frame_stack.matrix else dual @ f
+            y, z = frame_stack.matrix @ f, dual @ f
             per_vector.append((z, np.add.reduceat(y.conj() * z, frame_stack.starts)))
         for i in range(k):
             rows = sides[:, i]
@@ -167,8 +172,31 @@ def subset_sums(frame_stack: StackedAnalysis, dual: np.ndarray, sides, vectors):
             for z, inner_products in per_vector:
                 sums.append(rows @ inner_products)
                 images.append((masked @ z).T)
-    sums = np.array(sums).reshape(k, len(vectors), 2)
-    images = np.array(images).reshape(k, len(vectors), dim, 2)
+    return _finite_sums(np.array(sums).reshape(k, len(vectors), 2),
+                        np.array(images).reshape(k, len(vectors), dim, 2))
+
+
+def operator_sums(m: np.ndarray, vectors):
+    """The own sums of each vector from a chunk's truncated frame operators.
+
+    ``m`` is the (2, k, d, d) stack [M_I, M_K] of ``side_sums`` over the
+    term stack and ``vectors`` a sequence of V validated vectors.  Returns
+    what ``subset_sums`` returns with Gamma = Lambda: the sums <M f, f> =
+    sum_j ||Lambda_j f||^2 over each row, shape (k, V, 2), and the images
+    M f, shape (k, V, d, 2).  Each image is one stacked product of ``m``
+    with f, which multiplies every matrix of the stack with f on its own,
+    and each sum the row sum of conj(f) times its image, so an entry does
+    not depend on the chunk around it.  An overflow raises one
+    ``ValueError`` for the chunk, as ``subset_sums`` does, and no warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = np.stack([m @ f for f in vectors], axis=-2)  # (2, k, V, d)
+        sums = (np.conjugate(vectors) * images).sum(axis=-1)
+    return _finite_sums(np.moveaxis(sums, 0, -1),
+                        np.ascontiguousarray(np.moveaxis(images, 0, -1)))
+
+
+def _finite_sums(sums: np.ndarray, images: np.ndarray):
     if not (np.isfinite(sums).all() and np.isfinite(images).all()):
         raise ValueError("subset sums are not finite at this frame's scale")
     return sums, images
@@ -180,7 +208,8 @@ def _norms_sq(columns: np.ndarray) -> np.ndarray:
 
 def identity_terms(sums, images) -> IdentityTerms:
     """The partition identity's two sides from a (k, V) stack of
-    ``subset_sums`` results: sums (k, V, 2) and images (k, V, dim, 2)."""
+    ``subset_sums`` or ``operator_sums`` results: sums (k, V, 2) and images
+    (k, V, dim, 2)."""
     norms = _norms_sq(images)
     lhs = sums[..., 0] - norms[..., 0]
     rhs = np.conjugate(sums[..., 1]) - norms[..., 1]
@@ -219,6 +248,13 @@ def masked_sums(stack: np.ndarray, masks: np.ndarray) -> np.ndarray:
     for term, column in zip(flat, masks.T):
         out += column[:, None] * term
     return out.view(stack.dtype).reshape(-1, dim, dim)
+
+
+def side_sums(stack: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """``masked_sums`` of a term stack over the 2k rows of ``sides``, the
+    (2, k, n) rows [K, 1 - K] of a chunk: [M_I, M_K], shape (2, k, d, d)."""
+    m = masked_sums(stack, sides.reshape(-1, sides.shape[-1]))
+    return m.reshape(sides.shape[:2] + m.shape[1:])
 
 
 class GFrame:
@@ -430,17 +466,24 @@ class GFrame:
         return self._truncated(subset) @ self.inverse
 
 
-def _pair_identity(frame: GFrame, subset, f, through_dual: bool, terms_of) -> IdentityTerms:
-    """One (subset, vector) pair of an identity: ``terms_of`` on the
-    ``subset_sums`` of the frame's stack with its ``_dual_stack`` (or with its
-    own matrix) over a 1 x 1 chunk, so it gives the scalars, and raises the
-    errors, a check's chunk gives that pair.  ``f`` is validated first, then
-    the subset."""
+def _one_pair(frame: GFrame, subset, f):
+    """``f``, validated first, and the (2, 1, n) rows of the validated
+    ``subset``: a 1 x 1 chunk."""
     f = as_vector(f, frame.dim_h)
-    sides = subset_masks(len(frame), [frame._validate_subset(subset)])
-    dual = frame._dual_stack if through_dual else frame._stacked_analysis.matrix
-    t = terms_of(*subset_sums(frame._stacked_analysis, dual, sides, [f]))
+    return f, subset_masks(len(frame), [frame._validate_subset(subset)])
+
+
+def _scalars(t: IdentityTerms) -> IdentityTerms:
     return IdentityTerms(complex(t.lhs[0, 0]), complex(t.rhs[0, 0]), float(t.residual[0, 0]))
+
+
+def _pair_identity(frame: GFrame, subset, f, terms_of) -> IdentityTerms:
+    """One (subset, vector) pair of an identity on the frame's own sums:
+    ``terms_of`` on the ``operator_sums`` of the subset's one-row
+    ``side_sums`` of the term stack, so it gives the scalars, and raises the
+    errors, a check's chunk gives that pair."""
+    f, sides = _one_pair(frame, subset, f)
+    return _scalars(terms_of(*operator_sums(side_sums(frame._term_stack, sides), [f])))
 
 
 def partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
@@ -449,16 +492,19 @@ def partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
 
     lhs sums <dual_j f, block_j f> over the subset and subtracts the squared
     norm of the truncated reconstruction of f; rhs mirrors it over the
-    complement with conjugated inner products.
+    complement with conjugated inner products.  The sums are the
+    ``subset_sums`` of a 1 x 1 chunk, as a check's chunk takes them.
     """
-    return _pair_identity(frame, subset, f, True, identity_terms)
+    f, sides = _one_pair(frame, subset, f)
+    return _scalars(identity_terms(*subset_sums(frame._stacked_analysis, frame._dual_stack,
+                                                sides, [f])))
 
 
 def parseval_partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
     """Parseval special case of the partition identity, for either frame kind.
 
     Uses the frame's own blocks on both sides (the canonical dual of a
-    Parseval frame is the frame itself): block energies minus the squared
-    norm of the truncated frame-operator image.
+    Parseval frame is the frame itself): block energies <M_I f, f> minus the
+    squared norm of the truncated frame-operator image M_I f.
     """
-    return _pair_identity(frame, subset, f, False, identity_terms)
+    return _pair_identity(frame, subset, f, identity_terms)

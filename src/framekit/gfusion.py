@@ -16,13 +16,13 @@ them into the triples (span of S^(-1/2) U_j, B_j P_j S^(-1/2), w_j).
 
 ``block_energies`` takes all energies weight_j^2 ||block_j P_j f||^2 from
 one product with the stack and one segmented sum over the block row ranges.
-The identities take (k, V) stacks of ``gframe.subset_sums`` over k subsets
-and V vectors: energies and truncated frame-operator images
-M_I f = sum_{j in I} Lambda_j* Lambda_j f, with no truncated frame operator
-built, and dual energies from the dual matrix; the per-(subset, f)
-functions take 1 x 1 chunks.  The energy identity and its Parseval case are
-the g-frame ones on these blocks, so ``partition_identity`` and
-``parseval_partition_identity`` are ``gframe``'s, bound here by name.
+The identities take (k, V) stacks over k subsets and V vectors: energies
+<M_I f, f> and truncated frame-operator images M_I f from
+``gframe.operator_sums`` of the chunk's [M_I, M_K], and dual energies from
+the dual matrix; the per-(subset, f) functions take 1 x 1 chunks.  The
+energy identity and its Parseval case are the g-frame ones on these blocks,
+so ``partition_identity`` and ``parseval_partition_identity`` are
+``gframe``'s, bound here by name.
 """
 
 from __future__ import annotations
@@ -173,13 +173,12 @@ def whitened_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms
     complement's truncated frame-operator image mapped through the inverse
     square root of the frame operator.
     """
-    return _pair_identity(frame, subset, f, False,
-                          lambda e, m: whitened_terms(frame.inverse_sqrt, e, m))
+    return _pair_identity(frame, subset, f, lambda e, m: whitened_terms(frame.inverse_sqrt, e, m))
 
 
 def whitened_terms(r: np.ndarray, energies, images) -> IdentityTerms:
     """The whitened identity's two sides from a (k, V) stack of
-    ``subset_sums`` of the frame's stack with itself: the energies (their
+    ``gframe.operator_sums`` of [M_I, M_K]: the energies <M_I f, f> (their
     real parts) and the images M_I f, M_K f, with ``r`` the inverse square
     root of S."""
     w = _norms_sq(r @ images)
@@ -195,7 +194,7 @@ def frame_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     Each side subtracts from the subset's block energy the full dual analysis
     energy of the truncated frame-operator image of f.
     """
-    return _pair_identity(frame, subset, f, False,
+    return _pair_identity(frame, subset, f,
                           lambda e, m: dual_energy_terms(frame._dual_stack, e, m))
 
 

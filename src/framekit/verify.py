@@ -31,14 +31,16 @@ frame.  Inputs are validated at the API boundary:
 ``run_check`` validates the subsets and vectors its caller passes, and
 ``run_suite`` the sample vectors once per (dim, field, seed), while the
 subsets of ``subsets_for`` are sorted, distinct and in range by
-construction.  A finite vector can still overflow
-in its stacked images or their inner products: ``subset_sums`` then raises
-``ValueError`` for the chunk, and no warning.  The eight operator checks
-take their operands from one ``masked_sums`` call per term stack over the
-chunk's 2k rows, then one stacked ``linops`` call for the margins, spectra
-or complement residuals.  COR3_SANDWICH, COR39_PLUS and COR39_MINUS_PROBE
-read M_I and M_K from the frame's term stack, in units of S, and share two
-evaluators (``_Family``): 0 <= M - M S^-1 M <= S/4 and
+construction.  The six per-vector checks on the frame's own sums read
+<M_I f, f> and M_I f from ``operator_sums`` of the chunk's [M_I, M_K], and
+THM_T1 and THM_TG1 their dual sums from ``subset_sums``.  A finite vector
+can still overflow in its images or their inner products: either function
+then raises ``ValueError`` for the chunk, and no warning.  The eight
+operator checks take their operands from one ``masked_sums`` call per term
+stack over the chunk's 2k rows, then one stacked ``linops`` call for the
+margins, spectra or complement residuals.  COR3_SANDWICH, COR39_PLUS and
+COR39_MINUS_PROBE read M_I and M_K from the frame's term stack, in units
+of S, and share two evaluators (``_Family``): 0 <= M - M S^-1 M <= S/4 and
 S/2 <= M S^-1 M +- M' S^-1 M' <= 3S/2.  The Parseval checks and LEMMA_L2
 read X_I and X_K from the whitened term stack, X_I = S^(-1/2) M_I S^(-1/2)
 being self-adjoint and similar to the partial reconstruction M_I S^-1.
@@ -215,13 +217,14 @@ class _Chunk:
     which a witness records; the caller validates both.  Every other member
     is computed on first read, by the expression a single check would use,
     and then read by every check of the chunk: the vectors' squared norms,
-    the 0/1 rows of the subsets and of their complements, the chunk's
-    ``subset_sums`` over the frame's own stack and over the stack and its
-    ``_dual_stack``, one call each, M_I and M_K from one ``masked_sums`` of
-    the term stack, with the S-relative ``_Family`` over them, which holds
-    no reference to the chunk, and X_I and X_K from one ``masked_sums`` of
-    the whitened term stack, with x, the gated eigenvalues of X_I.  Every
-    frame is a ``GFrame``, so both kinds give these from the same members.
+    the 0/1 rows of the subsets and of their complements, M_I and M_K from
+    one ``masked_sums`` of the term stack, with the own sums
+    (``operator_sums``) and the S-relative ``_Family`` over them, which
+    holds no reference to the chunk, the dual sums from one
+    ``subset_sums`` of the frame's stack and its ``_dual_stack``, and X_I
+    and X_K from one ``masked_sums`` of the whitened term stack, with x,
+    the gated eigenvalues of X_I.  Every frame is a ``GFrame``, so both
+    kinds give these from the same members.
     """
 
     def __init__(self, frame, subsets, vectors):
@@ -242,10 +245,9 @@ class _Chunk:
     @functools.cached_property
     def own_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Per subset I and vector f, the subset and complement energies
-        (k, V, 2) and M_I f, M_K f (k, V, d, 2): ``subset_sums`` of the
-        frame's stack with itself."""
-        stack = self.frame._stacked_analysis
-        return gf.subset_sums(stack, stack.matrix, self.sides, self.vectors)
+        <M_I f, f>, <M_K f, f> (k, V, 2) and M_I f, M_K f (k, V, d, 2):
+        ``operator_sums`` of the chunk's ``truncated``."""
+        return gf.operator_sums(self.truncated, self.vectors)
 
     @functools.cached_property
     def dual_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -253,22 +255,15 @@ class _Chunk:
         return gf.subset_sums(self.frame._stacked_analysis, self.frame._dual_stack,
                               self.sides, self.vectors)
 
-    def _sides_sums(self, stack: np.ndarray) -> np.ndarray:
-        """``masked_sums`` of a term stack over the 2k rows of ``sides``,
-        shape (2, k, d, d)."""
-        sides = self.sides
-        m = gf.masked_sums(stack, sides.reshape(-1, sides.shape[-1]))
-        return m.reshape(sides.shape[:2] + m.shape[1:])
-
     @functools.cached_property
     def truncated(self) -> np.ndarray:
-        """M_I and M_K from the frame's term stack."""
-        return self._sides_sums(self.frame._term_stack)
+        """M_I and M_K, the ``side_sums`` of the frame's term stack."""
+        return gf.side_sums(self.frame._term_stack, self.sides)
 
     @functools.cached_property
     def whitened(self) -> np.ndarray:
-        """X_I and X_K from the frame's whitened term stack."""
-        return self._sides_sums(self.frame._whitened_term_stack)
+        """X_I and X_K, the ``side_sums`` of the frame's whitened term stack."""
+        return gf.side_sums(self.frame._whitened_term_stack, self.sides)
 
     @functools.cached_property
     def spectrum(self) -> np.ndarray:

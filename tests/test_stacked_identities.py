@@ -7,6 +7,7 @@ inner product and one adjoint image per index, and the truncated frame
 operators ``partial_frame_operator`` for the identities built on M_I f.
 """
 
+import functools
 import gc
 import warnings
 import weakref
@@ -254,12 +255,11 @@ class TestStackedMatchesReference:
         f = 3.0 * random_vector(dim, vector_field, substream(seed, 45))
         subset = _subset(bits, len(shapes))
         _assert_routes_agree(GFUSION_ROUTES, frame, subset, f)
-        # the sums behind the three identities on M_I f, with no truncated
-        # frame operator built
+        # the own sums behind the three identities on M_I f, from the
+        # subset's one-row [M_I, M_K]
         js, ks = _split(frame, subset, f)
-        stack = frame._stacked_analysis
         sides = gframe.subset_masks(len(frame), [js])
-        energies, images = gframe.subset_sums(stack, stack.matrix, sides, [f])
+        energies, images = gframe.operator_sums(gframe.side_sums(frame._term_stack, sides), [f])
         scale = max(1.0, np.vdot(f, f).real)
         for side, ids in enumerate((js, ks)):
             assert abs(energies[0, 0, side] - _energy(frame, ids, f)) <= TOL * scale
@@ -344,8 +344,9 @@ class _CountingMatrix(np.ndarray):
 
 
 class TestSubsetSumsChunk:
-    """``subset_sums`` on a chunk of k subsets and V vectors gives every
-    (subset, vector) pair what the 1 x 1 call on that pair gives."""
+    """``subset_sums`` of the dual on a chunk of k subsets and V vectors
+    gives every (subset, vector) pair what the 1 x 1 call on that pair
+    gives."""
 
     SHAPES = [(1, 2), (2, 3), (3, 1), (4, 2), (2, 2), (1, 4), (3, 3)]
     FRAMES = {"d4": (4, SHAPES)} | {
@@ -359,21 +360,19 @@ class TestSubsetSumsChunk:
         frame = _random_gfusion(dim, shapes, field, 5)
         subsets = [tuple(_subset(bits, len(frame))) for bits in range(k)]
         vectors = sample_vectors(dim, field, 5, count)
-        stack = frame._stacked_analysis
-        for dual in (stack.matrix, frame._dual_stack):
-            sums, images = gframe.subset_sums(stack, dual, gframe.subset_masks(len(frame), subsets),
-                                              vectors)
-            assert sums.shape == (k, count, 2) and images.shape == (k, count, dim, 2)
-            for i, js in enumerate(subsets):
-                sides = gframe.subset_masks(len(frame), [js])
-                for v, f in enumerate(vectors):
-                    one_sums, one_images = gframe.subset_sums(stack, dual, sides, [f])
-                    assert np.array_equal(sums[i, v], one_sums[0, 0])
-                    assert np.array_equal(images[i, v], one_images[0, 0])
+        stack, dual = frame._stacked_analysis, frame._dual_stack
+        sums, images = gframe.subset_sums(stack, dual, gframe.subset_masks(len(frame), subsets),
+                                          vectors)
+        assert sums.shape == (k, count, 2) and images.shape == (k, count, dim, 2)
+        for i, js in enumerate(subsets):
+            sides = gframe.subset_masks(len(frame), [js])
+            for v, f in enumerate(vectors):
+                one_sums, one_images = gframe.subset_sums(stack, dual, sides, [f])
+                assert np.array_equal(sums[i, v], one_sums[0, 0])
+                assert np.array_equal(images[i, v], one_images[0, 0])
 
-    @pytest.mark.parametrize("own", [True, False], ids=["own-stack", "dual-stack"])
     @pytest.mark.parametrize("field", list(Field))
-    def test_each_vector_is_applied_once_per_call(self, field, own):
+    def test_each_vector_is_applied_once_per_call(self, field):
         # Lambda f, Gamma f and the inner products do not depend on the
         # subset, nor the row mask on the vector: for 64 subsets and V
         # vectors, V products with each matrix and 64 with Lambda*, not 64 V
@@ -382,29 +381,110 @@ class TestSubsetSumsChunk:
         vectors = sample_vectors(4, field, 5, 3)
         stack = frame._stacked_analysis
         sides = gframe.subset_masks(len(frame), subsets)
-        plain_dual = stack.matrix if own else frame._dual_stack
         matrix = _CountingMatrix.of(stack.matrix)
-        dual = matrix if own else _CountingMatrix.of(plain_dual)
+        dual = _CountingMatrix.of(frame._dual_stack)
         adjoint = _CountingMatrix.of(stack.adjoint)
         sums, images = gframe.subset_sums(stack._replace(matrix=matrix, adjoint=adjoint), dual,
                                           sides, vectors)
         assert ((matrix.products, dual.products, adjoint.products)
                 == (len(vectors), len(vectors), len(subsets)))
-        expected_sums, expected_images = gframe.subset_sums(stack, plain_dual, sides, vectors)
+        expected_sums, expected_images = gframe.subset_sums(stack, frame._dual_stack, sides,
+                                                            vectors)
         assert np.array_equal(sums, expected_sums) and np.array_equal(images, expected_images)
+
+
+def _own_sums(frame, subsets, vectors):
+    """``operator_sums`` of the [M_I, M_K] of ``subsets``, as a chunk takes
+    them."""
+    sides = gframe.subset_masks(len(frame), subsets)
+    return gframe.operator_sums(gframe.side_sums(frame._term_stack, sides), vectors)
+
+
+class TestOperatorSums:
+    """``operator_sums`` of a chunk's [M_I, M_K]: the own sums <M_I f, f> and
+    M_I f of every (subset, vector) pair, each what the pair's 1 x 1 call
+    gives."""
+
+    # the default plan's block heights at d = 2, 3, 5 and 8 with 7 blocks
+    # (128 subsets), the wide-subsets frame and the d = 64 g-frame of CI
+    FRAMES = {f"d{dim}": (dim, _block_dims(dim, 7)) for dim in (2, 3, 5, 8)} | {
+        "wide-subsets": (8, WIDE_ROWS), "d64": (64, [64, 40, 64, 8])}
+
+    @pytest.mark.parametrize("count", [1, 8])
+    @pytest.mark.parametrize("field", list(Field))
+    @pytest.mark.parametrize("dim,rows", FRAMES.values(), ids=FRAMES.keys())
+    def test_each_entry_equals_its_one_by_one_call(self, dim, rows, field, count):
+        frame = _random_gframe(dim, rows, field, 5)
+        # a whole chunk of the sweep and one subset more, or every subset
+        k = min(max(4, 4096 // dim**2) + 1, 2**len(frame))
+        subsets = [tuple(_subset(bits, len(frame))) for bits in range(2**len(frame) - k,
+                                                                      2**len(frame))]
+        vectors = sample_vectors(dim, field, 5, count)
+        sums, images = _own_sums(frame, subsets, vectors)
+        assert sums.shape == (k, count, 2) and images.shape == (k, count, dim, 2)
+        for i, js in enumerate(subsets):
+            for v, f in enumerate(vectors):
+                one_sums, one_images = _own_sums(frame, [js], [f])
+                assert np.array_equal(sums[i, v], one_sums[0, 0])
+                assert np.array_equal(images[i, v], one_images[0, 0])
+
+    @pytest.mark.parametrize("field", list(Field))
+    @pytest.mark.parametrize("dim,rows", FRAMES.values(), ids=FRAMES.keys())
+    def test_sums_and_images_are_the_block_energies_and_adjoint_images(self, dim, rows, field):
+        # <M_I f, f> = sum_{j in I} ||Lambda_j f||^2 and
+        # M_I f = sum_{j in I} Lambda_j* (Lambda_j f), both from the blocks,
+        # relative to the size of the summed terms, sum_{j in I} ||Lambda_j||^2
+        # times ||f||^2 and ||f||: an energy far below it (2.2e-5 against
+        # about 1 on the real wide-subsets frame) keeps only an absolute error
+        frame = _random_gframe(dim, rows, field, 5)
+        subsets = [tuple(_subset(bits, len(frame))) for bits in range(0, 2**len(frame), 5)]
+        vectors = sample_vectors(dim, field, 5, 4)
+        sums, images = _own_sums(frame, subsets, vectors)
+        block_norms_sq = [np.linalg.norm(b, 2)**2 for b in frame.blocks]
+        for i, js in enumerate(subsets):
+            for side, ids in enumerate((js, frame.complement(js))):
+                size = sum(block_norms_sq[j] for j in ids)
+                for v, f in enumerate(vectors):
+                    norm = np.linalg.norm(f)
+                    parts = [b @ f for b in frame.blocks]
+                    energy = sum(np.vdot(parts[j], parts[j]).real for j in ids)
+                    image = sum((adjoint(frame.blocks[j]) @ parts[j] for j in ids),
+                                np.zeros(dim))
+                    assert abs(sums[i, v, side] - energy) <= 1e-12 * size * norm**2
+                    assert abs(sums[i, v, side].imag) <= 1e-12 * size * norm**2
+                    assert (np.linalg.norm(images[i, v, :, side] - image)
+                            <= 1e-12 * size * norm)
 
     @pytest.mark.parametrize("weight,entry", [(1e150, 1e300), (1e100, 1e60)],
                              ids=["stacked-image", "inner-products"])
     def test_an_overflow_raises_and_warns_nothing(self, weight, entry):
-        # no np.errstate here: subset_sums sets its own
+        # no np.errstate here: operator_sums sets its own
         huge = GFusionFrame([(np.eye(2), np.eye(2), weight)])
-        stack = huge._stacked_analysis
-        sides = gframe.subset_masks(1, [(), (0,)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError,
                                match="subset sums are not finite at this frame's scale"):
-                gframe.subset_sums(stack, stack.matrix, sides, [np.ones(2), np.full(2, entry)])
+                _own_sums(huge, [(), (0,)], [np.ones(2), np.full(2, entry)])
+
+    def test_the_near_overflow_frame_raises_once_and_warns_nothing(self):
+        # S = (2.5e307 + 1) I is finite, but <M_I f, f> of f = (1, ..., 1)
+        # is 8 * 2.5e307: the sums of a chunk and of each module function raise
+        # the one ValueError, with every warning an error
+        eye = np.eye(8)
+        frame = GFusionFrame([(eye, eye, 5e153), (eye, eye, 1.0)])
+        f = np.ones(8)
+        routes = [lambda: _own_sums(frame, [(), (0,), (1,), (0, 1)], [f]),
+                  lambda: run_check("THM_T33", frame, [0], [f])] + [
+            functools.partial(identity, frame, [0], f)
+            for identity in (gfusion.parseval_partition_identity,
+                             gfusion.whitened_partition_identity,
+                             gfusion.frame_partition_identity)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in routes:
+                with pytest.raises(ValueError,
+                                   match="^subset sums are not finite at this frame's scale$"):
+                    route()
 
 
 class TestNoTruncatedFrameOperators:

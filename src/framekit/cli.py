@@ -20,11 +20,13 @@ arrays of [re, im] pairs; floats use Python's shortest round-trip
 representation, so reloading is bit-exact.  Every matrix entry of a frame
 file must be a JSON number: a string, a boolean or null is refused.
 
-A frame file's layout is decided once, by ``_frame_layout``, which both
-``frame_to_dict`` and ``save_frame`` read.  ``save_frame`` writes the bytes
-of ``json.dumps(frame_to_dict(frame)) + "\\n"`` one matrix at a time, and
+A frame file's layout is decided once, by ``_frame_layout``, and its text
+once, by ``_write_json``.  ``save_frame`` writes that text one matrix at a
+time, and ``frame_to_dict`` parses what ``save_frame`` writes, so a file
+holds the bytes of ``json.dumps(frame_to_dict(frame)) + "\\n"``.
 ``load_frame`` makes each component's matrices arrays as soon as the parser
-closes it, so neither holds the whole frame as nested lists.
+closes it, so neither ``save_frame`` nor ``load_frame`` holds the whole
+frame as nested lists.
 """
 
 from __future__ import annotations
@@ -136,18 +138,10 @@ def _frame_layout(frame) -> tuple:
             ("dim_h", frame.dim_h), ("kind", frame.kind), ("components", components))
 
 
-def _json_value(node, field: Field):
-    """The JSON value of a ``_frame_layout`` node."""
-    if isinstance(node, tuple):
-        return {key: _json_value(value, field) for key, value in node}
-    if isinstance(node, list):
-        return [_json_value(item, field) for item in node]
-    return _encode_matrix(node, field) if isinstance(node, np.ndarray) else node
-
-
 def _write_json(fh, node, field: Field):
-    """Write ``json.dumps(_json_value(node, field))`` to ``fh`` one leaf at
-    a time, so no more than one matrix is held as lists and text."""
+    """Write the JSON text of a ``_frame_layout`` node to ``fh`` one leaf at
+    a time, with ``json.dumps``'s separators, so no more than one matrix is
+    held as lists and text."""
     if isinstance(node, tuple):
         fh.write("{")
         for i, (key, value) in enumerate(node):
@@ -162,11 +156,15 @@ def _write_json(fh, node, field: Field):
             _write_json(fh, item, field)
         fh.write("]")
     else:
-        fh.write(json.dumps(_json_value(node, field)))
+        fh.write(json.dumps(_encode_matrix(node, field) if isinstance(node, np.ndarray) else node))
 
 
 def frame_to_dict(frame) -> dict:
-    return _json_value(_frame_layout(frame), frame.field)
+    """The frame file's JSON value: ``json.loads`` of the text ``save_frame``
+    writes, so both read one encoding."""
+    text = io.StringIO()
+    _write_json(text, _frame_layout(frame), frame.field)
+    return json.loads(text.getvalue())
 
 
 def _number(value, name: str, integer: bool = False):

@@ -103,16 +103,20 @@ def _attempt_stream(seed: int, purpose: int, attempt: int) -> np.random.Generato
     return substream(seed, 8 * attempt + purpose)
 
 
-def random_vector(dim: int, field: Field, rng: np.random.Generator) -> np.ndarray:
+def _gaussian(shape, field: Field, rng: np.random.Generator) -> np.ndarray:
+    """Standard Gaussian entries of ``shape``: the real parts drawn first,
+    then, for a complex field, the imaginary parts, each scaled to N(0, 1/2)."""
     if field is Field.REAL:
-        return rng.standard_normal(dim)
-    return (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * np.sqrt(0.5)
+        return rng.standard_normal(shape)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+
+
+def random_vector(dim: int, field: Field, rng: np.random.Generator) -> np.ndarray:
+    return _gaussian(dim, field, rng)
 
 
 def random_operator(rows: int, cols: int, field: Field, rng: np.random.Generator) -> np.ndarray:
-    if field is Field.REAL:
-        return rng.standard_normal((rows, cols))
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) * np.sqrt(0.5)
+    return _gaussian((rows, cols), field, rng)
 
 
 def random_subspace_basis(dim: int, subspace_dim: int, field: Field, rng: np.random.Generator) -> np.ndarray:

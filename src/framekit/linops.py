@@ -8,8 +8,9 @@ projections, Loewner-order interval tests, and two small operator lemmas the
 verification checks lean on.  Every function is pure and never mutates its
 arguments.
 
-The acceptance gates (Hermitian symmetry in ``hermitian_eig`` and
-``loewner_check``, orthonormality in ``projection``) keep their spectral
+The acceptance gates (Hermitian symmetry, ``_require_hermitian``, in
+``hermitian_eig``, ``hermitian_eigvalsh`` and ``loewner_check``;
+orthonormality in ``projection``) keep their spectral
 semantics, ``||Y||_2 <= tol * max(floor, ||X||_2, ...)``.  They are decided
 first from an O(d^2) Frobenius certificate, which implies the spectral test,
 and fall back to the exact spectral test only when the certificate is
@@ -280,6 +281,17 @@ def _norms_within(deviations, tol: float, floor: float, operands=()) -> np.ndarr
     return ok.reshape(shape)
 
 
+def _require_hermitian(operands, floor: float, message: str):
+    """The Hermitian gate of every caller: ``NotHermitian(message)`` unless
+    each operand X has ``||X - X*||_2 <= HTOL * max(floor, ||X||_2, ...)``,
+    the norms taken over all the operands, at every stack index
+    (``_norms_within``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviations = [x - adjoint(x) for x in operands]
+    if not _norms_within(deviations, HTOL, floor, operands).all():
+        raise NotHermitian(message)
+
+
 def hermitian_eig(a) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian operator.
 
@@ -292,10 +304,7 @@ def hermitian_eig(a) -> SpectralDecomposition:
     a = as_operator(a)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"expected a square operator, got shape {a.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        deviation = a - adjoint(a)
-    if not _norms_within([deviation], HTOL, 0.0, [a]):
-        raise NotHermitian("operator is not Hermitian within tolerance")
+    _require_hermitian([a], 0.0, "operator is not Hermitian within tolerance")
     w, u = np.linalg.eigh(symmetrize(a))
     if not np.isfinite(w).all():
         raise ValueError("the operator's spectrum is not finite")
@@ -313,10 +322,7 @@ def hermitian_eigvalsh(a, floor: float = 0.0) -> np.ndarray:
     a = _as_operators(a)
     if a.shape[-2] != a.shape[-1]:
         raise NotSquare(f"expected a square operator, got shape {a.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        deviation = a - adjoint(a)
-    if not _norms_within([deviation], HTOL, floor, [a]).all():
-        raise NotHermitian("operator is not Hermitian within tolerance")
+    _require_hermitian([a], floor, "operator is not Hermitian within tolerance")
     return np.linalg.eigvalsh(symmetrize(a))
 
 
@@ -424,11 +430,8 @@ def loewner_check(t, lower, upper, tol: float) -> LoewnerMargin:
         w = hermitian_eigvalsh(t, floor)
         lower_margin, upper_margin = w[..., 0] - lo_c, up_c - w[..., -1]
     else:
-        operands = [t] + [x for x, c in ((lo, lo_c), (up, up_c)) if c is None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            deviations = [x - adjoint(x) for x in operands]
-        if not _norms_within(deviations, HTOL, floor, operands).all():
-            raise NotHermitian("interval operands must be Hermitian within tolerance")
+        _require_hermitian([t] + [x for x, c in ((lo, lo_c), (up, up_c)) if c is None], floor,
+                           "interval operands must be Hermitian within tolerance")
         lower_margin = np.linalg.eigvalsh(symmetrize(t - lo))[..., 0]
         upper_margin = np.linalg.eigvalsh(symmetrize(up - t))[..., 0]
     passed = (lower_margin >= -tol) & (upper_margin >= -tol)

@@ -39,9 +39,10 @@ then raises ``ValueError`` for the chunk, and no warning.  The eight
 operator checks take their operands from one ``masked_sums`` call per term
 stack over the chunk's 2k rows, then one stacked ``linops`` call for the
 margins, spectra or complement residuals.  COR3_SANDWICH, COR39_PLUS and
-COR39_MINUS_PROBE read M_I and M_K from the frame's term stack, in units
-of S, and share two evaluators (``_Family``): 0 <= M - M S^-1 M <= S/4 and
-S/2 <= M S^-1 M +- M' S^-1 M' <= 3S/2.  The Parseval checks and LEMMA_L2
+COR39_MINUS_PROBE read M_I and M_K from the frame's term stack and their
+squares M S^-1 M from the chunk, in units of S: 0 <= M - M S^-1 M <= S/4
+(``_relative_sandwich``) and S/2 <= M S^-1 M +- M' S^-1 M' <= 3S/2
+(``_relative_square_sum``).  The Parseval checks and LEMMA_L2
 read X_I and X_K from the whitened term stack, X_I = S^(-1/2) M_I S^(-1/2)
 being self-adjoint and similar to the partial reconstruction M_I S^-1.
 COR2_SANDWICH, THM38_I and SPECTRUM_REMARK are scalar functions of x, the
@@ -219,11 +220,11 @@ class _Chunk:
     and then read by every check of the chunk: the vectors' squared norms,
     the 0/1 rows of the subsets and of their complements, M_I and M_K from
     one ``masked_sums`` of the term stack, with the own sums
-    (``operator_sums``) and the S-relative ``_Family`` over them, which
-    holds no reference to the chunk, the dual sums from one
-    ``subset_sums`` of the frame's stack and its ``_dual_stack``, and X_I
-    and X_K from one ``masked_sums`` of the whitened term stack, with x,
-    the gated eigenvalues of X_I.  Every frame is a ``GFrame``, so both
+    (``operator_sums``) and the S-relative squares M_I S^-1 M_I and
+    M_K S^-1 M_K over them, the dual sums from one ``subset_sums`` of the
+    frame's stack and its ``_dual_stack``, and X_I and X_K from one
+    ``masked_sums`` of the whitened term stack, with x, the gated
+    eigenvalues of X_I.  Every frame is a ``GFrame``, so both
     kinds give these from the same members.
     """
 
@@ -272,45 +273,12 @@ class _Chunk:
         return hermitian_eigvalsh(self.whitened[0], 1.0)
 
     @functools.cached_property
-    def relative(self) -> _Family:
-        return _Family(*self.truncated, self.frame)
-
-
-class _Family:
-    """The S-relative operands of COR3_SANDWICH, COR39_PLUS and
-    COR39_MINUS_PROBE, and their two evaluators: the truncated frame
-    operators A = M_I and B = M_K = U - A of a chunk's subsets and of their
-    complements, each a (k, d, d) stack, the unit U = S of the bounds and
-    the divisor max(1, ||S||) of the margins, read from the frame.  The
-    squares A S^-1 A and B S^-1 B are each computed on first read, as G G*
-    with G = A S^(-1/2), which is Hermitian to rounding at any condition
-    number."""
-
-    def __init__(self, a, b, frame):
-        self.a, self.b = a, b
-        self.unit, self._root = frame.frame_operator, frame.inverse_sqrt
-        self.scale = max(1.0, frame.upper_bound)
-
-    def _square(self, x: np.ndarray) -> np.ndarray:
-        g = x @ self._root
+    def squares(self) -> np.ndarray:
+        """M_I S^-1 M_I and M_K S^-1 M_K, shape (2, k, d, d): G G* with
+        G = [M_I, M_K] S^(-1/2) from one stacked product, which is Hermitian
+        to rounding at any condition number."""
+        g = self.truncated @ self.frame.inverse_sqrt
         return g @ adjoint(g)
-
-    @functools.cached_property
-    def a_sq(self) -> np.ndarray:
-        return self._square(self.a)
-
-    @functools.cached_property
-    def b_sq(self) -> np.ndarray:
-        return self._square(self.b)
-
-    def sandwich(self):
-        """0 <= A - A^2 <= U/4."""
-        return _interval(self.a - self.a_sq, 0.0, 0.25 * self.unit, self.scale)
-
-    def square_sum(self, sign: float):
-        """U/2 <= A^2 + sign B^2 <= 3U/2."""
-        return _interval(self.a_sq + sign * self.b_sq, 0.5 * self.unit, 1.5 * self.unit,
-                         self.scale)
 
 
 def _interval(t, lower, upper, scale=1.0):
@@ -379,6 +347,21 @@ def _lemma_l0(chunk):
     return np.array([residuals]), None, None
 
 
+def _relative_sandwich(chunk):
+    """0 <= M_I - M_I S^-1 M_I <= S/4 (COR3_SANDWICH), over max(1, ||S||)."""
+    frame = chunk.frame
+    return _interval(chunk.truncated[0] - chunk.squares[0], 0.0, 0.25 * frame.frame_operator,
+                     max(1.0, frame.upper_bound))
+
+
+def _relative_square_sum(sign, chunk):
+    """S/2 <= M_I S^-1 M_I + sign M_K S^-1 M_K <= 3S/2 (COR39_PLUS,
+    COR39_MINUS_PROBE), over max(1, ||S||)."""
+    frame, (a_sq, b_sq) = chunk.frame, chunk.squares
+    return _interval(a_sq + sign * b_sq, 0.5 * frame.frame_operator,
+                     1.5 * frame.frame_operator, max(1.0, frame.upper_bound))
+
+
 def _parseval_sandwich(chunk):
     """0 <= X_I - X_I^2 <= I/4, whose spectrum is x - x^2 (COR2_SANDWICH,
     THM38_I)."""
@@ -436,8 +419,7 @@ CATALOG: dict[CheckId, CheckInfo] = {
                   lambda c: _identity_residuals(
                       gfu.whitened_terms(c.frame.inverse_sqrt, *c.own_sums), c),
                   "whitened subset/complement energy identity for general frames"),
-        CheckInfo(CheckId.COR3_SANDWICH, "gfusion", False, True, False,
-                  lambda c: c.relative.sandwich(),
+        CheckInfo(CheckId.COR3_SANDWICH, "gfusion", False, True, False, _relative_sandwich,
                   "0 <= M - M S^-1 M <= S/4 for truncated frame operators"),
         CheckInfo(CheckId.COR_34_SINV, "gfusion", False, True, True,
                   functools.partial(_pointwise_bound, True),
@@ -447,10 +429,10 @@ CATALOG: dict[CheckId, CheckInfo] = {
         CheckInfo(CheckId.THM38_II, "gfusion", True, True, False, _parseval_square_sum,
                   "second part: I/2 <= P^2 + Q^2 <= 3I/2 for complementary partials"),
         CheckInfo(CheckId.COR39_PLUS, "gfusion", False, True, False,
-                  lambda c: c.relative.square_sum(1.0),
+                  functools.partial(_relative_square_sum, 1.0),
                   "S/2 <= M S^-1 M + M' S^-1 M' <= 3S/2 (sum form)"),
         CheckInfo(CheckId.COR39_MINUS_PROBE, "gfusion", False, True, False,
-                  lambda c: c.relative.square_sum(-1.0),
+                  functools.partial(_relative_square_sum, -1.0),
                   "difference form as printed, probed for counterexamples", probe=True),
         CheckInfo(CheckId.EQ4_RECON, "gfusion", False, False, True,
                   functools.partial(_reconstruction, _operator_maps),

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -86,6 +88,40 @@ class TestDeterminism:
         a = sample_vectors(5, Field.COMPLEX, 9, 3)
         b = sample_vectors(5, Field.COMPLEX, 9, 3)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _digest(arrays) -> str:
+    """sha256 of the arrays' entries as little-endian bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes())
+    return h.hexdigest()
+
+
+# Raw seeded draws are Philox and ziggurat output alone, with no SVD or
+# eigensolver in between, so these digests hold on every BLAS build; they
+# change only if the draws themselves, or their order, change.
+_DRAW_DIGESTS = {
+    (Field.REAL, "vectors"): "935cf65a0a3221ab99fc6c2a5e5e0d5b42581c1ea8eafd42b5857033f69db654",
+    (Field.REAL, "blocks"): "af3dca8a15d86737f51f11438e3ee6e22b87b0aaad138208ec160c5b4eb21cf7",
+    (Field.COMPLEX, "vectors"): "e329ba6fee597624761b0506e29306da82ef18e6748ce4d16f9f0ae61e523d22",
+    (Field.COMPLEX, "blocks"): "60b45d04a9ad884a2271debfe0ab803c93a4ec60cc27c1dd2fe330e8316e0eb5",
+}
+
+
+class TestPinnedDraws:
+    @pytest.mark.parametrize("field", list(Field))
+    def test_sample_vectors(self, field):
+        vectors = sample_vectors(8, field, 0, 8)
+        assert all(v.dtype == field.dtype for v in vectors)
+        assert _digest(vectors) == _DRAW_DIGESTS[field, "vectors"]
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_gframe_blocks(self, field):
+        blocks = random_gframe(8, [2, 3, 4, 5], field, 0).blocks
+        assert [b.shape for b in blocks] == [(2, 8), (3, 8), (4, 8), (5, 8)]
+        assert all(b.dtype == field.dtype for b in blocks)
+        assert _digest(blocks) == _DRAW_DIGESTS[field, "blocks"]
 
 
 class TestRandomFrames:

@@ -366,6 +366,40 @@ class TestHermitianEigvalsh:
             hermitian_eigvalsh(np.array([[np.nan]]))
 
 
+class TestNotHermitianMessages:
+    """``verify`` prints these after "could not evaluate the checks:"."""
+
+    _EIG = "^operator is not Hermitian within tolerance$"
+    _INTERVAL = "^interval operands must be Hermitian within tolerance$"
+
+    @staticmethod
+    def _skewed(field):
+        t = _hermitian_stack(1, 4, field, substream(12, 42))[0]
+        t[0, 1] += 1e-3
+        return t
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_eigensolvers(self, field):
+        t = self._skewed(field)
+        with pytest.raises(NotHermitian, match=self._EIG):
+            hermitian_eig(t)
+        for x in (t, np.stack([t, t])):
+            with pytest.raises(NotHermitian, match=self._EIG):
+                hermitian_eigvalsh(x, 1.0)
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_loewner_check_with_an_operator_bound(self, field):
+        t, eye = self._skewed(field), np.eye(4)
+        with pytest.raises(NotHermitian, match=self._INTERVAL):
+            loewner_check(t, 0.0, 10.0 * eye, tol=0.0)
+        with pytest.raises(NotHermitian, match=self._INTERVAL):
+            loewner_check(symmetrize(t), -10.0, t + 10.0 * eye, tol=0.0)
+
+    def test_loewner_check_with_two_scalar_bounds_gates_through_eigvalsh(self):
+        with pytest.raises(NotHermitian, match=self._EIG):
+            loewner_check(self._skewed(Field.COMPLEX), -10.0, 10.0, tol=0.0)
+
+
 class TestQuadBound:
     @pytest.mark.parametrize(
         "coeffs,expected",

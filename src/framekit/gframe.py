@@ -32,26 +32,26 @@ which is similar to M_I S^-1.  ``side_sums`` takes it over a chunk's rows
 is the one-row sum of the first and ``partial_sum`` is M_I S^-1 =
 sum_{j in I} Lambda_j* Gamma_j.
 
-The per-vector sums come in two kinds.  The own sums are <M_I f, f> =
-sum_{j in I} ||Lambda_j f||^2 and M_I f: ``operator_sums`` takes them
-from the (2, k, d, d) stack [M_I, M_K], one stacked product of the stack
-with each vector f and one row sum of conj(f) times that image.  The dual
-sums come from ``subset_sums``: it takes the rows, a sequence of validated
-vectors f and the dual matrix Gamma, and gives for every (subset, f) of
-the chunk the per-block inner products <Gamma_j f, Lambda_j f> summed over
-each row, from one segmented sum over the block row starts, and the
-truncated images sum_{j in I} Lambda_j* Gamma_j f, from one product of
-Lambda* masked to each row with Gamma f.  It takes Lambda f, Gamma f and
-the inner products once per vector and call, the masked adjoint once per
-subset, and only the row sums and the product of the masked adjoint with
-Gamma f per (subset, f) pair.  Both functions give every entry
-independently of the chunk around it, run under ``np.errstate`` and refuse
-the whole chunk, once, by a ``ValueError`` naming the subset sums and the
-frame's scale when an entry is not finite.  ``identity_terms`` turns their
-(k, V) stacks (k subsets, V vectors) into the two sides of the identity;
-on the own sums it is the Parseval case.  Each public per-(subset, f)
-identity takes a 1 x 1 chunk: the one-row ``side_sums`` of its subset
-(``_pair_identity``), or the dual sums of one row.
+The per-vector sums come in two kinds, both sums <image, f> of a chunk's
+images.  The own sums are <M_I f, f> = sum_{j in I} ||Lambda_j f||^2 and
+M_I f: ``operator_sums`` takes them from the (2, k, d, d) stack
+[M_I, M_K], one stacked product of the stack with each vector f.  The
+dual sums are sum_{j in I} <Gamma_j f, Lambda_j f>, which by the adjoint
+is <u, f> of the truncated image u = sum_{j in I} Lambda_j* Gamma_j f:
+``subset_sums`` takes the rows, a sequence of validated vectors f and the
+dual matrix Gamma, and gives every (subset, f) of the chunk its u from
+one product of Lambda* masked to the row with Gamma f.  It takes Gamma f
+once per vector and call, the masked adjoint once per subset, and only
+that product per (subset, f) pair.  Both end in ``_image_sums``, which
+takes each sum as the row sum of conj(f) times its image.  Both functions
+give every entry independently of the chunk around it, run under
+``np.errstate`` and refuse the whole chunk, once, by a ``ValueError``
+naming the subset sums and the frame's scale when an entry is not finite.
+``identity_terms`` turns their (k, V) stacks (k subsets, V vectors) into
+the two sides of the identity; on the own sums it is the Parseval case.
+Each public per-(subset, f) identity takes a 1 x 1 chunk: the one-row
+``side_sums`` of its subset (``_pair_identity``), or the dual sums of one
+row.
 """
 
 from __future__ import annotations
@@ -150,30 +150,21 @@ def subset_sums(frame_stack: StackedAnalysis, dual: np.ndarray, sides, vectors):
     and ``vectors`` a sequence of V validated vectors, where Lambda is
     ``frame_stack`` and Gamma the matrix ``dual`` (``_dual_stack``).
     Returns the sums of <Gamma_j f, Lambda_j f> over each row, shape
-    (k, V, 2), and the truncated images sum_j Lambda_j* Gamma_j f over the
-    same rows, shape (k, V, dim, 2).  Lambda f, Gamma f and the per-block
-    inner products are taken once per vector, and Lambda* masked to the
-    subset's two rows, shape (2, dim, R), once per subset; each (subset, f)
-    pair then takes only its own row sums and one product of that masked
-    adjoint with Gamma f, so an entry does not depend on the chunk around
-    it.  An overflow raises one ``ValueError`` for the chunk ("subset sums
-    are not finite at this frame's scale"), and no warning.
+    (k, V, 2), and the truncated images u = sum_j Lambda_j* Gamma_j f over
+    the same rows, shape (k, V, dim, 2), from ``_image_sums``: by the
+    adjoint, each sum is <u, f>.  Gamma f is taken once per vector, and
+    Lambda* masked to the subset's two rows, shape (2, dim, R), once per
+    subset; each (subset, f) pair then takes only one product of that
+    masked adjoint with Gamma f, so an entry does not depend on the chunk
+    around it.
     """
-    k, dim = sides.shape[1], frame_stack.matrix.shape[1]
-    sums, images = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        per_vector = []
-        for f in vectors:
-            y, z = frame_stack.matrix @ f, dual @ f
-            per_vector.append((z, np.add.reduceat(y.conj() * z, frame_stack.starts)))
-        for i in range(k):
-            rows = sides[:, i]
+        duals = [dual @ f for f in vectors]
+        images = []
+        for rows in np.moveaxis(sides, 1, 0):
             masked = frame_stack.adjoint * rows.take(frame_stack.owners, axis=1)[:, None, :]
-            for z, inner_products in per_vector:
-                sums.append(rows @ inner_products)
-                images.append((masked @ z).T)
-    return _finite_sums(np.array(sums).reshape(k, len(vectors), 2),
-                        np.array(images).reshape(k, len(vectors), dim, 2))
+            images.append([masked @ z for z in duals])
+    return _image_sums(np.moveaxis(np.array(images), 2, 0), vectors)  # (2, k, V, dim)
 
 
 def operator_sums(m: np.ndarray, vectors):
@@ -183,23 +174,26 @@ def operator_sums(m: np.ndarray, vectors):
     term stack and ``vectors`` a sequence of V validated vectors.  Returns
     what ``subset_sums`` returns with Gamma = Lambda: the sums <M f, f> =
     sum_j ||Lambda_j f||^2 over each row, shape (k, V, 2), and the images
-    M f, shape (k, V, d, 2).  Each image is one stacked product of ``m``
-    with f, which multiplies every matrix of the stack with f on its own,
-    and each sum the row sum of conj(f) times its image, so an entry does
-    not depend on the chunk around it.  An overflow raises one
-    ``ValueError`` for the chunk, as ``subset_sums`` does, and no warning.
+    M f, shape (k, V, d, 2), from ``_image_sums``.  Each image is one stacked
+    product of ``m`` with f, which multiplies every matrix of the stack
+    with f on its own, so an entry does not depend on the chunk around it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        images = np.stack([m @ f for f in vectors], axis=-2)  # (2, k, V, d)
+        images = np.stack([m @ f for f in vectors], axis=-2)
+    return _image_sums(images, vectors)
+
+
+def _image_sums(images: np.ndarray, vectors):
+    """The sums <image, f> of a chunk's (2, k, V, d) ``images`` of the V
+    ``vectors``, each the row sum of conj(f) times its image, as (k, V, 2),
+    and the images as contiguous (k, V, d, 2).  An entry that is not finite
+    raises one ``ValueError`` for the chunk ("subset sums are not finite at
+    this frame's scale"), and no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
         sums = (np.conjugate(vectors) * images).sum(axis=-1)
-    return _finite_sums(np.moveaxis(sums, 0, -1),
-                        np.ascontiguousarray(np.moveaxis(images, 0, -1)))
-
-
-def _finite_sums(sums: np.ndarray, images: np.ndarray):
     if not (np.isfinite(sums).all() and np.isfinite(images).all()):
         raise ValueError("subset sums are not finite at this frame's scale")
-    return sums, images
+    return np.moveaxis(sums, 0, -1), np.ascontiguousarray(np.moveaxis(images, 0, -1))
 
 
 def _norms_sq(columns: np.ndarray) -> np.ndarray:
@@ -490,10 +484,11 @@ def partition_identity(frame: GFrame, subset, f) -> IdentityTerms:
     """Subset/complement energy identity through the canonical dual, for
     either frame kind (``gfusion`` binds this function too).
 
-    lhs sums <dual_j f, block_j f> over the subset and subtracts the squared
-    norm of the truncated reconstruction of f; rhs mirrors it over the
-    complement with conjugated inner products.  The sums are the
-    ``subset_sums`` of a 1 x 1 chunk, as a check's chunk takes them.
+    lhs sums <dual_j f, block_j f> over the subset, which is <u, f> of the
+    truncated reconstruction u = sum_{j in I} block_j* dual_j f, and
+    subtracts ||u||^2; rhs mirrors it over the complement with conjugated
+    inner products.  The sums are the ``subset_sums`` of a 1 x 1 chunk, as
+    a check's chunk takes them.
     """
     f, sides = _one_pair(frame, subset, f)
     return _scalars(identity_terms(*subset_sums(frame._stacked_analysis, frame._dual_stack,

@@ -33,9 +33,11 @@ frame.  Inputs are validated at the API boundary:
 subsets of ``subsets_for`` are sorted, distinct and in range by
 construction.  The six per-vector checks on the frame's own sums read
 <M_I f, f> and M_I f from ``operator_sums`` of the chunk's [M_I, M_K], and
-THM_T1 and THM_TG1 their dual sums from ``subset_sums``.  A finite vector
-can still overflow in its images or their inner products: either function
-then raises ``ValueError`` for the chunk, and no warning.  The eight
+THM_T1 and THM_TG1 their dual sums <u, f>, u = sum_{j in I}
+Lambda_j* Gamma_j f, from ``subset_sums``.  A finite vector can still
+overflow in its images or their sums <image, f>: ``gframe._image_sums``,
+in which both functions end, then raises ``ValueError`` for the chunk, and
+no warning.  The eight
 operator checks take their operands from one ``masked_sums`` call per term
 stack over the chunk's 2k rows, then one stacked ``linops`` call for the
 margins, spectra or complement residuals.  COR3_SANDWICH, COR39_PLUS and

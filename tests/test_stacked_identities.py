@@ -373,9 +373,10 @@ class TestSubsetSumsChunk:
 
     @pytest.mark.parametrize("field", list(Field))
     def test_each_vector_is_applied_once_per_call(self, field):
-        # Lambda f, Gamma f and the inner products do not depend on the
-        # subset, nor the row mask on the vector: for 64 subsets and V
-        # vectors, V products with each matrix and 64 with Lambda*, not 64 V
+        # the sums are <u, f> of the truncated images u, so Lambda is never
+        # applied; Gamma f does not depend on the subset, nor the row mask
+        # on the vector: for 64 subsets and V vectors, V products with Gamma
+        # and 64 with Lambda*, not 64 V
         frame = _random_gfusion(4, self.SHAPES, field, 5)
         subsets = [tuple(_subset(bits, len(frame))) for bits in range(64)]
         vectors = sample_vectors(4, field, 5, 3)
@@ -387,7 +388,7 @@ class TestSubsetSumsChunk:
         sums, images = gframe.subset_sums(stack._replace(matrix=matrix, adjoint=adjoint), dual,
                                           sides, vectors)
         assert ((matrix.products, dual.products, adjoint.products)
-                == (len(vectors), len(vectors), len(subsets)))
+                == (0, len(vectors), len(subsets)))
         expected_sums, expected_images = gframe.subset_sums(stack, frame._dual_stack, sides,
                                                             vectors)
         assert np.array_equal(sums, expected_sums) and np.array_equal(images, expected_images)
@@ -398,6 +399,13 @@ def _own_sums(frame, subsets, vectors):
     them."""
     sides = gframe.subset_masks(len(frame), subsets)
     return gframe.operator_sums(gframe.side_sums(frame._term_stack, sides), vectors)
+
+
+def _dual_sums(frame, subsets, vectors):
+    """``subset_sums`` of the frame's stack and its dual matrix over the rows
+    of ``subsets``, as a chunk takes them."""
+    return gframe.subset_sums(frame._stacked_analysis, frame._dual_stack,
+                              gframe.subset_masks(len(frame), subsets), vectors)
 
 
 class TestOperatorSums:
@@ -485,6 +493,58 @@ class TestOperatorSums:
                 with pytest.raises(ValueError,
                                    match="^subset sums are not finite at this frame's scale$"):
                     route()
+
+
+class TestSumsOfImages:
+    """Both sums functions give <image, f>: the own sums <M_I f, f> and the
+    dual sums <u, f> of u = sum_{j in I} Lambda_j* Gamma_j f, which by the
+    adjoint are the paper's sum_{j in I} <Gamma_j f, Lambda_j f>."""
+
+    FRAMES = {f"d{dim}": (dim, _block_dims(dim, 7)) for dim in (2, 5, 8)} | {
+        "wide-subsets": (8, WIDE_ROWS), "d64": (64, [64, 40, 64, 8])}
+    # (k subsets, V vectors): a pair, a small chunk, a whole chunk of the
+    # d = 8 sweep and one subset more (or every subset, if fewer)
+    CHUNKS = [(1, 1), (4, 3), (65, 2)]
+
+    @staticmethod
+    def _chunk(dim, rows, field, k, count):
+        frame = _random_gframe(dim, rows, field, 5)
+        k = min(k, 2**len(frame))
+        subsets = [tuple(_subset(bits, len(frame))) for bits in range(2**len(frame) - k,
+                                                                      2**len(frame))]
+        return frame, subsets, sample_vectors(dim, field, 5, count)
+
+    @pytest.mark.parametrize("k,count", CHUNKS, ids=[f"{k}x{v}" for k, v in CHUNKS])
+    @pytest.mark.parametrize("field", list(Field))
+    @pytest.mark.parametrize("sums_of", [_dual_sums, _own_sums], ids=["dual", "own"])
+    @pytest.mark.parametrize("dim,rows", FRAMES.values(), ids=FRAMES.keys())
+    def test_each_sum_is_the_row_sum_of_its_image(self, dim, rows, sums_of, field, k, count):
+        frame, subsets, vectors = self._chunk(dim, rows, field, k, count)
+        sums, images = sums_of(frame, subsets, vectors)
+        assert sums.shape == (len(subsets), count, 2)
+        assert images.shape == (len(subsets), count, dim, 2) and images.flags.c_contiguous
+        for v, f in enumerate(vectors):
+            for i in range(len(subsets)):
+                for side in range(2):
+                    assert sums[i, v, side] == np.sum(np.conjugate(f) * images[i, v, :, side])
+
+    @pytest.mark.parametrize("k,count", CHUNKS, ids=[f"{k}x{v}" for k, v in CHUNKS])
+    @pytest.mark.parametrize("field", list(Field))
+    @pytest.mark.parametrize("dim,rows", FRAMES.values(), ids=FRAMES.keys())
+    def test_dual_sums_are_the_per_block_inner_products(self, dim, rows, field, k, count):
+        # sum_{j in I} <Gamma_j f, Lambda_j f> from the blocks and
+        # Gamma_j = Lambda_j S^-1, relative to the size of the summed terms,
+        # sum_{j in I} ||Gamma_j|| ||Lambda_j|| times ||f||^2
+        frame, subsets, vectors = self._chunk(dim, rows, field, k, count)
+        sums, _ = _dual_sums(frame, subsets, vectors)
+        duals = [b @ frame.inverse for b in frame.blocks]
+        sizes = [np.linalg.norm(g, 2) * np.linalg.norm(b, 2) for g, b in zip(duals, frame.blocks)]
+        for i, js in enumerate(subsets):
+            for side, ids in enumerate((js, frame.complement(js))):
+                size = sum(sizes[j] for j in ids)
+                for v, f in enumerate(vectors):
+                    paper = sum((inner(duals[j] @ f, frame.blocks[j] @ f) for j in ids), 0j)
+                    assert abs(sums[i, v, side] - paper) <= 1e-12 * size * np.vdot(f, f).real
 
 
 class TestNoTruncatedFrameOperators:

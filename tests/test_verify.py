@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -686,6 +687,19 @@ class TestDualMatrix:
     def test_gframe(self, scaled):
         verdicts = self._verdicts(random_gframe(4, [2, 3, 1], Field.COMPLEX, 1), scaled)
         assert verdicts[CheckId.THM_T1] is not scaled
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["as-built", "scaled"])
+    def test_small_plan(self, monkeypatch, scaled):
+        # every instance of the plan, both frame kinds and both fields: the
+        # dual sums <u, f> keep THM_T1 and THM_TG1 able to fail
+        if scaled:
+            built = GFrame._dual_stack.func
+            scaled_stack = functools.cached_property(lambda frame: built(frame) * (1 + 1e-6))
+            scaled_stack.__set_name__(GFrame, "_dual_stack")
+            monkeypatch.setattr(GFrame, "_dual_stack", scaled_stack)
+        report = run_suite(SuitePlan(dims=(2, 3, 5), seeds=(0,)))
+        for check in (CheckId.THM_T1, CheckId.THM_TG1, CheckId.EQ5_DUAL_RECON):
+            assert report.summary(check).passed is not scaled, check
 
 
 class TestNaNFails:

@@ -4,10 +4,10 @@ A frame here is a finite family of block operators mapping the common space
 H into per-index codomains.  Frames are immutable; the frame operator S, its
 one spectral decomposition and its extreme eigenvalues (the optimal bounds,
 which ``is_parseval`` also reads) are computed at construction, the dual
-matrix and the whitened term stack lazily.  Every power of S a frame
-needs, ``inverse`` and ``inverse_sqrt`` (which ``gen`` whitens by and the
-whitened term stack reads), comes from that decomposition, by ``_power``,
-so S is diagonalised once per frame.
+matrix, its factor and the whitened term stack lazily.  Every power of S
+a frame needs, ``inverse`` and ``inverse_sqrt`` (which ``gen`` whitens by
+and the whitened term stack reads), comes from that decomposition, by
+``_power``, so S is diagonalised once per frame.
 
 One frame model: ``GFrame``.  A weighted subspace frame
 (``gfusion.GFusionFrame``) is the ``GFrame`` of its blocks w_j B_j P_j and
@@ -18,40 +18,31 @@ as read-only views of that stack, from which ``analysis`` and
 ``synthesis`` read.  It keeps the terms Lambda_j* Lambda_j as a read-only
 stack, sums them into S, and counts, validates and complements indices and
 takes partial sums.  Every dual operand reads the dual matrix
-``_dual_stack`` = Lambda S^-1; ``canonical_dual`` is built on request.
+``_dual_stack`` = Gamma = Lambda S^-1, and the dual energies ||Gamma m||
+its d x d triangular factor ``_dual_factor``; ``canonical_dual`` is built
+on request.
 
 A subset becomes 0/1 rows over the blocks in one place, ``subset_masks``,
 which gives a chunk of subsets its rows K and their complements 1 - K.
 ``masked_sums`` is the one code that adds a frame's term stacks, each a
-read-only (n, d*d) array: 0/1 rows over ``_term_stack``, the terms
-Lambda_j* Lambda_j, give a (k, d, d) stack of truncated frame operators
-M_I, and over ``_whitened_term_stack``, the terms W_j of the whitened
-blocks Lambda_j S^(-1/2), the self-adjoint X_I = S^(-1/2) M_I S^(-1/2),
-which is similar to M_I S^-1.  ``side_sums`` takes it over a chunk's rows
-[K, 1 - K] at once, as a (2, k, d, d) stack.  ``partial_frame_operator``
-is the one-row sum of the first and ``partial_sum`` is M_I S^-1 =
-sum_{j in I} Lambda_j* Gamma_j.
+read-only (n, d*d) array, by one contraction with the rows that adds the
+terms in index order: over ``_term_stack``, the terms Lambda_j* Lambda_j,
+it gives a (k, d, d) stack of truncated frame operators M_I, and over
+``_whitened_term_stack``, the terms W_j of the whitened blocks
+Lambda_j S^(-1/2), the self-adjoint X_I = S^(-1/2) M_I S^(-1/2), similar
+to M_I S^-1.  ``side_sums`` takes it over a chunk's rows [K, 1 - K] at
+once, as a (2, k, d, d) stack.  ``partial_frame_operator`` is the one-row
+sum of the first and ``partial_sum`` is M_I S^-1.
 
-The per-vector sums come in two kinds, both sums <image, f> of a chunk's
-images.  The own sums are <M_I f, f> = sum_{j in I} ||Lambda_j f||^2 and
-M_I f: ``operator_sums`` takes them from the (2, k, d, d) stack
-[M_I, M_K], one stacked product of the stack with each vector f.  The
-dual sums are sum_{j in I} <Gamma_j f, Lambda_j f>, which by the adjoint
-is <u, f> of the truncated image u = sum_{j in I} Lambda_j* Gamma_j f:
-``subset_sums`` takes the rows, a sequence of validated vectors f and the
-dual matrix Gamma, and gives every (subset, f) of the chunk its u from
-one product of Lambda* masked to the row with Gamma f.  It takes Gamma f
-once per vector and call, the masked adjoint once per subset, and only
-that product per (subset, f) pair.  Both end in ``_image_sums``, which
-takes each sum as the row sum of conj(f) times its image.  Both functions
-give every entry independently of the chunk around it, run under
-``np.errstate`` and refuse the whole chunk, once, by a ``ValueError``
-naming the subset sums and the frame's scale when an entry is not finite.
-``identity_terms`` turns their (k, V) stacks (k subsets, V vectors) into
-the two sides of the identity; on the own sums it is the Parseval case.
-Each public per-(subset, f) identity takes a 1 x 1 chunk: the one-row
-``side_sums`` of its subset (``_pair_identity``), or the dual sums of one
-row.
+The per-vector sums are sums <image, f> of a chunk's images
+(``_image_sums``): the own sums <M_I f, f> = sum_{j in I} ||Lambda_j f||^2
+from ``operator_sums``, and the dual sums sum_{j in I} <Gamma_j f,
+Lambda_j f>, which by the adjoint are <u, f> of the truncated image
+u = sum_{j in I} Lambda_j* Gamma_j f, from ``subset_sums``.  Both give
+every entry independently of the chunk around it and refuse the whole
+chunk, once, by a ``ValueError`` when an entry is not finite.
+``identity_terms`` turns their (k, V) stacks into the two sides of the
+identity; each public per-(subset, f) identity takes a 1 x 1 chunk.
 """
 
 from __future__ import annotations
@@ -121,12 +112,15 @@ class StackedAnalysis(NamedTuple):
     owners: np.ndarray  # block index of each row
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def stack_blocks(blocks) -> StackedAnalysis:
     """Stack the block operators into one read-only analysis operator."""
-    matrix = np.vstack(blocks)
-    matrix.setflags(write=False)
-    adj = matrix.conj().T
-    adj.setflags(write=False)
+    matrix = _read_only(np.vstack(blocks))
+    adj = _read_only(matrix.conj().T)
     rows = [b.shape[0] for b in blocks]
     starts = np.cumsum([0] + rows[:-1])
     owners = np.repeat(np.arange(len(rows)), rows)
@@ -212,9 +206,7 @@ def identity_terms(sums, images) -> IdentityTerms:
 
 def term_stack(terms) -> np.ndarray:
     """Per-index d x d terms flattened into one read-only (n, d*d) array."""
-    stack = np.stack([t.reshape(-1) for t in terms])
-    stack.setflags(write=False)
-    return stack
+    return _read_only(np.stack([t.reshape(-1) for t in terms]))
 
 
 def subset_masks(count: int, subsets) -> np.ndarray:
@@ -230,18 +222,17 @@ def masked_sums(stack: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Partial sums sum_j masks[i, j] * term_j for every mask row i.
 
     ``stack`` is a ``term_stack`` and ``masks`` a (k, n) 0/1 array; the
-    result is a (k, d, d) stack.  The terms are added in index order to a
-    zero start, each times its 0 or 1, so a row's sum does not depend on
-    the other rows: 1 * t = t, and a masked-out term adds a signed zero,
-    which leaves a running sum that starts at +0 unchanged.  Complex terms
-    are summed as pairs of reals, which keeps that exact.
+    result is a (k, d, d) stack from one ``np.einsum`` contraction, which
+    adds the terms in index order to a zero start, each times its 0 or 1.
+    So a row's sum does not depend on the other rows: 1 * t = t, and a
+    masked-out term adds a signed zero, which leaves a running sum that
+    starts at +0 unchanged.  Complex terms are summed as pairs of reals,
+    which keeps that exact.  ``masks @`` would not: its BLAS kernel, and so
+    its order, varies with the row count and the CPU.
     """
     dim = math.isqrt(stack.shape[1])
     flat = stack.view(np.float64) if np.iscomplexobj(stack) else stack
-    out = np.zeros((masks.shape[0], flat.shape[1]))
-    for term, column in zip(flat, masks.T):
-        out += column[:, None] * term
-    return out.view(stack.dtype).reshape(-1, dim, dim)
+    return np.einsum("rj,jf->rf", masks, flat).view(stack.dtype).reshape(-1, dim, dim)
 
 
 def side_sums(stack: np.ndarray, sides: np.ndarray) -> np.ndarray:
@@ -309,7 +300,7 @@ class GFrame:
             if not np.isfinite(2.0 * spectrum.eigenvalues).all():
                 raise ValueError("the frame operator has bounds that are not finite when doubled")
         for x in spectrum:
-            x.setflags(write=False)
+            _read_only(x)
         self._term_stack = term_stack(terms)
         self.frame_operator = s
         self._spectrum = spectrum
@@ -409,9 +400,15 @@ class GFrame:
     @functools.cached_property
     def _dual_stack(self) -> np.ndarray:
         """Gamma = Lambda S^-1, read-only; its row blocks are the dual blocks."""
-        dual = self._stacked_analysis.matrix @ self.inverse
-        dual.setflags(write=False)
-        return dual
+        return _read_only(self._stacked_analysis.matrix @ self.inverse)
+
+    @functools.cached_property
+    def _dual_factor(self) -> np.ndarray:
+        """R of Gamma = QR, the read-only d x d triangle with ||R m|| =
+        ||Gamma m||: a factor, as the Gram matrix Gamma* Gamma would square
+        Gamma's condition number in the dual energies."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _read_only(np.linalg.qr(self._dual_stack, mode="r"))
 
     @functools.cached_property
     def _whitened_term_stack(self) -> np.ndarray:

@@ -7,21 +7,21 @@ derived.
 
 A weighted subspace frame is the g-frame with blocks Lambda_j = w_j B_j P_j,
 and ``GFusionFrame`` is a ``gframe.GFrame`` built from them: its frame
-operator, bounds, stack, term stacks (its own and the whitened one), dual
-matrix Lambda S^-1, canonical dual and partial sums are the g-frame's.
-``partial_frame_operator`` is the one-row ``masked_sums`` M_I of the term
-stack and ``partial_sum`` is M_I S^-1.  The triples stay only as
-provenance, for frame files, LEMMA_L0 and ``parsevalize``, which whitens
-them into the triples (span of S^(-1/2) U_j, B_j P_j S^(-1/2), w_j).
+operator, bounds, stack, term stacks, dual matrix Gamma = Lambda S^-1 and
+its factor, canonical dual and partial sums are the g-frame's.  The triples
+stay only as provenance, for frame files, LEMMA_L0 and ``parsevalize``,
+which whitens them into the triples (span of S^(-1/2) U_j,
+B_j P_j S^(-1/2), w_j).  ``block_energies`` takes all energies
+weight_j^2 ||block_j P_j f||^2 from one product with the stack and one
+segmented sum over the block row ranges.
 
-``block_energies`` takes all energies weight_j^2 ||block_j P_j f||^2 from
-one product with the stack and one segmented sum over the block row ranges.
 The identities take (k, V) stacks over k subsets and V vectors: energies
 <M_I f, f> and truncated frame-operator images M_I f from
-``gframe.operator_sums`` of the chunk's [M_I, M_K], and dual energies from
-the dual matrix; the per-(subset, f) functions take 1 x 1 chunks.  The
-energy identity and its Parseval case are the g-frame ones on these blocks,
-so ``partition_identity`` and ``parseval_partition_identity`` are
+``gframe.operator_sums`` of the chunk's [M_I, M_K], and dual energies
+||Gamma M_I f||^2 as ||R M_I f||^2, R the d x d factor ``_dual_factor``;
+the per-(subset, f) functions take 1 x 1 chunks.  The energy identity and
+its Parseval case are the g-frame ones on these blocks, so
+``partition_identity`` and ``parseval_partition_identity`` are
 ``gframe``'s, bound here by name.
 """
 
@@ -195,14 +195,15 @@ def frame_partition_identity(frame: GFusionFrame, subset, f) -> IdentityTerms:
     energy of the truncated frame-operator image of f.
     """
     return _pair_identity(frame, subset, f,
-                          lambda e, m: dual_energy_terms(frame._dual_stack, e, m))
+                          lambda e, m: dual_energy_terms(frame._dual_factor, e, m))
 
 
-def dual_energy_terms(dual_stack: np.ndarray, energies, images) -> IdentityTerms:
+def dual_energy_terms(dual_factor: np.ndarray, energies, images) -> IdentityTerms:
     """The truncated-operator identity's two sides from a (k, V) stack of
     energies and images as ``whitened_terms`` takes them, with
-    ``dual_stack`` the frame's ``_dual_stack``, Lambda S^-1."""
-    d = _norms_sq(stacked_image(dual_stack, images))
+    ``dual_factor`` the frame's ``_dual_factor`` R: the dual energy
+    ||Gamma m||^2 of each image m, Gamma = Lambda S^-1, is ||R m||^2."""
+    d = _norms_sq(stacked_image(dual_factor, images))
     lhs = energies[..., 0].real - d[..., 0]
     rhs = energies[..., 1].real - d[..., 1]
     return IdentityTerms(lhs, rhs, np.abs(lhs - rhs))

@@ -25,22 +25,23 @@ per-subset result, and ``run_check`` cuts it into one ``CheckResult`` per
 subset; a single subset is a chunk of one.  What several checks read is
 computed once per chunk (``_Chunk``), on first read, by the expression a
 single check would use, so sharing changes no bit of a report.  Every dual
-operand reads the frame's dual matrix ``_dual_stack`` = Lambda S^-1,
-EQ5_DUAL_RECON's Lambda* Gamma too: no check builds the canonical dual
-frame.  Inputs are validated at the API boundary:
-``run_check`` validates the subsets and vectors its caller passes, and
-``run_suite`` the sample vectors once per (dim, field, seed), while the
-subsets of ``subsets_for`` are sorted, distinct and in range by
+operand reads the frame's dual matrix ``_dual_stack`` = Gamma = Lambda S^-1,
+EQ5_DUAL_RECON's Lambda* Gamma too, and THM_FINAL_MI's dual energies
+||Gamma m||^2 are ||R m||^2 of its d x d factor R (``_dual_factor``): no
+check builds the canonical dual frame.  Inputs are validated at the API
+boundary: ``run_check`` validates the subsets and vectors its caller
+passes, and ``run_suite`` the sample vectors once per (dim, field, seed),
+while the subsets of ``subsets_for`` are sorted, distinct and in range by
 construction.  The six per-vector checks on the frame's own sums read
 <M_I f, f> and M_I f from ``operator_sums`` of the chunk's [M_I, M_K], and
 THM_T1 and THM_TG1 their dual sums <u, f>, u = sum_{j in I}
 Lambda_j* Gamma_j f, from ``subset_sums``.  A finite vector can still
 overflow in its images or their sums <image, f>: ``gframe._image_sums``,
 in which both functions end, then raises ``ValueError`` for the chunk, and
-no warning.  The eight
-operator checks take their operands from one ``masked_sums`` call per term
-stack over the chunk's 2k rows, then one stacked ``linops`` call for the
-margins, spectra or complement residuals.  COR3_SANDWICH, COR39_PLUS and
+no warning.  The eight operator checks take their operands from one
+``masked_sums`` contraction per term stack over the chunk's 2k rows, then
+one stacked ``linops`` call for the margins, spectra or complement
+residuals.  COR3_SANDWICH, COR39_PLUS and
 COR39_MINUS_PROBE read M_I and M_K from the frame's term stack and their
 squares M S^-1 M from the chunk, in units of S: 0 <= M - M S^-1 M <= S/4
 (``_relative_sandwich``) and S/2 <= M S^-1 M +- M' S^-1 M' <= 3S/2
@@ -452,7 +453,7 @@ CATALOG: dict[CheckId, CheckInfo] = {
                   "complementary partials satisfy u - v = u^2 - v^2"),
         CheckInfo(CheckId.THM_FINAL_MI, "gfusion", False, True, True,
                   lambda c: _identity_residuals(
-                      gfu.dual_energy_terms(c.frame._dual_stack, *c.own_sums), c),
+                      gfu.dual_energy_terms(c.frame._dual_factor, *c.own_sums), c),
                   "partition identity for truncated frame operators through the dual energy"),
     ]
 }

@@ -18,6 +18,7 @@ witnesses and their worst vectors included.
 
 import dataclasses
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -262,6 +263,86 @@ class TestBatchedMatchesReference:
             run_check(CheckId.COR3_SANDWICH, frame, [0], subsets=[[0]])
         with pytest.raises(ValueError):
             run_check(CheckId.EQ4_RECON, frame, vectors=[np.ones(3)], subsets=[[0]])
+
+
+def loop_masked_sums(stack, masks):
+    """The per-term loop that ``masked_sums`` replaced, kept as the oracle of
+    its order: each term times its 0/1 column, added in index order to a
+    +0 start, complex terms as pairs of reals."""
+    dim = math.isqrt(stack.shape[1])
+    flat = stack.view(np.float64) if np.iscomplexobj(stack) else stack
+    out = np.zeros((masks.shape[0], flat.shape[1]))
+    for term, column in zip(flat, masks.T):
+        out += column[:, None] * term
+    return out.view(stack.dtype).reshape(-1, dim, dim)
+
+
+def _random_subsets(count, k, rng):
+    return [tuple(j for j in range(count) if rng.random() < 0.5) for _ in range(k)]
+
+
+class TestMaskedSumsOracle:
+    """``masked_sums`` is one contraction that adds the terms in index order
+    to a zero start: every row equals the per-term loop's bit for bit, at
+    the shapes the workloads give it (n terms at d, a full chunk of 2k rows
+    [K, 1 - K]), and at one row (``_truncated``) and two (one subset's
+    ``side_sums``).  A numpy release that reorders einsum's loop, or sends
+    it to BLAS, fails here; the fix is in ``masked_sums``, not in these
+    tests."""
+
+    # (terms, d, chunk subsets): the wide-subsets frames, the dim-64
+    # large-frames ones, and 16 terms, one chunk each
+    SHAPES = [(10, 8, 64), (4, 64, 4), (16, 8, 64)]
+
+    @pytest.mark.parametrize("rows", [1, 2, "chunk"], ids=["1-row", "2-rows", "chunk"])
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+    @pytest.mark.parametrize("terms,dim,subsets", SHAPES,
+                             ids=[f"n{n}-d{d}" for n, d, _ in SHAPES])
+    def test_random_terms_equal_the_loop(self, terms, dim, subsets, field, rows):
+        # magnitudes from 1e-8 to 1e8 and both signs, so any other order of
+        # the additions rounds differently
+        rng = np.random.default_rng([terms, dim, len(field.value)])
+        values = rng.standard_normal((terms, dim, dim))
+        if field is Field.COMPLEX:
+            values = values + 1j * rng.standard_normal((terms, dim, dim))
+        stack = gframe.term_stack(values * 10.0 ** rng.integers(-8, 9, (terms, 1, 1)))
+        chunk = _random_subsets(terms, subsets, rng)
+        masks = gframe.subset_masks(terms, chunk).reshape(-1, terms)
+        if rows != "chunk":
+            masks = masks[[0, subsets]][:rows]
+        sums = gframe.masked_sums(stack, masks)
+        assert sums.dtype == stack.dtype and sums.shape == (len(masks), dim, dim)
+        assert sums.tobytes() == loop_masked_sums(stack, masks).tobytes()
+
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+    def test_frame_term_stacks_equal_the_loop(self, field):
+        # both term stacks of every instance of the wide-subsets plan, over
+        # all 1024 subsets in the chunks verify takes
+        plan = SuitePlan(dims=(8,), fields=(field,), seeds=(0,), components=10)
+        subsets = subsets_for(10, plan, 0)
+        for instance in verify.build_instances(plan):
+            frame = instance.frame
+            for stack in (frame._term_stack, frame._whitened_term_stack):
+                for chunk in verify._chunks(subsets, 8):
+                    masks = gframe.subset_masks(10, chunk).reshape(-1, 10)
+                    assert (gframe.masked_sums(stack, masks).tobytes()
+                            == loop_masked_sums(stack, masks).tobytes()), instance.label
+
+    @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+    def test_empty_subset_of_negative_terms_is_positive_zero(self, field):
+        # every term entry negative, so each masked-out term adds -0.0: the
+        # empty subset's row, and the full subset's complement, stay +0.0
+        rng = np.random.default_rng(16)
+        values = -1.0 - rng.random((16, 8, 8))
+        if field is Field.COMPLEX:
+            values = values - 1j * (1.0 + rng.random((16, 8, 8)))
+        stack = gframe.term_stack(values)
+        sums = gframe.side_sums(stack, gframe.subset_masks(16, [(), tuple(range(16)), (3,)]))
+        for empty in (sums[0, 0], sums[1, 1]):
+            assert not np.signbit(empty.view(np.float64)).any()
+            assert not np.any(empty)
+        one_row = gframe.masked_sums(stack, np.zeros((1, 16)))
+        assert not np.signbit(one_row.view(np.float64)).any()
 
 
 @pytest.fixture(scope="module")

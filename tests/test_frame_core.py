@@ -7,6 +7,7 @@ blocks, analysis and synthesis, count, validate and complement their
 indices, and word their errors, through the one ``GFrame`` core.
 """
 
+import functools
 import itertools
 import re
 
@@ -37,6 +38,7 @@ from framekit import (
     substream,
 )
 from framekit import gframe, gfusion
+from framekit.verify import build_instances
 from framekit.gen import ComponentSpec, GenSpec, random_operator, random_subspace_basis
 
 # |dual block - dual triple block| <= TOL * max(1, ||S^-1||), fixed before running
@@ -248,6 +250,59 @@ def test_canonical_dual_blocks_are_the_rows_of_the_dual_stack(make):
     for block, row in zip(dual.blocks, rows, strict=True):
         assert block.dtype == row.dtype and block.shape == row.shape
         assert block.tobytes() == row.tobytes()
+
+
+# the dim-64 frames of the large-frames benchmark
+_LARGE = (ComponentSpec(64, 64, 1.0, 1.0), ComponentSpec(48, 40, 1.5, 1.5),
+          ComponentSpec(32, 64, 0.75, 0.75), ComponentSpec(16, 8, 2.0, 2.0))
+
+
+def _factored_frames(dim, field):
+    if dim == 64:
+        frame = random_gfusion(GenSpec(64, _LARGE, field, 0))
+        return [frame, frame.parsevalize()]
+    return [i.frame for i in build_instances(SuitePlan(dims=(dim,), fields=(field,), seeds=(0,)))]
+
+
+@pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+@pytest.mark.parametrize("dim", [2, 5, 8, 64])
+def test_dual_factor_gives_the_dual_energy(dim, field):
+    # R of Gamma = QR is a read-only d x d triangle, and ||R m||^2 is the
+    # dual energy ||Gamma m||^2 that THM_FINAL_MI reads through it
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, 16)) * 10.0 ** rng.integers(-3, 4, 16)
+    if field is Field.COMPLEX:
+        m = m + 1j * rng.standard_normal((dim, 16))
+    for frame in _factored_frames(dim, field):
+        r = frame._dual_factor
+        assert r.shape == (dim, dim) and r.dtype == frame.dtype
+        assert not r.flags.writeable
+        assert np.array_equal(r, np.triu(r))
+        want = gframe._norms_sq(frame._dual_stack @ m)
+        assert np.all(np.abs(gframe._norms_sq(r @ m) - want) <= 1e-13 * want), repr(frame)
+
+
+def test_dual_factor_is_built_once_per_frame(monkeypatch):
+    # two runs over two chunks each, and the module identity, take one QR
+    built = GFrame._dual_factor.func
+    calls = []
+
+    def counting(frame):
+        calls.append(frame)
+        return built(frame)
+
+    factor = functools.cached_property(counting)
+    factor.__set_name__(GFrame, "_dual_factor")
+    monkeypatch.setattr(GFrame, "_dual_factor", factor)
+    plan = SuitePlan(dims=(8,), fields=(Field.COMPLEX,), seeds=(0,), components=7)
+    frame = next(i.frame for i in build_instances(plan)
+                 if i.frame.kind == "gfusion" and not i.frame.is_parseval)
+    for _ in range(2):
+        assert run_suite(SuitePlan(checks=(CheckId.THM_FINAL_MI,)), frame=frame).overall_pass
+        gfusion.frame_partition_identity(frame, [0, 2], np.ones(8))
+    assert calls == [frame]
+    with pytest.raises(ValueError, match="read-only"):
+        frame._dual_factor[0, 0] = 1.0
 
 
 def _gfusion_spec(seed):

@@ -691,14 +691,16 @@ class TestDualMatrix:
     @pytest.mark.parametrize("scaled", [False, True], ids=["as-built", "scaled"])
     def test_small_plan(self, monkeypatch, scaled):
         # every instance of the plan, both frame kinds and both fields: the
-        # dual sums <u, f> keep THM_T1 and THM_TG1 able to fail
+        # dual sums <u, f> keep THM_T1 and THM_TG1 able to fail, and the
+        # dual factor, taken from _dual_stack, THM_FINAL_MI
         if scaled:
             built = GFrame._dual_stack.func
             scaled_stack = functools.cached_property(lambda frame: built(frame) * (1 + 1e-6))
             scaled_stack.__set_name__(GFrame, "_dual_stack")
             monkeypatch.setattr(GFrame, "_dual_stack", scaled_stack)
         report = run_suite(SuitePlan(dims=(2, 3, 5), seeds=(0,)))
-        for check in (CheckId.THM_T1, CheckId.THM_TG1, CheckId.EQ5_DUAL_RECON):
+        for check in (CheckId.THM_T1, CheckId.THM_TG1, CheckId.EQ5_DUAL_RECON,
+                      CheckId.THM_FINAL_MI):
             assert report.summary(check).passed is not scaled, check
 
 

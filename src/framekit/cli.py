@@ -5,11 +5,12 @@ the check suite over generated instances or a loaded frame and can emit a
 JSON or CSV report, ``demo-reconstruct`` prints a reconstruction round trip
 for one vector through the maps that EQ4_RECON and EQ5_DUAL_RECON check.
 Exit codes: 0 success, 1 verification/generation failure, 2 invalid
-configuration or unreadable input, which every subcommand reports as a
-``ValueError``.  A spec from which no frame can be generated
-(``GenerationFailed``) exits 1 from ``gen``, with a ``generation failed:``
-line, but 2 from ``verify`` and ``demo-reconstruct --random``, with an
-``error:`` line.
+configuration or unreadable input.  ``main`` alone decides them: a
+subcommand returns 0 or 1 for its verdict and raises on anything else.
+``main`` turns a ``ValueError`` into exit 2 with one ``error:`` line, and a
+spec from which no frame can be generated (``GenerationFailed``) into exit
+1 from ``gen``, with a ``generation failed:`` line, but 2 from ``verify``
+and ``demo-reconstruct --random``, with an ``error:`` line.
 
 Each input is decided in one place: a tolerance by ``_tolerance`` (its
 flag, else ``FRAMEKIT_TOLERANCE``, read only when the flag is absent, else
@@ -395,63 +396,47 @@ def _generated_frame(args, command: str):
 
 
 def cmd_gen(args) -> int:
-    try:
-        frame = _generated_frame(args, "gen")
-    except GenerationFailed as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    frame = _generated_frame(args, "gen")
     try:
         save_frame(frame, args.out)
     except OSError as exc:
-        print(f"error: could not write frame file: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"could not write frame file: {exc}") from exc
     print(f"wrote {frame.kind} frame (dim {frame.dim_h}, "
           f"{len(frame)} components) to {args.out}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        default = Tolerances()
-        tol = Tolerances(_tolerance(args.tol_residual, default.residual, "--tol-residual"),
-                         _tolerance(args.tol_margin, default.margin, "--tol-margin"))
-        checks = _parse_checks(args.checks)
-        fields = _parse_field(args.field)
-        if args.seeds < 1:
-            raise ValueError("--seeds must be at least 1")
-        frame = None if args.frame is None else _frame_file(args.frame)
-        if checks is None:
-            # 'all': every check the frame admits, LEMMA_L2 at least
-            checks = tuple(c for c in CheckId
-                           if frame is None or inapplicable(CATALOG[c], frame) is None)
-        elif frame is not None:
-            refused = [c.value for c in checks if inapplicable(CATALOG[c], frame) is not None]
-            if refused:
-                raise ValueError(f"checks not applicable to this frame: {', '.join(refused)}")
-        plan = SuitePlan(
-            dims=tuple(args.dims),
-            fields=fields,
-            seeds=tuple(range(args.seeds)),
-            components=args.components,
-            checks=checks,
-            tol=tol,
-            frame_path=args.frame,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    default = Tolerances()
+    tol = Tolerances(_tolerance(args.tol_residual, default.residual, "--tol-residual"),
+                     _tolerance(args.tol_margin, default.margin, "--tol-margin"))
+    checks = _parse_checks(args.checks)
+    fields = _parse_field(args.field)
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1")
+    frame = None if args.frame is None else _frame_file(args.frame)
+    if checks is None:
+        # 'all': every check the frame admits, LEMMA_L2 at least
+        checks = tuple(c for c in CheckId
+                       if frame is None or inapplicable(CATALOG[c], frame) is None)
+    elif frame is not None:
+        refused = [c.value for c in checks if inapplicable(CATALOG[c], frame) is not None]
+        if refused:
+            raise ValueError(f"checks not applicable to this frame: {', '.join(refused)}")
+    plan = SuitePlan(
+        dims=tuple(args.dims),
+        fields=fields,
+        seeds=tuple(range(args.seeds)),
+        components=args.components,
+        checks=checks,
+        tol=tol,
+        frame_path=args.frame,
+    )
     try:
         report = run_suite(plan, frame=frame)
-    except GenerationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         # for example a Loewner gate that an ill-conditioned frame misses
-        print(f"error: could not evaluate the checks: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"could not evaluate the checks: {exc}") from exc
     _print_report(report, sys.stdout)
     if args.report is not None:
         text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
@@ -459,38 +444,30 @@ def cmd_verify(args) -> int:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: could not write report: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"could not write report: {exc}") from exc
     return 0 if report.overall_pass else 1
 
 
 def cmd_demo_reconstruct(args) -> int:
-    try:
-        tol = _tolerance(args.tol, 1e-9, "--tol")
-        if args.vector is not None and args.random_vector:
-            raise ValueError("give --vector or --random-vector, not both")
-        if args.frame is not None and args.random:
-            raise ValueError("give --frame or --random, not both")
-        if not 0 <= args.vector_seed < 2**64:
-            raise ValueError(
-                f"--vector-seed must be a 64-bit unsigned integer, got {args.vector_seed}")
-        if args.frame is not None:
-            frame = _frame_file(args.frame)
-        elif args.random:
-            frame = _generated_frame(args, "demo-reconstruct")
-        else:
-            raise ValueError("need --frame PATH or --random")
-        if args.vector is not None:
-            f = _parse_vector(args.vector, frame.field)
-            if f.shape[0] != frame.dim_h:
-                raise ValueError(
-                    f"vector has length {f.shape[0]}, frame dimension is {frame.dim_h}"
-                )
-        else:
-            f = random_vector(frame.dim_h, frame.field, substream(args.vector_seed, 0))
-    except (ValueError, GenerationFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tol = _tolerance(args.tol, 1e-9, "--tol")
+    if args.vector is not None and args.random_vector:
+        raise ValueError("give --vector or --random-vector, not both")
+    if args.frame is not None and args.random:
+        raise ValueError("give --frame or --random, not both")
+    if not 0 <= args.vector_seed < 2**64:
+        raise ValueError(f"--vector-seed must be a 64-bit unsigned integer, got {args.vector_seed}")
+    if args.frame is not None:
+        frame = _frame_file(args.frame)
+    elif args.random:
+        frame = _generated_frame(args, "demo-reconstruct")
+    else:
+        raise ValueError("need --frame PATH or --random")
+    if args.vector is not None:
+        f = _parse_vector(args.vector, frame.field)
+        if f.shape[0] != frame.dim_h:
+            raise ValueError(f"vector has length {f.shape[0]}, frame dimension is {frame.dim_h}")
+    else:
+        f = random_vector(frame.dim_h, frame.field, substream(args.vector_seed, 0))
 
     # the maps that EQ4_RECON and EQ5_DUAL_RECON check
     if frame.kind == "gfusion":
@@ -583,8 +560,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and decide its exit code: the subcommand's own 0
+    or 1, else 2 with one ``error:`` line for a ``ValueError``.  A
+    ``GenerationFailed`` exits 1 from ``gen``, with one ``generation
+    failed:`` line, and 2 with one ``error:`` line from the others."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, GenerationFailed) as exc:
+        failed = isinstance(exc, GenerationFailed) and args.command == "gen"
+        print(f"{'generation failed' if failed else 'error'}: {exc}", file=sys.stderr)
+        return 1 if failed else 2
 
 
 if __name__ == "__main__":

@@ -31,8 +31,9 @@ it gives a (k, d, d) stack of truncated frame operators M_I, and over
 ``_whitened_term_stack``, the terms W_j of the whitened blocks
 Lambda_j S^(-1/2), the self-adjoint X_I = S^(-1/2) M_I S^(-1/2), similar
 to M_I S^-1.  ``side_sums`` takes it over a chunk's rows [K, 1 - K] at
-once, as a (2, k, d, d) stack.  ``partial_frame_operator`` is the one-row
-sum of the first and ``partial_sum`` is M_I S^-1.
+once, as a (2, k, d, d) stack.  S itself is the all-ones row's sum of the
+first, ``partial_frame_operator`` its one-row sum over a subset and
+``partial_sum`` is M_I S^-1.
 
 The per-vector sums are sums <image, f> of a chunk's images
 (``_image_sums``): the own sums <M_I f, f> = sum_{j in I} ||Lambda_j f||^2
@@ -272,28 +273,28 @@ class GFrame:
     def _set_blocks(self, blocks, name):
         """Stack the validated ``blocks`` once, read-only, keep ``blocks`` as
         views of that stack, and sum the terms Lambda_j* Lambda_j into the
-        frame operator, decomposed once, and its bounds.
+        frame operator, the one-row ``masked_sums``, decomposed once, and its
+        bounds.
 
         ``blocks`` may be a generator.  It is consumed and the spectrum taken
         under ``np.errstate``: an overflow raises this ``ValueError`` (naming
-        index j by ``name(j)``) and no warning.  The checks add operators of
-        the size of S (S = M_I + M_K, up to 3S/2), so bounds that overflow
-        when doubled are refused too.  The terms are kept as the read-only
-        ``_term_stack``, and the decomposition read-only, for ``_power``.
+        the first index j whose term is not finite by ``name(j)``) and no
+        warning.  The checks add operators of the size of S (S = M_I + M_K,
+        up to 3S/2), so bounds that overflow when doubled are refused too.
+        The terms are kept as the read-only ``_term_stack``, and the
+        decomposition read-only, for ``_power``.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             self._stacked_analysis = stacked = stack_blocks(tuple(blocks))
             self.blocks = tuple(np.split(stacked.matrix, stacked.starts[1:]))
             self.dim_h = stacked.matrix.shape[1]
             self.dtype = stacked.matrix.dtype
-            terms = []
-            s = np.zeros((self.dim_h, self.dim_h), dtype=self.dtype)
-            for j, b in enumerate(self.blocks):
-                term = adjoint(b) @ b
-                if not np.isfinite(term).all():
-                    raise ValueError(f"{name(j)} has a frame-operator term that is not finite")
-                terms.append(term)
-                s = s + term
+            terms = term_stack([adjoint(b) @ b for b in self.blocks])
+            bad = ~np.isfinite(terms).all(axis=1)
+            if bad.any():
+                raise ValueError(
+                    f"{name(int(bad.argmax()))} has a frame-operator term that is not finite")
+            s = masked_sums(terms, np.ones((1, len(terms))))[0]
             if not np.isfinite(s).all():
                 raise ValueError(f"the frame operator (sum of the {self._noun} terms) is not finite")
             spectrum = hermitian_eig(s)
@@ -301,7 +302,7 @@ class GFrame:
                 raise ValueError("the frame operator has bounds that are not finite when doubled")
         for x in spectrum:
             _read_only(x)
-        self._term_stack = term_stack(terms)
+        self._term_stack = terms
         self.frame_operator = s
         self._spectrum = spectrum
         self.lower_bound = float(spectrum.eigenvalues[0])

@@ -41,6 +41,7 @@ from framekit import (
     complement_identity_residual,
     loewner_check,
     operator_norm,
+    random_gframe,
     random_gfusion,
     random_parseval_gframe,
     random_parseval_gfusion,
@@ -327,6 +328,18 @@ class TestMaskedSumsOracle:
                     masks = gframe.subset_masks(10, chunk).reshape(-1, 10)
                     assert (gframe.masked_sums(stack, masks).tobytes()
                             == loop_masked_sums(stack, masks).tobytes()), instance.label
+
+    def test_frame_operator_is_the_one_row_sum(self):
+        # S is the all-ones row's sum of the frame's own terms, which the
+        # per-term loop gives too: on every instance of the default plan
+        # and on the dim-64 g-frames of both fields
+        frames = [instance.frame for instance in verify.build_instances(SuitePlan())]
+        frames += [random_gframe(64, [64, 40, 64, 8], field, 3) for field in Field]
+        for frame in frames:
+            ones = np.ones((1, len(frame)))
+            s = frame.frame_operator.tobytes()
+            assert s == gframe.masked_sums(frame._term_stack, ones)[0].tobytes()
+            assert s == loop_masked_sums(frame._term_stack, ones)[0].tobytes()
 
     @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
     def test_empty_subset_of_negative_terms_is_positive_zero(self, field):

@@ -2,9 +2,6 @@ import contextlib
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -13,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framekit import RunReport, SuitePlan, Tolerances, load_frame, save_frame
+from framekit import GenerationFailed, RunReport, SuitePlan, Tolerances, cli, load_frame, save_frame
 from framekit.cli import frame_from_dict, frame_to_dict, main
 from framekit.gframe import GFrame
 from framekit.gfusion import GFusionFrame
@@ -799,18 +796,35 @@ class TestDemoReconstruct:
         assert f"f               = {np.array2string(np.array(expected, dtype=complex), precision=6)}" in out
 
 
-@pytest.mark.parametrize("extra, code", [([], 0), (["--tol-residual", "nan"], 2)])
-def test_python_m_framekit_runs_the_cli(extra, code):
-    # both routes; the package does not load ``cli`` before runpy runs it
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    for module in ("framekit", "framekit.cli"):
-        done = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "verify",
-             "--dims", "2", "--seeds", "1", "--checks", "LEMMA_L2", *extra],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == code, (module, done.stderr)
-        assert ("overall: PASS" in done.stdout) == (code == 0), module
+# where each subcommand is made to raise once its flags are parsed: gen in
+# drawing its frame, verify in running the suite, demo-reconstruct in its
+# reconstruction routes
+_RAISE_AT = {
+    "gen": ("_generated_frame", ["gen", "--dim", "2", "--components", "2:2:1", "--out", "x.frame"]),
+    "verify": ("run_suite", ["verify", "--dims", "2", "--seeds", "1"]),
+    "demo-reconstruct": ("_dual_maps", ["demo-reconstruct", "--random", "--dim", "2",
+                                        "--components", "2:2:1"]),
+}
+
+
+@pytest.mark.parametrize("command, raised, code, line", [
+    ("gen", ValueError, 2, "error: boom"),
+    ("gen", GenerationFailed, 1, "generation failed: boom"),
+    ("verify", ValueError, 2, "error: could not evaluate the checks: boom"),
+    ("verify", GenerationFailed, 2, "error: boom"),
+    ("demo-reconstruct", ValueError, 2, "error: boom"),
+    ("demo-reconstruct", GenerationFailed, 2, "error: boom"),
+])
+def test_main_decides_the_exit_code(monkeypatch, capsys, command, raised, code, line):
+    # main maps what a subcommand raises: one stderr line, no traceback
+    name, argv = _RAISE_AT[command]
+
+    def boom(*args, **kwargs):
+        raise raised("boom")
+
+    monkeypatch.setattr(cli, name, boom)
+    assert main(argv) == code
+    assert capsys.readouterr().err == line + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -191,8 +191,9 @@ class TestSharedCore:
             frame.canonical_dual
 
     def test_non_finite_term_names_its_index(self, kind):
+        # two terms overflow: the first is named
         with pytest.raises(ValueError, match=f"^{_INDEX_ONE[kind]} has a frame-operator term"):
-            _make(kind, [np.eye(2), 1e200 * np.eye(2)])
+            _make(kind, [np.eye(2), 1e200 * np.eye(2), np.eye(2), 1e300 * np.eye(2)])
 
     def test_non_finite_sum(self, kind):
         noun = _NOUN[kind]

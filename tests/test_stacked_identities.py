@@ -414,7 +414,8 @@ class TestOperatorSums:
     gives."""
 
     # the default plan's block heights at d = 2, 3, 5 and 8 with 7 blocks
-    # (128 subsets), the wide-subsets frame and the d = 64 g-frame of CI
+    # (128 subsets), the wide-subsets frame and the d = 64 g-frame of the
+    # exit-contract table
     FRAMES = {f"d{dim}": (dim, _block_dims(dim, 7)) for dim in (2, 3, 5, 8)} | {
         "wide-subsets": (8, WIDE_ROWS), "d64": (64, [64, 40, 64, 8])}
 

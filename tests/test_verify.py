@@ -704,6 +704,28 @@ class TestDualMatrix:
             assert report.summary(check).passed is not scaled, check
 
 
+class TestTermStack:
+    """The own-sum checks read the term stack ``_term_stack``: scaled by
+    1 + 1e-6 after construction, so that S no longer is its sum, it fails
+    exactly COR1_IDENTITY, COR3_SANDWICH, FAMOUS_PARSEVAL, THM_FINAL_MI and
+    THM_T33 on the small plan.  COR1_34BOUND and COR_34_SINV survive it,
+    with min margin 8.7e-3: their bounds leave room for a 1e-6 change of
+    M_I."""
+
+    def test_small_plan(self, monkeypatch):
+        built = GFrame._set_blocks
+
+        def scaled(frame, blocks, name):
+            built(frame, blocks, name)
+            frame._term_stack = frame._term_stack * (1 + 1e-6)
+
+        monkeypatch.setattr(GFrame, "_set_blocks", scaled)
+        report = run_suite(SuitePlan(dims=(2, 3, 5), seeds=(0, 1)))
+        failed = {s.check for s in report.checks if not s.passed}
+        assert failed == {CheckId.COR1_IDENTITY, CheckId.COR3_SANDWICH, CheckId.FAMOUS_PARSEVAL,
+                          CheckId.THM_FINAL_MI, CheckId.THM_T33}
+
+
 class TestNaNFails:
     """A NaN residual or margin fails its row through both routes and reaches
     the extreme it would set, wherever it sits in the row and the plan."""
